@@ -6,9 +6,12 @@ entropy, and realignment criteria plus logarithmic negativity, and
 aggregates detection statistics over (d1, d2, k) grids.
 """
 
+# The one source of the version: pyproject.toml and the run manifest read
+# it from here, so it is set before the submodules are imported.
+__version__ = "0.1.0"
+
 from .linalg import (
     DensityMatrix,
-    hermitian_spectrum,
     partial_trace,
     partial_transpose,
     purity,
@@ -17,19 +20,8 @@ from .linalg import (
     trace_norm,
     von_neumann_entropy,
 )
-from .sampling import SampleSpec, is_npt, numerical_rank, sample_reduced_state, sample_tripartite_pure
-from .criteria import (
-    CRITERIA,
-    StateRecord,
-    Verdict,
-    detect_entropy,
-    detect_majorization,
-    detect_pt,
-    detect_realignment,
-    detect_reduction,
-    evaluate_state,
-    log_negativity,
-)
+from .sampling import SampleSpec, numerical_rank, sample_reduced_state, sample_tripartite_pure
+from .criteria import CRITERIA, StateRecord, Verdict, evaluate_state
 from .analytics import (
     CriterionStats,
     SweepStats,
@@ -43,5 +35,3 @@ from .analytics import (
     realignment_rank_bound,
 )
 from .harness import SweepConfig, evaluate_trial, run_cell, run_sweep
-
-__version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line entry points: scan-rank, scan-dim, asymmetry, bounds, verify.
 
 Flags can be pre-loaded from a JSON config file (--config); explicit
-flags always win. ENTDETECT_WORKERS overrides the worker count.
+flags always win. ENTDETECT_WORKERS overrides the worker count. Sweeps
+run through harness.run_sweep.
 """
 
 import argparse
@@ -11,15 +12,17 @@ import sys
 import time
 
 from . import analytics
-from .analytics import aggregate
 from .criteria import CRITERIA, EPS
 from .harness import (
     SweepConfig,
+    csv_columns,
     results_current,
-    run_cell,
+    run_sweep,
     stats_row,
     write_results,
 )
+# Unused here, but benchmarks/layers.py traces these names on this module.
+from .harness import aggregate, run_cell  # noqa: F401
 from .verify import run_checks
 
 
@@ -44,14 +47,20 @@ def _require(args, *names):
 
 
 def _workers(args):
-    env = os.environ.get("ENTDETECT_WORKERS")
-    if env:
-        return int(env)
-    if args.workers is None:
+    value = os.environ.get("ENTDETECT_WORKERS") or args.workers
+    if value is None:
         return 1
-    if args.workers == "auto":
+    if value == "auto":
         return os.cpu_count() or 1
-    return int(args.workers)
+    try:
+        workers = int(value)
+    except (TypeError, ValueError):
+        workers = 0
+    if workers < 1:
+        raise SystemExit(
+            f"worker count must be a positive integer or 'auto', got {value!r}"
+        )
+    return workers
 
 
 def _criteria(args):
@@ -64,41 +73,28 @@ def _criteria(args):
     return chosen
 
 
-def _columns(criteria, extra=()):
-    cols = list(extra) + ["d1", "d2", "k", "n", "n_npt"]
-    for c in criteria:
-        cols += [f"{c}_F", f"{c}_F_stderr", f"{c}_M", f"{c}_m"]
-    return cols
-
-
-def _run_and_write(name, cells, args, extra_per_cell=None):
-    workers = _workers(args)
+def _run_and_write(name, cells, args, extra=None):
+    """Sweep ``cells`` and write <name>.csv; ``extra`` holds leading
+    columns with one value for every row."""
     config = SweepConfig(
         cells=tuple(cells),
         samples_per_cell=args.samples,
         master_seed=args.seed,
         eps=args.eps,
-        workers=workers,
+        workers=_workers(args),
     )
-    if results_current(args.out, name, config):
+    columns = csv_columns(_criteria(args), extra=extra or ())
+    if results_current(args.out, name, config, columns):
         print(f"{name}: results are current, skipping")
         return os.path.join(args.out, name + ".csv")
 
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    rows, cells_meta = [], []
-    for idx, (d1, d2, k) in enumerate(config.cells):
-        records = run_cell(
-            d1, d2, k, config.samples_per_cell, config.master_seed,
-            eps=config.eps, workers=workers,
-        )
-        stats = aggregate(records, eps=config.eps)
-        extra = extra_per_cell[idx] if extra_per_cell else None
-        rows.append(stats_row(stats, extra=extra))
-        cells_meta.append(
-            {"d1": d1, "d2": d2, "k": k, "n": stats.n_total, "n_npt": stats.n_npt}
-        )
-    extra_cols = list(extra_per_cell[0].keys()) if extra_per_cell else ()
-    columns = _columns(_criteria(args), extra=extra_cols)
+    stats = run_sweep(config)
+    rows = [stats_row(s, extra=extra) for s in stats]
+    cells_meta = [
+        {"d1": s.d1, "d2": s.d2, "k": s.k, "n": s.n_total, "n_npt": s.n_npt}
+        for s in stats
+    ]
     path = write_results(
         args.out, name, rows, config, columns=columns,
         cells_meta=cells_meta, started_at=started,
@@ -134,12 +130,8 @@ def cmd_asymmetry(args):
         raise SystemExit(
             f"d12={d12} does not admit two factorizations with both factors >= 2"
         )
-    cells, extras = [], []
-    for d1, d2 in factorizations:
-        for k in (2, d12):
-            cells.append((d1, d2, k))
-            extras.append({"d12": d12})
-    _run_and_write(f"asymmetry_{d12}", cells, args, extra_per_cell=extras)
+    cells = [(d1, d2, k) for d1, d2 in factorizations for k in (2, d12)]
+    _run_and_write(f"asymmetry_{d12}", cells, args, extra={"d12": d12})
     return 0
 
 
@@ -174,9 +166,6 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
-_SUBPARSERS = {}
-
-
 def _add_common(sub, samples_default=10000):
     sub.add_argument("--samples", type=int, default=samples_default)
     sub.add_argument("--seed", type=int, default=42)
@@ -187,7 +176,9 @@ def _add_common(sub, samples_default=10000):
                      help="comma-separated subset of criteria columns to emit")
 
 
-def build_parser():
+def build_parser(defaults=None):
+    """The command-line parser; ``defaults`` (flag name -> value, e.g. from
+    a --config file) pre-set the subcommands' flags it names."""
     parser = argparse.ArgumentParser(
         prog="entdetect",
         description="Entanglement-detection hierarchy on Haar-random states",
@@ -201,7 +192,6 @@ def build_parser():
     p.add_argument("--k", help="rank or range, e.g. 2..10")
     _add_common(p)
     p.set_defaults(func=cmd_scan_rank)
-    _SUBPARSERS["scan-rank"] = p
 
     p = sub.add_parser("scan-dim", help="sweep d2 at fixed d1 and rank")
     p.add_argument("--d1", type=int)
@@ -209,46 +199,46 @@ def build_parser():
     p.add_argument("--k")
     _add_common(p)
     p.set_defaults(func=cmd_scan_dim)
-    _SUBPARSERS["scan-dim"] = p
 
     p = sub.add_parser("asymmetry", help="factorizations of a total dimension")
     p.add_argument("--d12", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_asymmetry)
-    _SUBPARSERS["asymmetry"] = p
 
     p = sub.add_parser("bounds", help="closed-form predictors for one cell")
     p.add_argument("--d1", type=int)
     p.add_argument("--d2", type=int)
     p.set_defaults(func=cmd_bounds)
-    _SUBPARSERS["bounds"] = p
 
     p = sub.add_parser("verify", help="run the invariant suites")
     _add_common(p, samples_default=1000)
     p.set_defaults(func=cmd_verify)
-    _SUBPARSERS["verify"] = p
 
+    if defaults:
+        for p in sub.choices.values():
+            known = {a.dest for a in p._actions}
+            p.set_defaults(**{k: v for k, v in defaults.items() if k in known})
     return parser
 
 
-def _apply_config_file(argv):
-    # Flags from the config file become subparser defaults, so explicit
-    # command-line flags still override them.
-    if "--config" not in argv:
-        return
-    path = argv[argv.index("--config") + 1]
-    with open(path) as fh:
-        defaults = json.load(fh)
-    for p in _SUBPARSERS.values():
-        known = {a.dest for a in p._actions}
-        p.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+def _load_config(path):
+    try:
+        with open(path) as fh:
+            defaults = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"--config {path}: {exc}")
+    if not isinstance(defaults, dict):
+        raise SystemExit(f"--config {path}: expected a JSON object of flags")
+    return defaults
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    _apply_config_file(argv)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.config:
+        # Parse again with the file's flags as defaults, so explicit
+        # flags still override them.
+        args = build_parser(_load_config(args.config)).parse_args(argv)
     return args.func(args)
 
 

@@ -1,9 +1,11 @@
 """The five entanglement detection criteria and logarithmic negativity.
 
-Each detector returns a Verdict carrying a continuous witness value next
-to the boolean outcome. Thresholds are strict with a shared epsilon
-(default 1e-10): boundary states are classified as not detected, since a
-one-sided separability test at its boundary carries no certificate.
+evaluate_state is the one place a criterion's witness and threshold are
+computed: it returns a StateRecord whose Verdicts carry a continuous
+witness value next to the boolean outcome, plus the state's LN.
+Thresholds are strict with a shared epsilon (default 1e-10): boundary
+states are classified as not detected, since a one-sided separability
+test at its boundary carries no certificate.
 
 Witness conventions:
 
@@ -14,6 +16,9 @@ Witness conventions:
                detected > eps
 * entropy      min conditional entropy (natural log); detected < -eps
 * realignment  trace norm of the realigned matrix minus 1; detected > eps
+
+LN is log2 of the trace norm of the partial transpose, clipped to 0 when
+that norm is within 2*eps of 1 (a PPT state).
 """
 
 import math
@@ -51,14 +56,6 @@ class StateRecord:
     spec: object = None
 
 
-def _reduction_operators(rho):
-    rho1 = partial_trace(rho, 2).mat
-    rho2 = partial_trace(rho, 1).mat
-    op1 = np.kron(rho1, np.eye(rho.d2)) - rho.mat
-    op2 = np.kron(np.eye(rho.d1), rho2) - rho.mat
-    return op1, op2
-
-
 def _majorization_witness(global_eigs, marginal_eigs):
     # Zero-pad the marginal spectrum to the global length, then compare
     # every descending prefix sum.
@@ -68,56 +65,10 @@ def _majorization_witness(global_eigs, marginal_eigs):
     return float((np.cumsum(global_eigs) - np.cumsum(padded)).max())
 
 
-def _log_negativity_from_pt_eigs(pt_eigs, eps=EPS):
-    tn = float(np.abs(pt_eigs).sum())
-    if tn <= 1.0 + 2.0 * eps:
-        return 0.0
-    return math.log2(tn)
-
-
-def detect_pt(rho, eps=EPS):
-    w = float(np.linalg.eigvalsh(partial_transpose(rho, 1))[0])
-    return Verdict("pt", w < -eps, w)
-
-
-def detect_reduction(rho, eps=EPS):
-    op1, op2 = _reduction_operators(rho)
-    w = float(min(np.linalg.eigvalsh(op1)[0], np.linalg.eigvalsh(op2)[0]))
-    return Verdict("reduction", w < -eps, w)
-
-
-def detect_majorization(rho, eps=EPS):
-    eigs = spectrum(rho)
-    w = max(
-        _majorization_witness(eigs, spectrum(partial_trace(rho, 2))),
-        _majorization_witness(eigs, spectrum(partial_trace(rho, 1))),
-    )
-    return Verdict("majorization", w > eps, w)
-
-
-def detect_entropy(rho, eps=EPS):
-    s12 = von_neumann_entropy(spectrum(rho))
-    s1 = von_neumann_entropy(spectrum(partial_trace(rho, 2)))
-    s2 = von_neumann_entropy(spectrum(partial_trace(rho, 1)))
-    w = min(s12 - s1, s12 - s2)
-    return Verdict("entropy", w < -eps, w)
-
-
-def detect_realignment(rho, eps=EPS):
-    w = trace_norm(realign(rho)) - 1.0
-    return Verdict("realignment", w > eps, w)
-
-
-def log_negativity(rho, eps=EPS):
-    """log2 of the trace norm of the partial transpose, clipped to 0 on PPT."""
-    pt_eigs = np.linalg.eigvalsh(partial_transpose(rho, 2))
-    return _log_negativity_from_pt_eigs(pt_eigs, eps)
-
-
 def evaluate_state(rho, spec=None, eps=EPS):
     """Run all five criteria plus log-negativity on one state.
 
-    Shares the expensive eigendecompositions between the detectors; the
+    Shares the expensive eigendecompositions between the criteria; the
     partial-transpose spectrum is independent of which side is transposed,
     so the PT witness and the log-negativity come from a single solve.
     """
@@ -151,6 +102,6 @@ def evaluate_state(rho, spec=None, eps=EPS):
         "entropy": Verdict("entropy", ent < -eps, ent),
         "realignment": Verdict("realignment", rl > eps, rl),
     }
-    return StateRecord(
-        ln=_log_negativity_from_pt_eigs(pt_eigs, eps), verdicts=verdicts, spec=spec
-    )
+    tn = float(np.abs(pt_eigs).sum())
+    ln = 0.0 if tn <= 1.0 + 2.0 * eps else math.log2(tn)
+    return StateRecord(ln=ln, verdicts=verdicts, spec=spec)

@@ -1,11 +1,17 @@
 """Batch Monte Carlo driver and persistence.
 
-Work is partitioned into blocks of 256 trials per (d1, d2, k) cell.
-Trial indices are assigned globally from the configuration, and every
-trial owns its own RNG stream, so the emitted numbers are identical for
-any worker count. Results are written as CSV next to a JSON manifest
-holding the configuration echo and a checksum of the CSV body; a cell
-whose manifest checksum still matches its CSV is not recomputed.
+run_sweep is the one sweep loop: it runs each (d1, d2, k) cell through
+run_cell and aggregates the cell's records. run_cell partitions a cell
+into blocks of 256 trials and returns evaluate_state's own records, in
+trial order, witnesses included. Trial indices are assigned globally
+from the configuration, and every trial owns its own RNG stream, so the
+emitted numbers are identical for any worker count.
+
+Results are written as CSV next to a JSON manifest holding the
+configuration echo, the package version and a checksum of the CSV body.
+A run whose CSV still matches its manifest checksum, whose manifest
+echoes the same configuration and version, and whose CSV header has the
+requested columns, is not recomputed.
 """
 
 import csv
@@ -17,16 +23,23 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .criteria import CRITERIA, EPS, StateRecord, Verdict, evaluate_state
-from .analytics import SweepStats, aggregate
+from . import __version__
+from .criteria import CRITERIA, EPS, evaluate_state
+from .analytics import aggregate
 from .sampling import SampleSpec, sample_reduced_state
 
-VERSION = "0.1.0"
 BLOCK_SIZE = 256
 
-CSV_COLUMNS = ["d1", "d2", "k", "n", "n_npt"] + [
-    f"{c}_{f}" for c in CRITERIA for f in ("F", "F_stderr", "M", "m")
-]
+
+def csv_columns(criteria=CRITERIA, extra=()):
+    """CSV header: extra columns, the cell and counts, then per criterion
+    F, its stderr, M and m."""
+    return list(extra) + ["d1", "d2", "k", "n", "n_npt"] + [
+        f"{c}_{f}" for c in criteria for f in ("F", "F_stderr", "M", "m")
+    ]
+
+
+CSV_COLUMNS = csv_columns()
 
 
 @dataclass(frozen=True)
@@ -62,21 +75,15 @@ def evaluate_trial(d1, d2, k, master_seed, trial_index, eps=EPS):
 
 def _run_block(args):
     d1, d2, k, master_seed, eps, start, stop = args
-    out = []
-    for trial in range(start, stop):
-        rec = evaluate_trial(d1, d2, k, master_seed, trial, eps)
-        out.append(
-            (trial, rec.ln, tuple(rec.verdicts[c].detected for c in CRITERIA))
-        )
-    return out
+    return [
+        evaluate_trial(d1, d2, k, master_seed, trial, eps)
+        for trial in range(start, stop)
+    ]
 
 
 def run_cell(d1, d2, k, n, master_seed, eps=EPS, workers=1):
-    """Evaluate ``n`` trials of one cell; returns records sorted by trial.
-
-    The records carry verdicts without witness values (witnesses are not
-    aggregated); use evaluate_trial for the full per-state picture.
-    """
+    """Evaluate ``n`` trials of one cell; returns evaluate_trial's records,
+    witnesses included, in trial order."""
     blocks = [
         (d1, d2, k, master_seed, eps, start, min(start + BLOCK_SIZE, n))
         for start in range(0, n, BLOCK_SIZE)
@@ -86,18 +93,7 @@ def run_cell(d1, d2, k, n, master_seed, eps=EPS, workers=1):
             chunks = list(pool.map(_run_block, blocks))
     else:
         chunks = [_run_block(b) for b in blocks]
-
-    records = []
-    for chunk in chunks:
-        for trial, ln, flags in chunk:
-            verdicts = {
-                c: Verdict(c, det, float("nan"))
-                for c, det in zip(CRITERIA, flags)
-            }
-            spec = SampleSpec(d1, d2, k, master_seed, trial)
-            records.append(StateRecord(ln=ln, verdicts=verdicts, spec=spec))
-    records.sort(key=lambda r: r.spec.trial_index)
-    return records
+    return [rec for chunk in chunks for rec in chunk]
 
 
 def run_sweep(config):
@@ -168,7 +164,7 @@ def write_results(out_dir, name, rows, config, columns=CSV_COLUMNS, cells_meta=N
     body = render_csv(rows, columns)
     manifest = {
         "config": config.to_dict(),
-        "version": VERSION,
+        "version": __version__,
         "started_at": started_at if started_at is not None else time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
         ),
@@ -181,36 +177,42 @@ def write_results(out_dir, name, rows, config, columns=CSV_COLUMNS, cells_meta=N
     return csv_path
 
 
-def results_current(out_dir, name, config):
-    """True iff <name>.csv exists, matches its manifest checksum, and the
-    manifest echoes the same configuration."""
+def _read_manifest(out_dir, name):
+    """The manifest of <name> as a dict; None if it is missing or corrupt."""
+    try:
+        with open(os.path.join(out_dir, name + ".manifest.json")) as fh:
+            manifest = json.load(fh)
+    except (FileNotFoundError, ValueError):
+        return None
+    return manifest if isinstance(manifest, dict) else None
+
+
+def results_current(out_dir, name, config, columns=CSV_COLUMNS):
+    """True iff <name>.csv exists, matches its manifest checksum, has the
+    header ``columns``, and the manifest echoes the same configuration and
+    package version. A missing or corrupt manifest means recompute."""
     csv_path = os.path.join(out_dir, name + ".csv")
-    manifest_path = os.path.join(out_dir, name + ".manifest.json")
-    if not (os.path.exists(csv_path) and os.path.exists(manifest_path)):
+    manifest = _read_manifest(out_dir, name)
+    if manifest is None or not os.path.exists(csv_path):
         return False
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
     if manifest.get("config") != config.to_dict():
+        return False
+    if manifest.get("version") != __version__:
         return False
     with open(csv_path, newline="") as fh:
         body = fh.read()
-    return manifest.get("checksum") == checksum(body)
+    header = next(csv.reader(io.StringIO(body, newline="")), None)
+    return header == list(columns) and manifest.get("checksum") == checksum(body)
 
 
 def find_orphans(out_dir):
-    """Results CSVs lacking a manifest, or failing their checksum."""
+    """Results CSVs lacking a readable manifest, or failing its checksum."""
     orphans = []
     for entry in sorted(os.listdir(out_dir)):
         if not entry.endswith(".csv"):
             continue
-        name = entry[: -len(".csv")]
-        manifest_path = os.path.join(out_dir, name + ".manifest.json")
-        if not os.path.exists(manifest_path):
-            orphans.append(entry)
-            continue
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest = _read_manifest(out_dir, entry[: -len(".csv")])
         with open(os.path.join(out_dir, entry), newline="") as fh:
-            if manifest.get("checksum") != checksum(fh.read()):
+            if manifest is None or manifest.get("checksum") != checksum(fh.read()):
                 orphans.append(entry)
     return orphans

@@ -115,19 +115,6 @@ def trace_norm(m):
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def hermitian_spectrum(m):
-    """Eigenvalues of a Hermitian matrix, sorted descending.
-
-    Raises ValueError if the input is not Hermitian within a 1e-10
-    relative tolerance.
-    """
-    m = np.asarray(m, dtype=complex)
-    scale = np.abs(m).max()
-    if scale > 0 and np.abs(m - m.conj().T).max() > 1e-10 * scale:
-        raise ValueError("input is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(m)[::-1]
-
-
 def spectrum(rho):
     """Descending eigenvalues of a density matrix."""
     return np.linalg.eigvalsh(rho.mat)[::-1]

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, partial_transpose
+from .linalg import DensityMatrix
 
-NPT_EPS = 1e-10
 RANK_TOL = 1e-10
 
 
@@ -75,7 +74,3 @@ def numerical_rank(rho, tol=RANK_TOL):
     """Number of eigenvalues above ``tol``."""
     return int((np.linalg.eigvalsh(rho.mat) > tol).sum())
 
-
-def is_npt(rho, eps=NPT_EPS):
-    """True iff the partial transpose has an eigenvalue below -eps."""
-    return bool(np.linalg.eigvalsh(partial_transpose(rho, 1))[0] < -eps)

@@ -1,7 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
-from entdetect import DensityMatrix, SampleSpec, sample_reduced_state
+from entdetect import (
+    DensityMatrix,
+    SampleSpec,
+    StateRecord,
+    Verdict,
+    partial_trace,
+    partial_transpose,
+    realign,
+    sample_reduced_state,
+    spectrum,
+    trace_norm,
+    von_neumann_entropy,
+)
 
 
 def bell_state():
@@ -53,6 +67,51 @@ def haar_unitary(d, rng):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _majorization_excess(global_eigs, marginal_eigs):
+    padded = np.zeros(len(global_eigs))
+    padded[: len(marginal_eigs)] = marginal_eigs
+    return float((np.cumsum(global_eigs) - np.cumsum(padded)).max())
+
+
+def reference_verdicts(rho, eps):
+    """Reference for evaluate_state: every criterion computed on its own,
+    with its own eigendecompositions, and LN from the side-2 partial
+    transpose (evaluate_state uses side 1)."""
+    rho1, rho2 = partial_trace(rho, 2), partial_trace(rho, 1)
+
+    pt = float(np.linalg.eigvalsh(partial_transpose(rho, 1))[0])
+
+    op1 = np.kron(rho1.mat, np.eye(rho.d2)) - rho.mat
+    op2 = np.kron(np.eye(rho.d1), rho2.mat) - rho.mat
+    red = float(min(np.linalg.eigvalsh(op1)[0], np.linalg.eigvalsh(op2)[0]))
+
+    eigs = spectrum(rho)
+    maj = max(
+        _majorization_excess(eigs, spectrum(rho1)),
+        _majorization_excess(eigs, spectrum(rho2)),
+    )
+
+    s12 = von_neumann_entropy(spectrum(rho))
+    ent = min(
+        s12 - von_neumann_entropy(spectrum(rho1)),
+        s12 - von_neumann_entropy(spectrum(rho2)),
+    )
+
+    rl = trace_norm(realign(rho)) - 1.0
+
+    tn = float(np.abs(np.linalg.eigvalsh(partial_transpose(rho, 2))).sum())
+    ln = 0.0 if tn <= 1.0 + 2.0 * eps else math.log2(tn)
+
+    verdicts = {
+        "pt": Verdict("pt", pt < -eps, pt),
+        "reduction": Verdict("reduction", red < -eps, red),
+        "majorization": Verdict("majorization", maj > eps, maj),
+        "entropy": Verdict("entropy", ent < -eps, ent),
+        "realignment": Verdict("realignment", rl > eps, rl),
+    }
+    return StateRecord(ln=ln, verdicts=verdicts)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -48,6 +49,18 @@ class TestScanRank:
         ])
         header = read_csv(tmp_path / "scan_rank_2x3.csv").split("\r\n")[0]
         assert "majorization_F" in header and "entropy_F" not in header
+
+    def test_criteria_change_recomputes(self, tmp_path, capsys):
+        args = [
+            "scan-rank", "--d1", "2", "--d2", "3", "--k", "2",
+            "--samples", "120", "--seed", "4", "--out", str(tmp_path),
+        ]
+        main(args)
+        capsys.readouterr()
+        main(args + ["--criteria", "pt"])
+        assert "skipping" not in capsys.readouterr().out
+        header = read_csv(tmp_path / "scan_rank_2x3.csv").split("\r\n")[0]
+        assert header == "d1,d2,k,n,n_npt,pt_F,pt_F_stderr,pt_M,pt_m"
 
 
 class TestScanDim:
@@ -122,6 +135,26 @@ class TestConfigFile:
         main(["--config", str(cfg), "scan-rank", "--d2", "4"])
         assert os.path.exists(tmp_path / "runs" / "scan_rank_2x4.csv")
 
+    def test_config_with_equals_sign(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "d1": 2, "d2": 3, "k": "2", "samples": 5, "out": str(tmp_path / "runs"),
+        }))
+        main([f"--config={cfg}", "scan-rank"])
+        with open(tmp_path / "runs" / "scan_rank_2x3.manifest.json") as fh:
+            assert json.load(fh)["config"]["samples_per_cell"] == 5
+
+    @pytest.mark.parametrize("argv", [["--config"], ["scan-rank", "--d1", "2", "--config"]])
+    def test_config_without_path_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_unreadable_config_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="--config"):
+            main(["--config", str(tmp_path / "missing.json"), "scan-rank"])
+
 
 class TestWorkersEnv:
     def test_env_override_keeps_results_identical(self, tmp_path, monkeypatch, capsys):
@@ -135,3 +168,43 @@ class TestWorkersEnv:
         assert read_csv(tmp_path / "a" / "scan_rank_2x3.csv") == read_csv(
             tmp_path / "b" / "scan_rank_2x3.csv"
         )
+
+    @pytest.mark.parametrize("env,flag", [("0", None), ("abc", None), (None, "-3")])
+    def test_bad_worker_count_rejected(self, tmp_path, monkeypatch, env, flag):
+        if env is None:
+            monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("ENTDETECT_WORKERS", env)
+        argv = [
+            "scan-rank", "--d1", "2", "--d2", "3", "--k", "2",
+            "--samples", "5", "--out", str(tmp_path),
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--workers", flag] if flag else []))
+        message = str(exc.value.code)
+        assert "worker count" in message and "\n" not in message
+        assert not os.path.exists(tmp_path / "scan_rank_2x3.csv")
+
+
+# sha256 of whole CSV bodies: a change to sampling, the criteria,
+# aggregation or the CSV format, down to the last printed digit, shows here.
+GOLDEN = {
+    "scan_rank_2x5.csv": (
+        ["scan-rank", "--d1", "2", "--d2", "5", "--k", "2..10",
+         "--samples", "200", "--seed", "42"],
+        "0a84017ae9b6cc8d608dcc48265d4939051c47999c537c12b00d9e7d56d3d06f",
+    ),
+    "asymmetry_12.csv": (
+        ["asymmetry", "--d12", "12", "--samples", "120", "--seed", "4"],
+        "f2df52e94c6b8704e478b432941214e60b69ea931e46e390fdd0b13507e7bed7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_csv_bodies(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)
+    argv, digest = GOLDEN[name]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    body = read_csv(tmp_path / name)
+    assert hashlib.sha256(body.encode()).hexdigest() == digest

@@ -7,13 +7,7 @@ from entdetect import (
     CRITERIA,
     DensityMatrix,
     SampleSpec,
-    detect_entropy,
-    detect_majorization,
-    detect_pt,
-    detect_realignment,
-    detect_reduction,
     evaluate_state,
-    log_negativity,
     partial_transpose,
     purity,
     sample_reduced_state,
@@ -25,6 +19,7 @@ from conftest import (
     maximally_mixed,
     product_pure,
     random_state,
+    reference_verdicts,
     werner_state,
 )
 
@@ -37,50 +32,51 @@ def werner_pt_min_eig(p):
 
 class TestPT:
     def test_bell(self):
-        v = detect_pt(bell_state())
+        v = evaluate_state(bell_state()).verdicts["pt"]
         assert v.detected and v.witness == pytest.approx(-0.5, abs=1e-12)
 
     @pytest.mark.parametrize("p,expect", [(0.5, True), (0.2, False)])
     def test_werner(self, p, expect):
-        v = detect_pt(werner_state(p))
+        v = evaluate_state(werner_state(p)).verdicts["pt"]
         assert v.detected is expect
         assert v.witness == pytest.approx(werner_pt_min_eig(p), abs=1e-12)
 
 
 class TestReduction:
     def test_bell(self):
-        v = detect_reduction(bell_state())
+        v = evaluate_state(bell_state()).verdicts["reduction"]
         assert v.detected and v.witness == pytest.approx(-0.5, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert not detect_reduction(maximally_mixed(2, 3)).detected
+        assert not evaluate_state(maximally_mixed(2, 3)).verdicts["reduction"].detected
 
     @pytest.mark.parametrize("trial", range(25))
     def test_prop3_equivalence_2x4(self, trial):
         rho = random_state(2, 4, 5, seed=61, trial=trial)
-        assert detect_reduction(rho).detected == detect_pt(rho).detected
+        v = evaluate_state(rho).verdicts
+        assert v["reduction"].detected == v["pt"].detected
 
 
 class TestMajorization:
     def test_bell(self):
-        v = detect_majorization(bell_state())
+        v = evaluate_state(bell_state()).verdicts["majorization"]
         assert v.detected and v.witness == pytest.approx(0.5, abs=1e-12)
 
     def test_pure_product(self):
-        v = detect_majorization(product_pure(2, 3, seed=1))
+        v = evaluate_state(product_pure(2, 3, seed=1)).verdicts["majorization"]
         assert not v.detected and abs(v.witness) <= 1e-12
 
     def test_maximally_mixed(self):
-        assert not detect_majorization(maximally_mixed(2, 2)).detected
+        assert not evaluate_state(maximally_mixed(2, 2)).verdicts["majorization"].detected
 
 
 class TestEntropy:
     def test_bell(self):
-        v = detect_entropy(bell_state())
+        v = evaluate_state(bell_state()).verdicts["entropy"]
         assert v.detected and v.witness == pytest.approx(-math.log(2), abs=1e-12)
 
     def test_product_not_detected(self):
-        assert not detect_entropy(product_pure(3, 4, seed=2)).detected
+        assert not evaluate_state(product_pure(3, 4, seed=2)).verdicts["entropy"].detected
 
     @pytest.mark.parametrize("p,expect", [(0.9, True), (0.6, False)])
     def test_werner_boundary(self, p, expect):
@@ -89,20 +85,20 @@ class TestEntropy:
         lam = np.array([(1 + 3 * p) / 4] + [(1 - p) / 4] * 3)
         s12 = float(-(lam[lam > 0] * np.log(lam[lam > 0])).sum())
         assert (s12 - math.log(2) < 0) is expect
-        assert detect_entropy(werner_state(p)).detected is expect
+        assert evaluate_state(werner_state(p)).verdicts["entropy"].detected is expect
 
 
 class TestRealignment:
     def test_bell(self):
-        v = detect_realignment(bell_state())
+        v = evaluate_state(bell_state()).verdicts["realignment"]
         assert v.detected and v.witness == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_product_boundary_not_detected(self):
-        v = detect_realignment(product_pure(2, 3, seed=3))
+        v = evaluate_state(product_pure(2, 3, seed=3)).verdicts["realignment"]
         assert not v.detected and abs(v.witness) <= 1e-9
 
     def test_maximally_mixed(self):
-        v = detect_realignment(maximally_mixed(2, 5))
+        v = evaluate_state(maximally_mixed(2, 5)).verdicts["realignment"]
         assert not v.detected
         assert v.witness == pytest.approx(1 / math.sqrt(10) - 1, abs=1e-12)
 
@@ -110,7 +106,7 @@ class TestRealignment:
         # 2x5 rank 9 lies above realignment_rank_bound(2, 5) = 6.5, which
         # bounds the average state only; this state's purity exceeds 1/d1^2.
         rho = sample_reduced_state(SampleSpec(2, 5, 9, 42, 2428))
-        v = detect_realignment(rho)
+        v = evaluate_state(rho).verdicts["realignment"]
         r = rho.mat.reshape(2, 5, 2, 5).transpose(0, 2, 1, 3).reshape(4, 25)
         sv = np.sqrt(np.clip(np.linalg.eigvalsh(r @ r.conj().T), 0.0, None))
         assert v.detected
@@ -121,16 +117,16 @@ class TestRealignment:
 
 class TestLogNegativity:
     def test_bell(self):
-        assert log_negativity(bell_state()) == pytest.approx(1.0, abs=1e-12)
+        assert evaluate_state(bell_state()).ln == pytest.approx(1.0, abs=1e-12)
 
     def test_separable_zero(self):
-        assert log_negativity(product_pure(2, 4, seed=4)) == 0.0
-        assert log_negativity(maximally_mixed(3, 3)) == 0.0
+        assert evaluate_state(product_pure(2, 4, seed=4)).ln == 0.0
+        assert evaluate_state(maximally_mixed(3, 3)).ln == 0.0
 
     def test_werner_half(self):
         # ||rho^T2||_1 = 1 + 2 |lambda_min| with a single negative eigenvalue
         expected = math.log2(1 + 2 * 0.125)
-        assert log_negativity(werner_state(0.5)) == pytest.approx(expected, abs=1e-12)
+        assert evaluate_state(werner_state(0.5)).ln == pytest.approx(expected, abs=1e-12)
 
 
 class TestEvaluateState:
@@ -153,16 +149,11 @@ class TestEvaluateState:
     def test_matches_individual_detectors(self, trial):
         rho = random_state(3, 4, 7, seed=71, trial=trial)
         rec = evaluate_state(rho)
-        singles = {
-            "pt": detect_pt(rho),
-            "reduction": detect_reduction(rho),
-            "majorization": detect_majorization(rho),
-            "entropy": detect_entropy(rho),
-            "realignment": detect_realignment(rho),
-        }
+        ref = reference_verdicts(rho, eps=1e-10)
         for c in CRITERIA:
-            assert rec.verdicts[c].detected == singles[c].detected
-            assert rec.verdicts[c].witness == pytest.approx(singles[c].witness, abs=1e-10)
+            assert rec.verdicts[c].detected == ref.verdicts[c].detected
+            assert rec.verdicts[c].witness == pytest.approx(ref.verdicts[c].witness, abs=1e-10)
+        assert rec.ln == pytest.approx(ref.ln, abs=1e-10)
 
     def test_witnesses_finite(self):
         rec = evaluate_state(random_state(2, 6, 12, seed=73))

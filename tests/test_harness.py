@@ -3,10 +3,11 @@ import os
 
 import pytest
 
-from entdetect import SweepConfig, aggregate, evaluate_trial, run_cell
+from entdetect import SweepConfig, __version__, aggregate, evaluate_trial, run_cell
 from entdetect.harness import (
     CSV_COLUMNS,
     checksum,
+    csv_columns,
     find_orphans,
     render_csv,
     results_current,
@@ -25,6 +26,7 @@ class TestRunCell:
             assert a.spec == b.spec
             for c in a.verdicts:
                 assert a.verdicts[c].detected == b.verdicts[c].detected
+                assert a.verdicts[c].witness == b.verdicts[c].witness
 
     def test_trials_are_globally_indexed(self):
         recs = run_cell(2, 3, 2, 10, master_seed=5)
@@ -37,6 +39,7 @@ class TestRunCell:
             assert full.ln == r.ln
             for c in r.verdicts:
                 assert full.verdicts[c].detected == r.verdicts[c].detected
+                assert full.verdicts[c].witness == r.verdicts[c].witness
 
 
 class TestSweepConfig:
@@ -103,6 +106,27 @@ class TestPersistence:
         assert results_current(str(tmp_path), "cell", config)
         other = SweepConfig(cells=((2, 3, 2),), samples_per_cell=100, master_seed=99)
         assert not results_current(str(tmp_path), "cell", other)
+
+    def test_other_columns_not_current(self, tmp_path):
+        config, path = self._write(tmp_path)
+        assert not results_current(str(tmp_path), "cell", config, csv_columns(("pt",)))
+        assert results_current(str(tmp_path), "cell", config, csv_columns())
+
+    def test_other_version_not_current(self, tmp_path):
+        config, path = self._write(tmp_path)
+        manifest_path = tmp_path / "cell.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["version"] == __version__
+        manifest["version"] = "0.0.0"
+        manifest_path.write_text(json.dumps(manifest))
+        assert not results_current(str(tmp_path), "cell", config)
+
+    @pytest.mark.parametrize("text", ["{", "[]", ""])
+    def test_corrupt_manifest_means_recompute_and_orphan(self, tmp_path, text):
+        config, path = self._write(tmp_path)
+        (tmp_path / "cell.manifest.json").write_text(text)
+        assert not results_current(str(tmp_path), "cell", config)
+        assert find_orphans(str(tmp_path)) == ["cell.csv"]
 
     def test_tampered_csv_detected(self, tmp_path):
         config, path = self._write(tmp_path)

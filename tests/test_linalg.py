@@ -3,7 +3,6 @@ import pytest
 
 from entdetect import (
     DensityMatrix,
-    hermitian_spectrum,
     partial_trace,
     partial_transpose,
     purity,
@@ -69,7 +68,7 @@ class TestPartialTranspose:
         pt_manual[1, 2] = pt_manual[2, 1] = 0.5
         expected = np.sort(np.linalg.eigvalsh(pt_manual))[::-1]
         np.testing.assert_allclose(expected, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
-        got = hermitian_spectrum(partial_transpose(bell_state(), 1))
+        got = np.linalg.eigvalsh(partial_transpose(bell_state(), 1))[::-1]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -174,29 +173,6 @@ class TestTraceNorm:
         # Oracle: |eigenvalue| sum of sqrt(A^dag A)
         expected = np.sqrt(np.linalg.eigvalsh(m.conj().T @ m)).sum()
         assert abs(trace_norm(m) - expected) <= 1e-10
-
-
-class TestHermitianSpectrum:
-    def test_half_identity(self):
-        np.testing.assert_allclose(hermitian_spectrum(np.eye(2) / 2), [0.5, 0.5])
-
-    def test_sorting_contract(self):
-        np.testing.assert_allclose(hermitian_spectrum(np.diag([3.0, 1.0, 2.0])), [3, 2, 1])
-
-    def test_rejects_non_hermitian(self):
-        m = np.eye(3, dtype=complex)
-        m[0, 1] = 1e-3
-        with pytest.raises(ValueError):
-            hermitian_spectrum(m)
-
-    def test_reconstruction_residual(self):
-        rho = random_state(2, 4, 5, seed=9)
-        vals, vecs = np.linalg.eigh(rho.mat)
-        resid = np.linalg.norm(rho.mat - (vecs * vals) @ vecs.conj().T)
-        assert resid <= 1e-9 * np.linalg.norm(rho.mat)
-        np.testing.assert_allclose(
-            hermitian_spectrum(rho.mat), np.sort(vals)[::-1], atol=1e-12
-        )
 
 
 class TestEntropyAndPurity:

@@ -3,8 +3,7 @@ import pytest
 
 from entdetect import (
     SampleSpec,
-    is_npt,
-    log_negativity,
+    evaluate_state,
     numerical_rank,
     purity,
     sample_reduced_state,
@@ -103,27 +102,31 @@ class TestReducedState:
         raw, rotated = [], []
         for t in range(n):
             rho = sample_reduced_state(SampleSpec(2, 4, 3, 41, t))
-            raw.append(log_negativity(rho))
+            raw.append(evaluate_state(rho).ln)
             rot = type(rho)(u @ rho.mat @ u.conj().T, 2, 4, check=False)
             rho2 = sample_reduced_state(SampleSpec(2, 4, 3, 43, t))
-            rotated.append(log_negativity(type(rho2)(u @ rho2.mat @ u.conj().T, 2, 4, check=False)))
-            assert abs(log_negativity(rot) - raw[-1]) <= 1e-9
+            rotated.append(
+                evaluate_state(type(rho2)(u @ rho2.mat @ u.conj().T, 2, 4, check=False)).ln
+            )
+            assert abs(evaluate_state(rot).ln - raw[-1]) <= 1e-9
         se = np.sqrt(np.var(raw) / n + np.var(rotated) / n)
         assert abs(np.mean(raw) - np.mean(rotated)) <= 3 * se
 
 
 class TestIsNpt:
     def test_bell_is_npt(self):
-        assert is_npt(bell_state())
+        assert evaluate_state(bell_state()).verdicts["pt"].detected
 
     def test_product_is_ppt(self):
-        assert not is_npt(product_pure(2, 3, seed=8))
+        assert not evaluate_state(product_pure(2, 3, seed=8)).verdicts["pt"].detected
 
     def test_maximally_mixed_is_ppt(self):
-        assert not is_npt(maximally_mixed(2, 3))
+        assert not evaluate_state(maximally_mixed(2, 3)).verdicts["pt"].detected
 
     def test_npt_prevalence_at_low_rank(self):
         hits = sum(
-            is_npt(sample_reduced_state(SampleSpec(3, 4, 6, 53, t))) for t in range(200)
+            evaluate_state(sample_reduced_state(SampleSpec(3, 4, 6, 53, t)))
+            .verdicts["pt"].detected
+            for t in range(200)
         )
         assert hits == 200
