@@ -26,7 +26,7 @@ def main():
     pur = []
     for trial in range(n):
         rho = sample_reduced_state(SampleSpec(d1, d2, k, 11, trial))
-        ent.append(von_neumann_entropy(spectrum(rho)))
+        ent.append(von_neumann_entropy(spectrum(rho.mat)))
         pur.append(purity(rho))
     s12 = page_entropies(d1, d2, k)[2]
     print(f"rank-{k} states on {d1}x{d2}, {n} samples:")

@@ -12,7 +12,8 @@ import sys
 import time
 
 from . import analytics
-from .criteria import CRITERIA, EPS
+from .criteria import CRITERIA, EPS, check_eps
+from .sampling import SampleSpec
 from .harness import (
     SweepConfig,
     csv_columns,
@@ -26,16 +27,24 @@ from .harness import aggregate, run_cell  # noqa: F401
 from .verify import run_checks
 
 
+def _checked(check, *args, **kwargs):
+    """Run one of the program's input checks; its ValueError exits with one line."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
 def _parse_range(text):
     """'2..10' -> [2..10]; '7' -> [7]."""
-    text = str(text)
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise SystemExit(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo, sep, hi = str(text).partition("..")
+    try:
+        values = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        raise SystemExit(f"expected an integer or a range like 2..10, got {text!r}")
+    if not values:
+        raise SystemExit(f"empty range {text!r}")
+    return values
 
 
 def _require(args, *names):
@@ -52,15 +61,13 @@ def _workers(args):
         return 1
     if value == "auto":
         return os.cpu_count() or 1
-    try:
-        workers = int(value)
-    except (TypeError, ValueError):
-        workers = 0
-    if workers < 1:
+    if isinstance(value, str) and value.strip().isdecimal():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise SystemExit(
             f"worker count must be a positive integer or 'auto', got {value!r}"
         )
-    return workers
+    return value
 
 
 def _criteria(args):
@@ -76,7 +83,8 @@ def _criteria(args):
 def _run_and_write(name, cells, args, extra=None):
     """Sweep ``cells`` and write <name>.csv; ``extra`` holds leading
     columns with one value for every row."""
-    config = SweepConfig(
+    config = _checked(
+        SweepConfig,
         cells=tuple(cells),
         samples_per_cell=args.samples,
         master_seed=args.seed,
@@ -138,10 +146,10 @@ def cmd_asymmetry(args):
 def cmd_bounds(args):
     _require(args, "d1", "d2")
     d1, d2 = args.d1, args.d2
-    lo, hi = min(d1, d2), max(d1, d2)
+    threshold = _checked(analytics.entropy_rank_threshold, d1, d2)
     print(f"bounds for {d1}x{d2}")
-    print(f"  entropy_rank_threshold   {analytics.entropy_rank_threshold(d1, d2)}")
-    bound = analytics.realignment_rank_bound(lo, hi)
+    print(f"  entropy_rank_threshold   {threshold}")
+    bound = analytics.realignment_rank_bound(min(d1, d2), max(d1, d2))
     if bound == float("inf"):
         print("  realignment_rank_bound   vacuous (equal dimensions)")
     else:
@@ -156,6 +164,9 @@ def cmd_bounds(args):
 
 
 def cmd_verify(args):
+    # run_checks checks these too, but only once it is running
+    _checked(check_eps, args.eps)
+    _checked(SampleSpec, 2, 2, 1, args.seed)
     results = run_checks(samples=args.samples, master_seed=args.seed, eps=args.eps)
     failed = 0
     for r in results:

@@ -22,7 +22,7 @@ that norm is within 2*eps of 1 (a PPT state).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ CRITERIA = ("pt", "reduction", "majorization", "entropy", "realignment")
 
 @dataclass(frozen=True)
 class Verdict:
-    criterion: str
     detected: bool
     witness: float
 
@@ -52,8 +51,14 @@ class StateRecord:
     """One evaluated sample: log-negativity plus all five verdicts."""
 
     ln: float
-    verdicts: dict = field(default_factory=dict)
+    verdicts: dict
     spec: object = None
+
+
+def check_eps(eps):
+    """Reject a detection threshold that is negative or not finite."""
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be a non-negative finite number, got {eps!r}")
 
 
 def _majorization_witness(global_eigs, marginal_eigs):
@@ -77,12 +82,12 @@ def evaluate_state(rho, spec=None, eps=EPS):
 
     rho1 = partial_trace(rho, 2)
     rho2 = partial_trace(rho, 1)
-    eigs12 = spectrum(rho)
+    eigs12 = spectrum(rho.mat)
     eigs1 = spectrum(rho1)
     eigs2 = spectrum(rho2)
 
-    op1 = np.kron(rho1.mat, np.eye(rho.d2)) - rho.mat
-    op2 = np.kron(np.eye(rho.d1), rho2.mat) - rho.mat
+    op1 = np.kron(rho1, np.eye(rho.d2)) - rho.mat
+    op2 = np.kron(np.eye(rho.d1), rho2) - rho.mat
     red_min = float(min(np.linalg.eigvalsh(op1)[0], np.linalg.eigvalsh(op2)[0]))
 
     maj = max(
@@ -96,11 +101,11 @@ def evaluate_state(rho, spec=None, eps=EPS):
     rl = trace_norm(realign(rho)) - 1.0
 
     verdicts = {
-        "pt": Verdict("pt", pt_min < -eps, pt_min),
-        "reduction": Verdict("reduction", red_min < -eps, red_min),
-        "majorization": Verdict("majorization", maj > eps, maj),
-        "entropy": Verdict("entropy", ent < -eps, ent),
-        "realignment": Verdict("realignment", rl > eps, rl),
+        "pt": Verdict(pt_min < -eps, pt_min),
+        "reduction": Verdict(red_min < -eps, red_min),
+        "majorization": Verdict(maj > eps, maj),
+        "entropy": Verdict(ent < -eps, ent),
+        "realignment": Verdict(rl > eps, rl),
     }
     tn = float(np.abs(pt_eigs).sum())
     ln = 0.0 if tn <= 1.0 + 2.0 * eps else math.log2(tn)

@@ -21,10 +21,10 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
-from .criteria import CRITERIA, EPS, evaluate_state
+from .criteria import CRITERIA, EPS, check_eps, evaluate_state
 from .analytics import aggregate
 from .sampling import SampleSpec, sample_reduced_state
 
@@ -55,6 +55,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.samples_per_cell < 1:
             raise ValueError("samples_per_cell must be positive")
+        check_eps(self.eps)
         for d1, d2, k in self.cells:
             SampleSpec(d1, d2, k, self.master_seed)  # validates the cell
 
@@ -206,9 +207,11 @@ def results_current(out_dir, name, config, columns=CSV_COLUMNS):
 
 
 def find_orphans(out_dir):
-    """Results CSVs lacking a readable manifest, or failing its checksum."""
+    """CSVs lacking a readable manifest or failing its checksum, and .tmp files."""
     orphans = []
     for entry in sorted(os.listdir(out_dir)):
+        if entry.endswith((".csv.tmp", ".manifest.json.tmp")):
+            orphans.append(entry)
         if not entry.endswith(".csv"):
             continue
         manifest = _read_manifest(out_dir, entry[: -len(".csv")])

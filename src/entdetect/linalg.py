@@ -11,7 +11,6 @@ import numpy as np
 HERMITICITY_RTOL = 1e-12
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
-EIG_CLIP = 1e-10        # eigenvalues in [-EIG_CLIP, 0) are treated as 0
 ENTROPY_FLOOR = 1e-14   # eigenvalues at or below this contribute 0*log 0 = 0
 
 
@@ -46,17 +45,9 @@ class DensityMatrix:
         if abs(self.mat.trace().real - 1.0) > TRACE_ATOL:
             raise ValueError("matrix does not have unit trace")
         if check:
-            self.validate()
-
-    def validate(self):
-        """Check the PSD invariant; raises ValueError on failure."""
-        lmin = np.linalg.eigvalsh(self.mat)[0]
-        if lmin < -PSD_ATOL:
-            raise ValueError(f"matrix is not PSD (min eigenvalue {lmin:g})")
-
-    @property
-    def dim(self):
-        return self.d1 * self.d2
+            lmin = np.linalg.eigvalsh(self.mat)[0]
+            if lmin < -PSD_ATOL:
+                raise ValueError(f"matrix is not PSD (min eigenvalue {lmin:g})")
 
     def _blocks(self):
         """View the matrix with indices (i, mu, j, nu)."""
@@ -76,24 +67,18 @@ def partial_transpose(rho, subsystem=1):
         t = t.transpose(0, 3, 2, 1)
     else:
         raise ValueError("subsystem must be 1 or 2")
-    return np.ascontiguousarray(t.reshape(rho.dim, rho.dim))
+    return np.ascontiguousarray(t.reshape(rho.mat.shape))
 
 
 def partial_trace(rho, traced_subsystem=2):
-    """Trace out one subsystem, returning the marginal as a DensityMatrix.
-
-    The marginal is returned as a single-system state (second dimension 1).
-    """
+    """Trace out one subsystem; the marginal is a plain ndarray, exactly
+    Hermitian with unit trace because ``rho`` was symmetrized when built."""
     t = rho._blocks()
     if traced_subsystem == 2:
-        reduced = np.einsum("imjm->ij", t)
-        d = rho.d1
-    elif traced_subsystem == 1:
-        reduced = np.einsum("imin->mn", t)
-        d = rho.d2
-    else:
-        raise ValueError("traced_subsystem must be 1 or 2")
-    return DensityMatrix(reduced, d, 1, check=False)
+        return np.einsum("imjm->ij", t)
+    if traced_subsystem == 1:
+        return np.einsum("imin->mn", t)
+    raise ValueError("traced_subsystem must be 1 or 2")
 
 
 def realign(rho):
@@ -111,29 +96,23 @@ def realign(rho):
 
 def trace_norm(m):
     """Sum of singular values of ``m``."""
-    m = np.asarray(m, dtype=complex)
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def spectrum(rho):
-    """Descending eigenvalues of a density matrix."""
-    return np.linalg.eigvalsh(rho.mat)[::-1]
+def spectrum(mat):
+    """Descending eigenvalues of a Hermitian matrix (an ndarray)."""
+    return np.linalg.eigvalsh(mat)[::-1]
 
 
-def von_neumann_entropy(eigenvalues, base="e"):
-    """Entropy -sum(p log p) of a density-matrix spectrum.
+def von_neumann_entropy(eigenvalues):
+    """Entropy -sum(p log p), in nats, of a density-matrix spectrum.
 
     Eigenvalues below the entropy floor contribute zero; tiny negatives
     from the eigensolver are clipped to [0, 1] first.
     """
     p = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, 1.0)
     p = p[p > ENTROPY_FLOOR]
-    s = float(-(p * np.log(p)).sum())
-    if base == 2:
-        s /= np.log(2.0)
-    elif base != "e":
-        raise ValueError("base must be 2 or 'e'")
-    return max(s, 0.0)
+    return max(float(-(p * np.log(p)).sum()), 0.0)
 
 
 def purity(rho):

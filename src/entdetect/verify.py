@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import EPS, evaluate_state
-from .linalg import partial_transpose, purity, realign, trace_norm
+from .analytics import ln_threshold
+from .criteria import EPS, check_eps, evaluate_state
+from .linalg import partial_trace, partial_transpose, purity, realign, trace_norm
 from .sampling import SampleSpec, numerical_rank, sample_reduced_state
 
 DEFAULT_GRID = ((2, 4), (2, 5), (3, 3), (3, 5))
@@ -34,6 +35,7 @@ def _cells(grid):
 
 def run_checks(samples=1000, master_seed=2024, eps=EPS, grid=DEFAULT_GRID):
     """Run every invariant suite; returns a list of CheckResult."""
+    check_eps(eps)
     worst = {
         "entropy_implies_majorization": math.inf,
         "reduction_implies_pt": math.inf,
@@ -53,7 +55,7 @@ def run_checks(samples=1000, master_seed=2024, eps=EPS, grid=DEFAULT_GRID):
         if margin < 0:
             violations[name] += 1
 
-    eps_ln = math.log2(1.0 + 2.0 * eps)
+    eps_ln = ln_threshold(eps)
     n_states = 0
     for d1, d2, k in _cells(grid):
         per_cell = max(1, samples // 12)
@@ -88,7 +90,7 @@ def run_checks(samples=1000, master_seed=2024, eps=EPS, grid=DEFAULT_GRID):
             pt_back = pt.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3)
             note(
                 "pt_involution",
-                1e-14 - np.abs(pt_back.reshape(rho.dim, rho.dim) - rho.mat).max(),
+                1e-14 - np.abs(pt_back.reshape(rho.mat.shape) - rho.mat).max(),
             )
             eigs1 = np.linalg.eigvalsh(pt)
             eigs2 = np.linalg.eigvalsh(partial_transpose(rho, 2))
@@ -106,13 +108,13 @@ def run_checks(samples=1000, master_seed=2024, eps=EPS, grid=DEFAULT_GRID):
                     "prop3_verdict_agreement",
                     0.0 if v["reduction"].detected == v["pt"].detected else -1.0,
                 )
-                red = np.kron(np.eye(d1), rho._blocks().trace(axis1=0, axis2=2)) - rho.mat
+                red = np.kron(np.eye(d1), partial_trace(rho, 1)) - rho.mat
                 note(
                     "prop3_spectral_match",
                     1e-9 - np.abs(np.linalg.eigvalsh(red) - eigs1).max(),
                 )
 
-    results = [
+    return [
         CheckResult(
             name,
             violations[name] == 0 and worst[name] >= 0,
@@ -121,4 +123,3 @@ def run_checks(samples=1000, master_seed=2024, eps=EPS, grid=DEFAULT_GRID):
         )
         for name in worst
     ]
-    return results

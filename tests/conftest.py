@@ -83,17 +83,17 @@ def reference_verdicts(rho, eps):
 
     pt = float(np.linalg.eigvalsh(partial_transpose(rho, 1))[0])
 
-    op1 = np.kron(rho1.mat, np.eye(rho.d2)) - rho.mat
-    op2 = np.kron(np.eye(rho.d1), rho2.mat) - rho.mat
+    op1 = np.kron(rho1, np.eye(rho.d2)) - rho.mat
+    op2 = np.kron(np.eye(rho.d1), rho2) - rho.mat
     red = float(min(np.linalg.eigvalsh(op1)[0], np.linalg.eigvalsh(op2)[0]))
 
-    eigs = spectrum(rho)
+    eigs = spectrum(rho.mat)
     maj = max(
         _majorization_excess(eigs, spectrum(rho1)),
         _majorization_excess(eigs, spectrum(rho2)),
     )
 
-    s12 = von_neumann_entropy(spectrum(rho))
+    s12 = von_neumann_entropy(spectrum(rho.mat))
     ent = min(
         s12 - von_neumann_entropy(spectrum(rho1)),
         s12 - von_neumann_entropy(spectrum(rho2)),
@@ -105,11 +105,11 @@ def reference_verdicts(rho, eps):
     ln = 0.0 if tn <= 1.0 + 2.0 * eps else math.log2(tn)
 
     verdicts = {
-        "pt": Verdict("pt", pt < -eps, pt),
-        "reduction": Verdict("reduction", red < -eps, red),
-        "majorization": Verdict("majorization", maj > eps, maj),
-        "entropy": Verdict("entropy", ent < -eps, ent),
-        "realignment": Verdict("realignment", rl > eps, rl),
+        "pt": Verdict(pt < -eps, pt),
+        "reduction": Verdict(red < -eps, red),
+        "majorization": Verdict(maj > eps, maj),
+        "entropy": Verdict(ent < -eps, ent),
+        "realignment": Verdict(rl > eps, rl),
     }
     return StateRecord(ln=ln, verdicts=verdicts)
 

@@ -182,7 +182,7 @@ def test_criterion_4_page_purity_calibration():
         entropies, purities = [], []
         for trial in range(N_FULL):
             rho = sample_reduced_state(SampleSpec(2, 5, k, SEED, trial))
-            entropies.append(von_neumann_entropy(spectrum(rho)))
+            entropies.append(von_neumann_entropy(spectrum(rho.mat)))
             purities.append(purity(rho))
         s12_pred = page_entropies(2, 5, k)[2]
         pur_pred = average_purity(2, 5, k)

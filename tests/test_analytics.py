@@ -22,7 +22,7 @@ from entdetect import (
 
 
 def make_record(ln, detected, spec=None):
-    verdicts = {c: Verdict(c, detected.get(c, False), 0.0) for c in CRITERIA}
+    verdicts = {c: Verdict(detected.get(c, False), 0.0) for c in CRITERIA}
     return StateRecord(ln=ln, verdicts=verdicts, spec=spec)
 
 

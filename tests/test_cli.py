@@ -169,7 +169,11 @@ class TestWorkersEnv:
             tmp_path / "b" / "scan_rank_2x3.csv"
         )
 
-    @pytest.mark.parametrize("env,flag", [("0", None), ("abc", None), (None, "-3")])
+    # A flag that is not a string is given in a --config file, whose JSON
+    # types it.
+    @pytest.mark.parametrize(
+        "env,flag", [("0", None), ("abc", None), (None, "-3"), (None, 2.5), (None, True)]
+    )
     def test_bad_worker_count_rejected(self, tmp_path, monkeypatch, env, flag):
         if env is None:
             monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)
@@ -179,11 +183,44 @@ class TestWorkersEnv:
             "scan-rank", "--d1", "2", "--d2", "3", "--k", "2",
             "--samples", "5", "--out", str(tmp_path),
         ]
+        if isinstance(flag, str):
+            argv += ["--workers", flag]
+        elif flag is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"workers": flag}))
+            argv = ["--config", str(cfg)] + argv
         with pytest.raises(SystemExit) as exc:
-            main(argv + (["--workers", flag] if flag else []))
+            main(argv)
         message = str(exc.value.code)
         assert "worker count" in message and "\n" not in message
         assert not os.path.exists(tmp_path / "scan_rank_2x3.csv")
+
+
+SCAN = ["scan-rank", "--d1", "2", "--d2", "3", "--k", "2", "--samples", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan-rank", "--d1", "2", "--d2", "3", "--k", "2", "--samples", "0"],
+    ["scan-rank", "--d1", "2", "--d2", "3", "--k", "99", "--samples", "5"],
+    ["scan-rank", "--d1", "2", "--d2", "3", "--k", "abc", "--samples", "5"],
+    ["scan-rank", "--d1", "2", "--d2", "3", "--k", "2..x", "--samples", "5"],
+    ["scan-rank", "--d1", "1", "--d2", "3", "--k", "2", "--samples", "5"],
+    SCAN + ["--seed", "-1"],
+    SCAN + ["--eps", "-1"],
+    SCAN + ["--eps", "nan"],
+    ["bounds", "--d1", "1", "--d2", "5"],
+    ["verify", "--samples", "12", "--eps", "-1"],
+    ["verify", "--samples", "12", "--seed", "-1"],
+], ids=" ".join)
+def test_bad_numeric_input_is_one_line_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--out", str(tmp_path)] if argv[0] != "bounds" else []))
+    message = exc.value.code
+    # a string code exits with status 1 and prints that one line
+    assert isinstance(message, str) and message and "\n" not in message
+    assert "Traceback" not in message + capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 # sha256 of whole CSV bodies: a change to sampling, the criteria,

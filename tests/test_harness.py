@@ -14,6 +14,7 @@ from entdetect.harness import (
     stats_row,
     write_results,
 )
+from entdetect.verify import run_checks
 
 
 class TestRunCell:
@@ -50,6 +51,13 @@ class TestSweepConfig:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             SweepConfig(cells=((2, 3, 2),), samples_per_cell=0, master_seed=0)
+
+    @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_eps(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            SweepConfig(cells=((2, 3, 2),), samples_per_cell=1, master_seed=0, eps=eps)
+        with pytest.raises(ValueError, match="eps"):
+            run_checks(samples=1, eps=eps)
 
 
 class TestCsvRendering:
@@ -139,3 +147,9 @@ class TestPersistence:
         with open(tmp_path / "lonely.csv", "w") as fh:
             fh.write("d1,d2\r\n")
         assert find_orphans(str(tmp_path)) == ["lonely.csv"]
+
+    @pytest.mark.parametrize("name", ["cell.csv.tmp", "cell.manifest.json.tmp"])
+    def test_leftover_tmp_is_orphan(self, tmp_path, name):
+        # what an interrupted _atomic_write leaves behind
+        (tmp_path / name).write_text("partial")
+        assert find_orphans(str(tmp_path)) == [name]

@@ -1,0 +1,45 @@
+"""Property tests: invariants of evaluate_state and of the marginals over
+random cells (d1, d2 in 2..4, any rank) and seeds."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from entdetect import SampleSpec, evaluate_state, ln_threshold, partial_trace, sample_reduced_state
+from entdetect.criteria import EPS
+
+
+@st.composite
+def specs(draw):
+    d1 = draw(st.integers(2, 4))
+    d2 = draw(st.integers(2, 4))
+    k = draw(st.integers(1, d1 * d2))
+    return SampleSpec(d1, d2, k, draw(st.integers(0, 2 ** 64 - 1)))
+
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True, deadline=None, max_examples=50, database=None
+)
+
+
+@PROPERTY_SETTINGS
+@given(specs())
+def test_hierarchy_invariants(spec):
+    rec = evaluate_state(sample_reduced_state(spec))
+    detected = {c: v.detected for c, v in rec.verdicts.items()}
+    assert detected["majorization"] or not detected["entropy"]
+    assert detected["pt"] or not detected["reduction"]
+    assert (rec.ln > ln_threshold(EPS)) == detected["pt"]
+    if spec.d1 == 2:
+        assert detected["reduction"] == detected["pt"]
+
+
+@PROPERTY_SETTINGS
+@given(specs())
+def test_marginals_exactly_hermitian_unit_trace(spec):
+    # evaluate_state relies on this instead of re-checking each marginal.
+    rho = sample_reduced_state(spec)
+    for side, d in ((2, spec.d1), (1, spec.d2)):
+        m = partial_trace(rho, side)
+        assert isinstance(m, np.ndarray) and m.shape == (d, d)
+        assert np.array_equal(m, m.conj().T)
+        assert abs(np.trace(m).real - 1.0) <= 1e-12
