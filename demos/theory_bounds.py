@@ -11,7 +11,6 @@ from entdetect import (
     average_purity,
     entropy_rank_threshold,
     page_entropies,
-    ppt_rank_sufficient,
     purity,
     realignment_rank_bound,
     sample_reduced_state,
@@ -36,7 +35,6 @@ def main():
     print("rank thresholds for 2x5:")
     print(f"  entropy criterion needs rank <= {entropy_rank_threshold(d1, d2)}")
     print(f"  realignment average bound: rank < {realignment_rank_bound(d1, d2):.3f}")
-    print(f"  PPT guaranteed detectable below rank {ppt_rank_sufficient(d1, d2)}")
 
 
 if __name__ == "__main__":

@@ -28,10 +28,8 @@ from .analytics import (
     aggregate,
     average_purity,
     entropy_rank_threshold,
-    hierarchy_order,
     ln_threshold,
     page_entropies,
-    ppt_rank_sufficient,
     realignment_rank_bound,
 )
 from .harness import SweepConfig, evaluate_trial, run_cell, run_sweep

@@ -79,23 +79,6 @@ def aggregate(records, eps=EPS):
     return SweepStats(d1, d2, k, len(records), n_npt, per)
 
 
-def hierarchy_order(stats):
-    """Criteria sorted by descending fraction; ties keep the fixed order.
-
-    Returns a list of lists: criteria within one inner list are tied.
-    Criteria with an undefined fraction sort last.
-    """
-    keyed = [(stats.per_criterion[c].fraction, c) for c in CRITERIA]
-    ordered = sorted(keyed, key=lambda t: -1.0 if t[0] is None else t[0], reverse=True)
-    groups = []
-    for f, c in ordered:
-        if groups and groups[-1][0] == f:
-            groups[-1][1].append(c)
-        else:
-            groups.append((f, [c]))
-    return [names for _, names in groups]
-
-
 def page_entropies(d1, d2, k):
     """Haar-average subsystem entropies (natural log) for rank-k states."""
     _check_cell(d1, d2, k)
@@ -134,13 +117,6 @@ def realignment_rank_bound(d1, d2):
     if d1 == d2:
         return math.inf
     return (d1 ** 3 * d2 - 1) / (d1 * (d2 - d1))
-
-
-def ppt_rank_sufficient(d1, d2):
-    """Rank making a Haar sample certainly PPT: d1 d2 (d1 d2 - 1) - 1."""
-    _check_dims(d1, d2)
-    n = d1 * d2
-    return n * (n - 1) - 1
 
 
 def _check_dims(d1, d2):

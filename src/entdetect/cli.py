@@ -7,6 +7,7 @@ run through harness.run_sweep.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -61,13 +62,11 @@ def _workers(args):
         return 1
     if value == "auto":
         return os.cpu_count() or 1
-    if isinstance(value, str) and value.strip().isdecimal():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not value.strip().isdecimal() or int(value) < 1:
         raise SystemExit(
             f"worker count must be a positive integer or 'auto', got {value!r}"
         )
-    return value
+    return int(value)
 
 
 def _criteria(args):
@@ -92,6 +91,10 @@ def _run_and_write(name, cells, args, extra=None):
         workers=_workers(args),
     )
     columns = csv_columns(_criteria(args), extra=extra or ())
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"--out {args.out}: {exc.strerror}")
     if results_current(args.out, name, config, columns):
         print(f"{name}: results are current, skipping")
         return os.path.join(args.out, name + ".csv")
@@ -132,7 +135,7 @@ def cmd_asymmetry(args):
     _require(args, "d12")
     d12 = args.d12
     factorizations = [
-        (d1, d12 // d1) for d1 in range(2, int(d12 ** 0.5) + 1) if d12 % d1 == 0
+        (d1, d12 // d1) for d1 in range(2, math.isqrt(max(d12, 0)) + 1) if d12 % d1 == 0
     ]
     if len(factorizations) < 2:
         raise SystemExit(
@@ -154,7 +157,6 @@ def cmd_bounds(args):
         print("  realignment_rank_bound   vacuous (equal dimensions)")
     else:
         print(f"  realignment_rank_bound   {bound:.6g}")
-    print(f"  ppt_rank_sufficient      {analytics.ppt_rank_sufficient(d1, d2)}")
     print("  k  avg_S1     avg_S2     avg_S12    avg_purity")
     for k in range(1, d1 * d2 + 1):
         s1, s2, s12 = analytics.page_entropies(d1, d2, k)
@@ -240,7 +242,11 @@ def _load_config(path):
         raise SystemExit(f"--config {path}: {exc}")
     if not isinstance(defaults, dict):
         raise SystemExit(f"--config {path}: expected a JSON object of flags")
-    return defaults
+    for key, value in defaults.items():
+        if value is None or isinstance(value, (list, dict)):
+            raise SystemExit(f"--config {path}: {key!r} must be a number or a string")
+    # As strings, the values go through each flag's type= conversion, as if typed.
+    return {key: str(value) for key, value in defaults.items()}
 
 
 def main(argv=None):

@@ -1,8 +1,9 @@
-"""Executable invariant suites over freshly sampled random states.
+"""Executable invariants over freshly sampled random states.
 
-Each check reports a measured margin: the worst observed distance from
-the boundary of the property it asserts. Margins are oriented so that a
-non-negative margin means the property held everywhere.
+INVARIANTS is the one statement of each checked property: it maps a name
+to ``margin(rho, rec, eps) -> float``, the distance of one evaluated
+state from the property's boundary. A non-negative margin means the
+property held; a check that does not apply to the state returns +inf.
 """
 
 import math
@@ -26,100 +27,100 @@ class CheckResult:
     detail: str = ""
 
 
-def _cells(grid):
-    for d1, d2 in grid:
-        n = d1 * d2
-        for k in (2, (n + 1) // 2, n):
-            yield d1, d2, k
+def _holds(ok):
+    return 0.0 if ok else -1.0
 
 
-def run_checks(samples=1000, master_seed=2024, eps=EPS, grid=DEFAULT_GRID):
-    """Run every invariant suite; returns a list of CheckResult."""
+def _implies(weaker, stronger):
+    """The criterion ``weaker`` never fires without ``stronger``."""
+    def margin(rho, rec, eps):
+        v = rec.verdicts
+        return _holds(v[stronger].detected or not v[weaker].detected)
+    return margin
+
+
+def _ln_iff_pt(rho, rec, eps):
+    return _holds((rec.ln > ln_threshold(eps)) == rec.verdicts["pt"].detected)
+
+
+def _realign_trace_norm_purity_bound(rho, rec, eps):
+    bound = min(rho.d1, rho.d2) * math.sqrt(purity(rho)) + 1e-9
+    return bound - trace_norm(realign(rho))
+
+
+def _pt_involution(rho, rec, eps):
+    d1, d2 = rho.d1, rho.d2
+    back = partial_transpose(rho, 1).reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3)
+    return 1e-14 - np.abs(back.reshape(rho.mat.shape) - rho.mat).max()
+
+
+def _pt_side_spectra_match(rho, rec, eps):
+    eigs1 = np.linalg.eigvalsh(partial_transpose(rho, 1))
+    eigs2 = np.linalg.eigvalsh(partial_transpose(rho, 2))
+    return 1e-10 - np.abs(eigs1 - eigs2).max()
+
+
+def _realign_frobenius_preserved(rho, rec, eps):
+    return 1e-12 - abs(np.linalg.norm(realign(rho)) - np.linalg.norm(rho.mat))
+
+
+def _rank_ceiling(rho, rec, eps):
+    return rec.spec.k - numerical_rank(rho)
+
+
+# Proposition 3: in 2 x d the reduction and PT criteria are equivalent,
+# because I (x) rho_2 - rho and rho^T1 share their spectrum.
+def _prop3_verdict_agreement(rho, rec, eps):
+    if rho.d1 != 2:
+        return math.inf
+    return _holds(rec.verdicts["reduction"].detected == rec.verdicts["pt"].detected)
+
+
+def _prop3_spectral_match(rho, rec, eps):
+    if rho.d1 != 2:
+        return math.inf
+    red = np.kron(np.eye(2), partial_trace(rho, 1)) - rho.mat
+    pt_eigs = np.linalg.eigvalsh(partial_transpose(rho, 1))
+    return 1e-9 - np.abs(np.linalg.eigvalsh(red) - pt_eigs).max()
+
+
+INVARIANTS = {
+    "entropy_implies_majorization": _implies("entropy", "majorization"),
+    "reduction_implies_pt": _implies("reduction", "pt"),
+    "ln_iff_pt": _ln_iff_pt,
+    "realign_trace_norm_purity_bound": _realign_trace_norm_purity_bound,
+    "pt_involution": _pt_involution,
+    "pt_side_spectra_match": _pt_side_spectra_match,
+    "realign_frobenius_preserved": _realign_frobenius_preserved,
+    "rank_ceiling": _rank_ceiling,
+    "prop3_verdict_agreement": _prop3_verdict_agreement,
+    "prop3_spectral_match": _prop3_spectral_match,
+}
+
+
+def run_checks(samples=1000, master_seed=2024, eps=EPS):
+    """Fold INVARIANTS over ``samples`` states, split evenly over ranks 2,
+    ceil(n/2) and n of each DEFAULT_GRID cell; one CheckResult per
+    invariant with its worst margin. A margin that is not >= 0, NaN
+    included, is a violation."""
     check_eps(eps)
-    worst = {
-        "entropy_implies_majorization": math.inf,
-        "reduction_implies_pt": math.inf,
-        "ln_iff_pt": math.inf,
-        "realign_trace_norm_purity_bound": math.inf,
-        "pt_involution": math.inf,
-        "pt_side_spectra_match": math.inf,
-        "realign_frobenius_preserved": math.inf,
-        "rank_ceiling": math.inf,
-        "prop3_verdict_agreement": math.inf,
-        "prop3_spectral_match": math.inf,
-    }
-    violations = {name: 0 for name in worst}
-
-    def note(name, margin):
-        worst[name] = min(worst[name], margin)
-        if margin < 0:
-            violations[name] += 1
-
-    eps_ln = ln_threshold(eps)
+    cells = [(d1, d2, k) for d1, d2 in DEFAULT_GRID
+             for k in (2, (d1 * d2 + 1) // 2, d1 * d2)]
+    worst = dict.fromkeys(INVARIANTS, math.inf)
+    violations = dict.fromkeys(INVARIANTS, 0)
     n_states = 0
-    for d1, d2, k in _cells(grid):
-        per_cell = max(1, samples // 12)
-        for trial in range(per_cell):
+    for d1, d2, k in cells:
+        for trial in range(max(1, samples // len(cells))):
             spec = SampleSpec(d1, d2, k, master_seed, trial)
             rho = sample_reduced_state(spec)
             rec = evaluate_state(rho, spec=spec, eps=eps)
-            v = rec.verdicts
             n_states += 1
-
-            # Implication checks: a violation is the weaker criterion
-            # firing without the stronger one.
-            note(
-                "entropy_implies_majorization",
-                0.0 if (not v["entropy"].detected or v["majorization"].detected) else -1.0,
-            )
-            note(
-                "reduction_implies_pt",
-                0.0 if (not v["reduction"].detected or v["pt"].detected) else -1.0,
-            )
-            note(
-                "ln_iff_pt",
-                0.0 if (rec.ln > eps_ln) == v["pt"].detected else -1.0,
-            )
-            note(
-                "realign_trace_norm_purity_bound",
-                min(d1, d2) * math.sqrt(purity(rho)) + 1e-9
-                - trace_norm(realign(rho)),
-            )
-
-            pt = partial_transpose(rho, 1)
-            pt_back = pt.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3)
-            note(
-                "pt_involution",
-                1e-14 - np.abs(pt_back.reshape(rho.mat.shape) - rho.mat).max(),
-            )
-            eigs1 = np.linalg.eigvalsh(pt)
-            eigs2 = np.linalg.eigvalsh(partial_transpose(rho, 2))
-            note("pt_side_spectra_match", 1e-10 - np.abs(eigs1 - eigs2).max())
-            note(
-                "realign_frobenius_preserved",
-                1e-12 - abs(
-                    np.linalg.norm(realign(rho)) - np.linalg.norm(rho.mat)
-                ),
-            )
-            note("rank_ceiling", float(k - numerical_rank(rho)))
-
-            if d1 == 2:
-                note(
-                    "prop3_verdict_agreement",
-                    0.0 if v["reduction"].detected == v["pt"].detected else -1.0,
-                )
-                red = np.kron(np.eye(d1), partial_trace(rho, 1)) - rho.mat
-                note(
-                    "prop3_spectral_match",
-                    1e-9 - np.abs(np.linalg.eigvalsh(red) - eigs1).max(),
-                )
-
+            for name, margin in INVARIANTS.items():
+                m = float(margin(rho, rec, eps))
+                worst[name] = min(worst[name], m)
+                violations[name] += not m >= 0
     return [
-        CheckResult(
-            name,
-            violations[name] == 0 and worst[name] >= 0,
-            0.0 if worst[name] is math.inf else worst[name],
-            f"{violations[name]} violation(s) over {n_states} states",
-        )
-        for name in worst
+        CheckResult(name, violations[name] == 0, worst[name],
+                    f"{violations[name]} violation(s) over {n_states} states")
+        for name in INVARIANTS
     ]

@@ -16,16 +16,14 @@ from entdetect import (
     evaluate_state,
     page_entropies,
     purity,
-    realign,
     run_cell,
     sample_reduced_state,
     spectrum,
-    trace_norm,
 )
-from entdetect.analytics import average_purity, ln_threshold
-from entdetect.criteria import EPS
+from entdetect.analytics import average_purity
 from entdetect.harness import render_csv, stats_row
 from entdetect.linalg import partial_transpose, von_neumann_entropy
+from entdetect.verify import run_checks
 from conftest import bell_state, maximally_mixed, product_pure
 
 SEED = 42
@@ -194,29 +192,15 @@ def test_criterion_4_page_purity_calibration():
 
 
 def test_criterion_5_implication_suite():
-    eps_ln = ln_threshold(EPS)
-    violations = 0
-    n_states = 0
-    for d1, d2 in ((2, 4), (2, 5), (3, 3), (3, 5)):
-        n = d1 * d2
-        for k in (2, (n + 1) // 2, n):
-            for trial in range(1000):
-                rho = sample_reduced_state(SampleSpec(d1, d2, k, SEED, trial))
-                rec = evaluate_state(rho)
-                v = rec.verdicts
-                if v["entropy"].detected and not v["majorization"].detected:
-                    violations += 1
-                if v["reduction"].detected and not v["pt"].detected:
-                    violations += 1
-                if (rec.ln > eps_ln) != v["pt"].detected:
-                    violations += 1
-                if trace_norm(realign(rho)) > min(d1, d2) * math.sqrt(purity(rho)) + 1e-9:
-                    violations += 1
-                n_states += 1
+    # 1000 trials in each of the 12 cells of verify.DEFAULT_GRID
+    results = run_checks(samples=12 * 1000, master_seed=SEED)
+    failed = [f"{r.name} ({r.detail})" for r in results if not r.passed]
     _report(
         5,
-        violations == 0,
-        f"{violations} implication/bound violations over {n_states} states",
+        not failed,
+        f"{len(results) - len(failed)}/{len(results)} invariants hold over "
+        "1000 states in each of 12 cells"
+        + ("" if not failed else "; failed: " + "; ".join(failed)),
     )
 
 

@@ -12,10 +12,8 @@ from entdetect import (
     aggregate,
     average_purity,
     entropy_rank_threshold,
-    hierarchy_order,
     ln_threshold,
     page_entropies,
-    ppt_rank_sufficient,
     realignment_rank_bound,
     run_cell,
 )
@@ -116,27 +114,6 @@ class TestAggregate:
         assert per["pt"].fraction == 1.0
 
 
-class TestHierarchyOrder:
-    def _stats_with_fractions(self, fractions):
-        recs = []
-        n = 100
-        for i in range(n):
-            detected = {c: i < fractions[c] * n for c in CRITERIA}
-            recs.append(make_record(0.5, detected | {"pt": True}))
-        return aggregate(recs)
-
-    def test_qubit_qudit_ordering(self):
-        stats = self._stats_with_fractions(
-            {"pt": 1.0, "reduction": 1.0, "majorization": 0.5, "entropy": 0.05, "realignment": 0.14}
-        )
-        order = hierarchy_order(stats)
-        assert order == [["pt", "reduction"], ["majorization"], ["realignment"], ["entropy"]]
-
-    def test_all_tied(self):
-        stats = self._stats_with_fractions({c: 1.0 for c in CRITERIA})
-        assert hierarchy_order(stats) == [list(CRITERIA)]
-
-
 class TestPageFormulas:
     def test_examples(self):
         s1, s2, s12 = page_entropies(2, 5, 10)
@@ -188,14 +165,6 @@ class TestThresholds:
         assert realignment_rank_bound(3, 3) == math.inf
         with pytest.raises(ValueError):
             realignment_rank_bound(5, 2)
-
-    def test_ppt_rank_sufficient(self):
-        assert ppt_rank_sufficient(2, 2) == 11
-        assert ppt_rank_sufficient(2, 5) == 89
-        for d1 in range(2, 6):
-            for d2 in range(2, 6):
-                if d1 * d2 >= 3:
-                    assert ppt_rank_sufficient(d1, d2) > d1 * d2
 
     def test_average_purity(self):
         assert average_purity(2, 2, 1) == 1.0

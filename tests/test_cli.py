@@ -5,6 +5,7 @@ import os
 import pytest
 
 from entdetect.cli import main
+from entdetect.verify import run_checks
 
 
 def read_csv(path):
@@ -107,7 +108,6 @@ class TestBounds:
         out = capsys.readouterr().out
         assert "entropy_rank_threshold   5" in out
         assert "realignment_rank_bound   6.5" in out
-        assert "ppt_rank_sufficient      89" in out
 
     def test_equal_dims_vacuous(self, capsys):
         main(["bounds", "--d1", "3", "--d2", "3"])
@@ -120,6 +120,8 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "prop3_verdict_agreement" in out
+        for r in run_checks(samples=120, master_seed=8):
+            assert type(r.passed) is bool and type(r.margin) is float
 
 
 class TestConfigFile:
@@ -154,6 +156,29 @@ class TestConfigFile:
     def test_unreadable_config_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="--config"):
             main(["--config", str(tmp_path / "missing.json"), "scan-rank"])
+
+    # Each value is converted by its flag's type=, as if typed; a null,
+    # list or object is rejected by name.
+    @pytest.mark.parametrize("bad", [
+        {"samples": 2.5}, {"d1": 2.0}, {"d1": None}, {"k": [2, 3]}, {"seed": {}},
+    ], ids=json.dumps)
+    def test_bad_config_value_rejected(self, tmp_path, monkeypatch, capsys, bad):
+        monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "d1": 2, "d2": 3, "k": "2", "samples": 5, "out": str(tmp_path / "runs"),
+        } | bad))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "scan-rank"])
+        code, err = exc.value.code, capsys.readouterr().err
+        assert code not in (0, None)
+        assert "Traceback" not in str(code) + err
+        key = next(iter(bad))
+        if code == 2:  # argparse's usage error, printed on stderr
+            assert f"argument --{key}" in err
+        else:
+            assert isinstance(code, str) and f"'{key}'" in code and "\n" not in code
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 class TestWorkersEnv:
@@ -209,6 +234,8 @@ SCAN = ["scan-rank", "--d1", "2", "--d2", "3", "--k", "2", "--samples", "5"]
     SCAN + ["--eps", "-1"],
     SCAN + ["--eps", "nan"],
     ["bounds", "--d1", "1", "--d2", "5"],
+    ["asymmetry", "--d12", "-5", "--samples", "5"],
+    ["asymmetry", "--d12", "0", "--samples", "5"],
     ["verify", "--samples", "12", "--eps", "-1"],
     ["verify", "--samples", "12", "--seed", "-1"],
 ], ids=" ".join)
@@ -221,6 +248,17 @@ def test_bad_numeric_input_is_one_line_error(tmp_path, monkeypatch, capsys, argv
     assert isinstance(message, str) and message and "\n" not in message
     assert "Traceback" not in message + capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_out_under_a_file_is_one_line_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "runs")
+    with pytest.raises(SystemExit) as exc:
+        main(SCAN + ["--out", out])
+    message = exc.value.code
+    assert isinstance(message, str) and out in message and "\n" not in message
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # sha256 of whole CSV bodies: a change to sampling, the criteria,

@@ -12,7 +12,8 @@ from entdetect import (
     purity,
     sample_reduced_state,
 )
-from entdetect.analytics import ln_threshold
+from entdetect.criteria import EPS
+from entdetect.verify import INVARIANTS
 from conftest import (
     bell_state,
     haar_unitary,
@@ -163,15 +164,14 @@ class TestEvaluateState:
 class TestImplications:
     @pytest.mark.parametrize("cell", [(2, 4, 5), (2, 5, 6), (3, 3, 5), (3, 5, 8)])
     def test_entropy_implies_majorization_and_reduction_implies_pt(self, cell):
+        # Every invariant of the table, these two among them.
         d1, d2, k = cell
         for trial in range(50):
-            rec = evaluate_state(sample_reduced_state(SampleSpec(d1, d2, k, 83, trial)))
-            v = rec.verdicts
-            if v["entropy"].detected:
-                assert v["majorization"].detected
-            if v["reduction"].detected:
-                assert v["pt"].detected
-            assert (rec.ln > ln_threshold()) == v["pt"].detected
+            spec = SampleSpec(d1, d2, k, 83, trial)
+            rho = sample_reduced_state(spec)
+            rec = evaluate_state(rho, spec=spec)
+            for name, margin in INVARIANTS.items():
+                assert margin(rho, rec, EPS) >= 0, (name, trial)
 
     @pytest.mark.parametrize("trial", range(20))
     def test_prop3_spectral_form(self, trial):

@@ -1,11 +1,12 @@
-"""Property tests: invariants of evaluate_state and of the marginals over
-random cells (d1, d2 in 2..4, any rank) and seeds."""
+"""Property tests: the invariants of verify.INVARIANTS and of the marginals
+over random cells (d1, d2 in 2..4, any rank) and seeds."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from entdetect import SampleSpec, evaluate_state, ln_threshold, partial_trace, sample_reduced_state
+from entdetect import SampleSpec, evaluate_state, partial_trace, sample_reduced_state
 from entdetect.criteria import EPS
+from entdetect.verify import INVARIANTS
 
 
 @st.composite
@@ -24,13 +25,10 @@ PROPERTY_SETTINGS = settings(
 @PROPERTY_SETTINGS
 @given(specs())
 def test_hierarchy_invariants(spec):
-    rec = evaluate_state(sample_reduced_state(spec))
-    detected = {c: v.detected for c, v in rec.verdicts.items()}
-    assert detected["majorization"] or not detected["entropy"]
-    assert detected["pt"] or not detected["reduction"]
-    assert (rec.ln > ln_threshold(EPS)) == detected["pt"]
-    if spec.d1 == 2:
-        assert detected["reduction"] == detected["pt"]
+    rho = sample_reduced_state(spec)
+    rec = evaluate_state(rho, spec=spec)
+    for name, margin in INVARIANTS.items():
+        assert margin(rho, rec, EPS) >= 0, name
 
 
 @PROPERTY_SETTINGS
