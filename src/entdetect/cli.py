@@ -190,8 +190,9 @@ def _add_common(sub, samples_default=10000):
 
 
 def build_parser(defaults=None):
-    """The command-line parser; ``defaults`` (flag name -> value, e.g. from
-    a --config file) pre-set the subcommands' flags it names."""
+    """The command-line parser; ``defaults`` (flag name -> value, from a
+    --config file) pre-set the subcommands' flags. _load_config has checked
+    that each key names a flag of the subcommand being run."""
     parser = argparse.ArgumentParser(
         prog="entdetect",
         description="Entanglement-detection hierarchy on Haar-random states",
@@ -229,12 +230,15 @@ def build_parser(defaults=None):
 
     if defaults:
         for p in sub.choices.values():
-            known = {a.dest for a in p._actions}
-            p.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+            p.set_defaults(**defaults)
     return parser
 
 
-def _load_config(path):
+def _load_config(path, args):
+    """The flags of a --config file, for the subcommand ``args`` parsed."""
+    # The namespace holds one entry per flag of the parsed subcommand,
+    # beside the top-level --config and the subcommand's own bookkeeping.
+    flags = set(vars(args)) - {"config", "command", "func"}
     try:
         with open(path) as fh:
             defaults = json.load(fh)
@@ -243,6 +247,8 @@ def _load_config(path):
     if not isinstance(defaults, dict):
         raise SystemExit(f"--config {path}: expected a JSON object of flags")
     for key, value in defaults.items():
+        if key not in flags:
+            raise SystemExit(f"--config {path}: {key!r} is not a flag of {args.command}")
         if value is None or isinstance(value, (list, dict)):
             raise SystemExit(f"--config {path}: {key!r} must be a number or a string")
     # As strings, the values go through each flag's type= conversion, as if typed.
@@ -255,7 +261,7 @@ def main(argv=None):
     if args.config:
         # Parse again with the file's flags as defaults, so explicit
         # flags still override them.
-        args = build_parser(_load_config(args.config)).parse_args(argv)
+        args = build_parser(_load_config(args.config, args)).parse_args(argv)
     return args.func(args)
 
 

@@ -34,14 +34,15 @@ class DensityMatrix:
         n = d1 * d2
         if mat.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got {mat.shape}")
-        if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+        if not np.isfinite(mat).all():
             raise ValueError("matrix has non-finite entries")
+        adj = mat.conj().T
         scale = np.abs(mat).max()
-        if scale > 0 and np.abs(mat - mat.conj().T).max() > HERMITICITY_RTOL * scale:
+        if scale > 0 and np.abs(mat - adj).max() > HERMITICITY_RTOL * scale:
             raise ValueError("matrix is not Hermitian within tolerance")
         self.d1 = d1
         self.d2 = d2
-        self.mat = 0.5 * (mat + mat.conj().T)
+        self.mat = 0.5 * (mat + adj)
         if abs(self.mat.trace().real - 1.0) > TRACE_ATOL:
             raise ValueError("matrix does not have unit trace")
         if check:
@@ -107,11 +108,11 @@ def spectrum(mat):
 def von_neumann_entropy(eigenvalues):
     """Entropy -sum(p log p), in nats, of a density-matrix spectrum.
 
-    Eigenvalues below the entropy floor contribute zero; tiny negatives
-    from the eigensolver are clipped to [0, 1] first.
+    Eigenvalues at or below the entropy floor (tiny negatives from the
+    eigensolver among them) contribute zero; the rest are clipped to 1.
     """
-    p = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, 1.0)
-    p = p[p > ENTROPY_FLOOR]
+    p = np.asarray(eigenvalues, dtype=float)
+    p = np.minimum(p[p > ENTROPY_FLOOR], 1.0)
     return max(float(-(p * np.log(p)).sum()), 0.0)
 
 

@@ -158,9 +158,11 @@ class TestConfigFile:
             main(["--config", str(tmp_path / "missing.json"), "scan-rank"])
 
     # Each value is converted by its flag's type=, as if typed; a null,
-    # list or object is rejected by name.
+    # list or object is rejected by name, and so is a key that names no
+    # flag of the subcommand (a typo, or a flag of another subcommand).
     @pytest.mark.parametrize("bad", [
         {"samples": 2.5}, {"d1": 2.0}, {"d1": None}, {"k": [2, 3]}, {"seed": {}},
+        {"sampels": 7}, {"d12": 36},
     ], ids=json.dumps)
     def test_bad_config_value_rejected(self, tmp_path, monkeypatch, capsys, bad):
         monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)

@@ -156,6 +156,22 @@ class TestEvaluateState:
             assert rec.verdicts[c].witness == pytest.approx(ref.verdicts[c].witness, abs=1e-10)
         assert rec.ln == pytest.approx(ref.ln, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "cell", [(2, 5, 6), (5, 2, 6), (3, 4, 7), (4, 3, 5), (3, 3, 9), (6, 6, 2)]
+    )
+    def test_reduction_and_majorization_witnesses_exact(self, cell):
+        # The kernel forms the reduction operators by broadcasting, the
+        # reference with np.kron, and each computes the majorization
+        # witness on its own spectra. Same arithmetic, so the witnesses
+        # must agree to the last bit.
+        d1, d2, k = cell
+        for trial in range(100):
+            rho = random_state(d1, d2, k, seed=97, trial=trial)
+            rec = evaluate_state(rho)
+            ref = reference_verdicts(rho, eps=EPS)
+            for c in ("reduction", "majorization"):
+                assert rec.verdicts[c].witness == ref.verdicts[c].witness, (c, trial)
+
     def test_witnesses_finite(self):
         rec = evaluate_state(random_state(2, 6, 12, seed=73))
         assert all(math.isfinite(v.witness) for v in rec.verdicts.values())

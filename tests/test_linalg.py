@@ -11,6 +11,7 @@ from entdetect import (
     trace_norm,
     von_neumann_entropy,
 )
+from entdetect.linalg import ENTROPY_FLOOR
 from conftest import (
     bell_state,
     maximally_mixed,
@@ -39,6 +40,22 @@ class TestDensityMatrix:
     def test_rejects_nan(self):
         m = np.eye(4, dtype=complex) / 4
         m[2, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(m, 2, 2)
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [
+            ((0, 1), complex(0.0, np.nan)),
+            ((1, 1), complex(0.25, np.inf)),
+            ((2, 3), complex(-np.inf, 0.0)),
+        ],
+    )
+    def test_rejects_non_finite_entry(self, index, value):
+        # NaN or inf in an imaginary part only, and -inf in a real
+        # off-diagonal entry, are caught by the one finiteness check.
+        m = np.eye(4, dtype=complex) / 4
+        m[index] = value
         with pytest.raises(ValueError, match="finite"):
             DensityMatrix(m, 2, 2)
 
@@ -185,6 +202,19 @@ class TestEntropyAndPurity:
 
     def test_tiny_negatives_clipped(self):
         assert von_neumann_entropy([1.0 + 5e-11, -5e-11]) == 0.0
+
+    def test_equals_clip_then_filter_reference(self):
+        # Reference: clip to [0, 1], then drop what is at or below the
+        # floor. Filtering first and clipping to 1 after keeps the same
+        # terms, so the sums agree exactly.
+        rng = np.random.default_rng(11)
+        for n in (2, 5, 10, 36):
+            for _ in range(200):
+                e = rng.random(n) * rng.choice([1e-16, 1e-13, 1.0, 1.5], n)
+                e -= rng.choice([0.0, 1e-15], n)
+                p = np.clip(e, 0.0, 1.0)
+                p = p[p > ENTROPY_FLOOR]
+                assert von_neumann_entropy(e) == max(float(-(p * np.log(p)).sum()), 0.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_additivity_on_products(self, seed):
