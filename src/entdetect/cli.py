@@ -21,6 +21,7 @@ from .harness import (
     results_current,
     run_sweep,
     stats_row,
+    usable_cpu_count,
     write_results,
 )
 # Unused here, but benchmarks/layers.py traces these names on this module.
@@ -61,7 +62,7 @@ def _workers(args):
     if value is None:
         return 1
     if value == "auto":
-        return os.cpu_count() or 1
+        return usable_cpu_count()
     if not value.strip().isdecimal() or int(value) < 1:
         raise SystemExit(
             f"worker count must be a positive integer or 'auto', got {value!r}"
@@ -100,7 +101,9 @@ def _run_and_write(name, cells, args, extra=None):
         return os.path.join(args.out, name + ".csv")
 
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    t0 = time.perf_counter()
     stats = run_sweep(config)
+    wall_s = time.perf_counter() - t0
     rows = [stats_row(s, extra=extra) for s in stats]
     cells_meta = [
         {"d1": s.d1, "d2": s.d2, "k": s.k, "n": s.n_total, "n_npt": s.n_npt}
@@ -108,7 +111,7 @@ def _run_and_write(name, cells, args, extra=None):
     ]
     path = write_results(
         args.out, name, rows, config, columns=columns,
-        cells_meta=cells_meta, started_at=started,
+        cells_meta=cells_meta, started_at=started, wall_s=wall_s,
     )
     print(f"{name}: wrote {path}")
     return path

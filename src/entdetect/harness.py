@@ -1,27 +1,37 @@
 """Batch Monte Carlo driver and persistence.
 
-run_sweep is the one sweep loop: it runs each (d1, d2, k) cell through
-run_cell and aggregates the cell's records. run_cell partitions a cell
-into blocks of 256 trials and returns evaluate_state's own records, in
-trial order, witnesses included. Trial indices are assigned globally
-from the configuration, and every trial owns its own RNG stream, so the
-emitted numbers are identical for any worker count.
+run_sweep is the one sweep loop. Each (d1, d2, k) cell is split into
+blocks of 256 trials; with more than one worker, every block of every
+cell is submitted, in cell order and block order, to one process pool
+per sweep. A cell's records are concatenated in block order and
+aggregated as soon as its last block is back, then dropped, so a sweep
+holds about one cell's records at a time. run_cell is the one-cell case:
+it returns evaluate_state's own records, in trial order, witnesses
+included. Trial indices are assigned globally from the configuration,
+and every trial owns its own RNG stream, so the emitted numbers are
+identical for any worker count.
 
 Results are written as CSV next to a JSON manifest holding the
-configuration echo, the package version and a checksum of the CSV body.
+configuration echo, the package version, a checksum of the CSV body and
+a description of the run (workers, CPUs, library versions, wall time).
 A run whose CSV still matches its manifest checksum, whose manifest
 echoes the same configuration and version, and whose CSV header has the
 requested columns, is not recomputed.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
+import platform
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import __version__
 from .criteria import CRITERIA, EPS, check_eps, evaluate_state
@@ -82,31 +92,74 @@ def _run_block(args):
     ]
 
 
+def _cell_records(cells, n, master_seed, eps, workers):
+    """Yield the records of each cell of ``cells`` in turn, ``n`` trials
+    each, in trial order.
+
+    With more than one worker and more than one block in all, every block
+    of every cell goes to one pool, and a cell is yielded once its last
+    block is back. A failed block, or a caller that stops early, cancels
+    the blocks that have not started.
+    """
+    blocks = [
+        [(d1, d2, k, master_seed, eps, start, min(start + BLOCK_SIZE, n))
+         for start in range(0, n, BLOCK_SIZE)]
+        for d1, d2, k in cells
+    ]
+    if workers <= 1 or sum(map(len, blocks)) <= 1:
+        for cell in blocks:
+            yield [rec for block in cell for rec in _run_block(block)]
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        pending = deque([pool.submit(_run_block, b) for b in cell] for cell in blocks)
+        while pending:
+            # popleft, so a cell's block results are freed once yielded
+            yield [rec for future in pending.popleft() for rec in future.result()]
+    except BaseException:  # GeneratorExit included: the caller stopped early
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown()
+
+
 def run_cell(d1, d2, k, n, master_seed, eps=EPS, workers=1):
     """Evaluate ``n`` trials of one cell; returns evaluate_trial's records,
     witnesses included, in trial order."""
-    blocks = [
-        (d1, d2, k, master_seed, eps, start, min(start + BLOCK_SIZE, n))
-        for start in range(0, n, BLOCK_SIZE)
-    ]
-    if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_block, blocks))
-    else:
-        chunks = [_run_block(b) for b in blocks]
-    return [rec for chunk in chunks for rec in chunk]
+    [records] = _cell_records([(d1, d2, k)], n, master_seed, eps, workers)
+    return records
 
 
 def run_sweep(config):
     """Run every cell of a SweepConfig; returns a list of SweepStats."""
-    stats = []
-    for d1, d2, k in config.cells:
-        records = run_cell(
-            d1, d2, k, config.samples_per_cell, config.master_seed,
-            eps=config.eps, workers=config.workers,
-        )
-        stats.append(aggregate(records, eps=config.eps))
-    return stats
+    cells = _cell_records(
+        config.cells, config.samples_per_cell, config.master_seed,
+        config.eps, config.workers,
+    )
+    with contextlib.closing(cells):
+        return [aggregate(records, eps=config.eps) for records in cells]
+
+
+def usable_cpu_count():
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (taskset, cpusets), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_metadata(config, wall_s):
+    """The manifest's description of how a sweep ran."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    states = len(config.cells) * config.samples_per_cell
+    return {
+        "workers": config.workers,
+        "cpus": usable_cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "wall_s": wall_s,
+        "states_per_s": states / wall_s if wall_s else None,
+    }
 
 
 def _fmt(x):
@@ -153,11 +206,13 @@ def _atomic_write(path, text):
 
 
 def write_results(out_dir, name, rows, config, columns=CSV_COLUMNS, cells_meta=None,
-                  started_at=None):
+                  started_at=None, wall_s=None):
     """Write <name>.csv and its manifest <name>.manifest.json atomically.
 
-    Returns the CSV path. The manifest is written only after the CSV, so
-    an interrupted run leaves a recognizably orphan CSV.
+    ``wall_s`` is the sweep's wall time, from which the manifest's ``run``
+    entry reports states/s. Returns the CSV path. The manifest is written
+    only after the CSV, so an interrupted run leaves a recognizably orphan
+    CSV.
     """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, name + ".csv")
@@ -171,6 +226,7 @@ def write_results(out_dir, name, rows, config, columns=CSV_COLUMNS, cells_meta=N
         ),
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "cells": cells_meta or [],
+        "run": _run_metadata(config, wall_s),
         "checksum": checksum(body),
     }
     _atomic_write(csv_path, body)

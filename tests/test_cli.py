@@ -1,10 +1,13 @@
+import argparse
 import hashlib
 import json
 import os
+import platform
 
+import numpy as np
 import pytest
 
-from entdetect.cli import main
+from entdetect.cli import _workers, main
 from entdetect.verify import run_checks
 
 
@@ -37,6 +40,29 @@ class TestScanRank:
         main(args)
         assert "skipping" in capsys.readouterr().out
         assert os.path.getmtime(tmp_path / "scan_rank_2x3.csv") == before
+
+    def test_manifest_describes_the_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)
+        args = [
+            "scan-rank", "--d1", "2", "--d2", "3", "--k", "2..3",
+            "--samples", "120", "--seed", "4", "--out", str(tmp_path),
+        ]
+        main(args + ["--workers", "1"])
+        manifest = json.loads((tmp_path / "scan_rank_2x3.manifest.json").read_text())
+        run = manifest["run"]
+        assert set(run) == {
+            "workers", "cpus", "python", "numpy", "blas", "wall_s", "states_per_s",
+        }
+        assert run["workers"] == 1 and run["cpus"] >= 1
+        assert run["python"] == platform.python_version()
+        assert run["numpy"] == np.__version__
+        assert set(run["blas"]) == {"name", "version"}
+        assert run["wall_s"] > 0
+        assert run["states_per_s"] == pytest.approx(240 / run["wall_s"])
+        # the worker count is not part of the configuration the cache checks
+        capsys.readouterr()
+        main(args + ["--workers", "2"])
+        assert "skipping" in capsys.readouterr().out
 
     def test_missing_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -195,6 +221,17 @@ class TestWorkersEnv:
         assert read_csv(tmp_path / "a" / "scan_rank_2x3.csv") == read_csv(
             tmp_path / "b" / "scan_rank_2x3.csv"
         )
+
+    def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setenv("ENTDETECT_WORKERS", "auto")
+        args = argparse.Namespace(workers=None)
+        # as under taskset -c 0 on a machine with more CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _workers(args) == 1
+        # a platform without affinity masks
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _workers(args) == 4
 
     # A flag that is not a string is given in a --config file, whose JSON
     # types it.

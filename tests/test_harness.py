@@ -1,9 +1,18 @@
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from entdetect import SweepConfig, __version__, aggregate, evaluate_trial, run_cell
+from entdetect import (
+    SweepConfig,
+    __version__,
+    aggregate,
+    evaluate_trial,
+    harness,
+    run_cell,
+    run_sweep,
+)
 from entdetect.harness import (
     CSV_COLUMNS,
     checksum,
@@ -41,6 +50,99 @@ class TestRunCell:
             for c in r.verdicts:
                 assert full.verdicts[c].detected == r.verdicts[c].detected
                 assert full.verdicts[c].witness == r.verdicts[c].witness
+
+
+_RUN_BLOCK = harness._run_block
+
+
+def _block_failing_at_k3(args):
+    """A harness._run_block stand-in, sent to the pool workers by import
+    path, that raises for every block of rank 3."""
+    if args[2] == 3:
+        raise RuntimeError("block failed")
+    return _RUN_BLOCK(args)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace harness's ProcessPoolExecutor with one that records each
+    pool built, the futures it hands out and the cancel_futures flag of
+    each shutdown; returns the list of pools built."""
+    built = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.futures = []
+            self.shutdowns = []
+            built.append(self)
+
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            self.futures.append(future)
+            return future
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            self.shutdowns.append(cancel_futures)
+            super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return built
+
+
+class TestRunSweep:
+    # 300 samples: two blocks per cell, the last one short
+    CELLS = ((2, 3, 2), (2, 4, 5), (3, 3, 4))
+
+    def _config(self, workers, cells=CELLS, samples=300):
+        return SweepConfig(
+            cells=cells, samples_per_cell=samples, master_seed=8, workers=workers
+        )
+
+    def test_worker_counts_agree_with_run_cell(self):
+        serial = run_sweep(self._config(1))
+        parallel = run_sweep(self._config(3))
+        assert serial == parallel
+        assert serial == [
+            aggregate(run_cell(d1, d2, k, 300, master_seed=8)) for d1, d2, k in self.CELLS
+        ]
+
+    def test_one_pool_per_sweep(self, pools):
+        run_sweep(self._config(1))
+        assert pools == []
+        run_sweep(self._config(2))
+        [pool] = pools
+        assert pool.shutdowns == [False]
+        assert len(pool.futures) == 2 * len(self.CELLS)
+
+    # Eight cells of two ~0.1 s blocks each: when the failure comes, most
+    # blocks have not reached a worker.
+    MANY = tuple((3, 4, k) for k in (3, 2, 4, 5, 6, 7, 8, 9))
+
+    def test_failed_block_cancels_the_rest(self, pools, monkeypatch):
+        monkeypatch.setattr(harness, "_run_block", _block_failing_at_k3)
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_sweep(self._config(2, self.MANY, 512))
+        [pool] = pools
+        assert pool.shutdowns == [True]
+        assert any(f.cancelled() for f in pool.futures)
+
+    def test_failed_aggregate_cancels_the_rest(self, pools, monkeypatch):
+        seen = []
+
+        def aggregate_failing_at_second_cell(records, eps):
+            seen.append(records[0].spec.k)
+            if len(seen) == 2:
+                raise RuntimeError("aggregate failed")
+            return aggregate(records, eps=eps)
+
+        monkeypatch.setattr(harness, "aggregate", aggregate_failing_at_second_cell)
+        with pytest.raises(RuntimeError, match="aggregate failed"):
+            run_sweep(self._config(2, self.MANY, 512))
+        assert seen == [3, 2]
+        [pool] = pools
+        assert pool.shutdowns == [True]
+        assert any(f.cancelled() for f in pool.futures)
 
 
 class TestSweepConfig:
@@ -102,7 +204,7 @@ class TestPersistence:
         with open(os.path.join(tmp_path, "cell.manifest.json")) as fh:
             manifest = json.load(fh)
         assert set(manifest) == {
-            "config", "version", "started_at", "finished_at", "cells", "checksum",
+            "config", "version", "started_at", "finished_at", "cells", "run", "checksum",
         }
         assert manifest["config"] == config.to_dict()
         assert manifest["cells"][0]["n"] == 100
