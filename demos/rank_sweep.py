@@ -13,7 +13,7 @@ def main():
     print(f"fraction of NPT 2x5 states detected, {samples} samples per rank")
     print(header)
     for k in range(2, d1 * d2 + 1):
-        stats = aggregate(run_cell(d1, d2, k, samples, master_seed=7))
+        stats = aggregate(run_cell(d1, d2, k, samples, master_seed=7), (d1, d2, k))
         cells = []
         for c in CRITERIA:
             f = stats.per_criterion[c].fraction

@@ -23,9 +23,9 @@ def werner(p):
 def show(label, rho):
     rec = evaluate_state(rho)
     flags = "  ".join(
-        f"{c}={'Y' if rec.verdicts[c].detected else '.'}" for c in CRITERIA
+        f"{c}={'Y' if detected else '.'}" for c, detected in zip(CRITERIA, rec.detected())
     )
-    print(f"{label:<22} LN={rec.ln:.4f}   {flags}")
+    print(f"{label:<22} LN={rec.ln():.4f}   {flags}")
 
 
 def main():

@@ -21,15 +21,14 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .sampling import SampleSpec, numerical_rank, sample_reduced_state, sample_tripartite_pure
-from .criteria import CRITERIA, StateRecord, Verdict, evaluate_state
+from .criteria import CRITERIA, StateRecord, evaluate_state
 from .analytics import (
     CriterionStats,
     SweepStats,
     aggregate,
     average_purity,
     entropy_rank_threshold,
-    ln_threshold,
     page_entropies,
     realignment_rank_bound,
 )
-from .harness import SweepConfig, evaluate_trial, run_cell, run_sweep
+from .harness import SweepConfig, run_cell, run_sweep

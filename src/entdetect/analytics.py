@@ -31,39 +31,23 @@ class SweepStats:
     per_criterion: dict = field(default_factory=dict)
 
 
-def ln_threshold(eps=EPS):
-    """LN value equivalent to the PT epsilon: log2(1 + 2*eps)."""
-    return math.log2(1.0 + 2.0 * eps)
+def aggregate(records, cell, eps=EPS):
+    """Reduce the StateRecords of the (d1, d2, k) ``cell`` to SweepStats.
 
-
-def aggregate(records, eps=EPS):
-    """Reduce StateRecords of one (d1, d2, k) cell to SweepStats.
-
-    Only records with LN above the epsilon-equivalent threshold enter the
-    fraction denominator; means use exact (fsum) accumulation so the
-    result is independent of record order and of shard merging.
+    Only records with LN above 0 at ``eps`` enter the fraction
+    denominator; means use exact (fsum) accumulation so the result is
+    independent of record order and of shard merging.
     """
-    records = list(records)
-    if not records:
+    read = [(r.ln(eps), r.detected(eps)) for r in records]
+    if not read:
         raise ValueError("cannot aggregate an empty record list")
-    first = records[0].spec
-    if first is not None:
-        cell = (first.d1, first.d2, first.k)
-        for r in records:
-            if r.spec is not None and (r.spec.d1, r.spec.d2, r.spec.k) != cell:
-                raise ValueError("records span more than one (d1, d2, k) cell")
-        d1, d2, k = cell
-    else:
-        d1 = d2 = k = 0
-
-    eps_ln = ln_threshold(eps)
-    population = [r for r in records if r.ln > eps_ln]
+    population = [(ln, detected) for ln, detected in read if ln > 0.0]
     n_pos = len(population)
-    n_npt = sum(1 for r in records if r.verdicts["pt"].detected)
+    n_npt = sum(detected[0] for _, detected in read)  # CRITERIA[0] is pt
 
     per = {}
-    for name in CRITERIA:
-        detected_ln = [r.ln for r in population if r.verdicts[name].detected]
+    for i, name in enumerate(CRITERIA):
+        detected_ln = [ln for ln, detected in population if detected[i]]
         n_det = len(detected_ln)
         if n_pos == 0:
             per[name] = CriterionStats(n_det, None, None, None, None)
@@ -76,7 +60,8 @@ def aggregate(records, eps=EPS):
             per[name] = CriterionStats(
                 n_det, f, stderr, math.fsum(detected_ln) / n_det, min(detected_ln)
             )
-    return SweepStats(d1, d2, k, len(records), n_npt, per)
+    d1, d2, k = cell
+    return SweepStats(d1, d2, k, len(read), n_npt, per)
 
 
 def page_entropies(d1, d2, k):

@@ -1,11 +1,13 @@
 """The five entanglement detection criteria and logarithmic negativity.
 
-evaluate_state is the one place a criterion's witness and threshold are
-computed: it returns a StateRecord whose Verdicts carry a continuous
-witness value next to the boolean outcome, plus the state's LN.
-Thresholds are strict with a shared epsilon (default 1e-10): boundary
-states are classified as not detected, since a one-sided separability
-test at its boundary carries no certificate.
+evaluate_state is the one place a criterion's witness is computed: it
+returns a StateRecord of plain numbers, the unclipped trace norm of the
+partial transpose and the five witnesses in CRITERIA order. The record's
+ln and detected methods are the one place the thresholds are applied, so
+a record can be read at any eps. Thresholds are strict with a shared
+epsilon (default 1e-10): boundary states are classified as not detected,
+since a one-sided separability test at its boundary carries no
+certificate.
 
 Witness conventions:
 
@@ -22,7 +24,7 @@ that norm is within 2*eps of 1 (a PPT state).
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,19 +42,27 @@ EPS = 1e-10
 CRITERIA = ("pt", "reduction", "majorization", "entropy", "realignment")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    detected: bool
-    witness: float
+# A criterion fires when sign * witness > eps, in CRITERIA order: the
+# minimum-eigenvalue and conditional-entropy witnesses fire below -eps,
+# the majorization and realignment excesses above +eps. Negation is exact,
+# so -witness > eps is the same comparison as witness < -eps.
+SIGNS = (-1, -1, +1, -1, +1)
 
 
-@dataclass(frozen=True)
-class StateRecord:
-    """One evaluated sample: log-negativity plus all five verdicts."""
+class StateRecord(NamedTuple):
+    """One evaluated state: ``tn``, the trace norm of its partial
+    transpose, and ``witness``, the five witnesses in CRITERIA order."""
 
-    ln: float
-    verdicts: dict
-    spec: object = None
+    tn: float
+    witness: tuple
+
+    def ln(self, eps=EPS):
+        """Log-negativity, 0 for a state within 2*eps of PPT."""
+        return math.log2(self.tn) if self.tn > 1.0 + 2.0 * eps else 0.0
+
+    def detected(self, eps=EPS):
+        """Whether each criterion fires at ``eps``, in CRITERIA order."""
+        return tuple(s * w > eps for s, w in zip(SIGNS, self.witness))
 
 
 def check_eps(eps):
@@ -70,12 +80,12 @@ def _majorization_witness(global_eigs, marginal_eigs):
     return float((np.cumsum(global_eigs) - np.cumsum(padded)).max())
 
 
-def evaluate_state(rho, spec=None, eps=EPS):
-    """Run all five criteria plus log-negativity on one state.
+def evaluate_state(rho):
+    """The five witnesses and the partial-transpose trace norm of one state.
 
     Shares the expensive eigendecompositions between the criteria; the
     partial-transpose spectrum is independent of which side is transposed,
-    so the PT witness and the log-negativity come from a single solve.
+    so the PT witness and the trace norm come from a single solve.
     """
     pt_eigs = np.linalg.eigvalsh(partial_transpose(rho, 1))
     pt_min = float(pt_eigs[0])
@@ -106,13 +116,5 @@ def evaluate_state(rho, spec=None, eps=EPS):
 
     rl = trace_norm(realign(rho)) - 1.0
 
-    verdicts = {
-        "pt": Verdict(pt_min < -eps, pt_min),
-        "reduction": Verdict(red_min < -eps, red_min),
-        "majorization": Verdict(maj > eps, maj),
-        "entropy": Verdict(ent < -eps, ent),
-        "realignment": Verdict(rl > eps, rl),
-    }
     tn = float(np.abs(pt_eigs).sum())
-    ln = 0.0 if tn <= 1.0 + 2.0 * eps else math.log2(tn)
-    return StateRecord(ln=ln, verdicts=verdicts, spec=spec)
+    return StateRecord(tn, (pt_min, red_min, maj, ent, rl))

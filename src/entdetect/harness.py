@@ -4,12 +4,13 @@ run_sweep is the one sweep loop. Each (d1, d2, k) cell is split into
 blocks of 256 trials; with more than one worker, every block of every
 cell is submitted, in cell order and block order, to one process pool
 per sweep. A cell's records are concatenated in block order and
-aggregated as soon as its last block is back, then dropped, so a sweep
-holds about one cell's records at a time. run_cell is the one-cell case:
-it returns evaluate_state's own records, in trial order, witnesses
-included. Trial indices are assigned globally from the configuration,
-and every trial owns its own RNG stream, so the emitted numbers are
-identical for any worker count.
+aggregated at the configuration's eps as soon as its last block is back,
+then dropped, so a sweep holds about one cell's records at a time.
+run_cell is the one-cell case: it returns evaluate_state's own records,
+in trial order; a record holds no eps and no cell, so its caller passes
+both to aggregate. Trial indices are assigned globally from the
+configuration, and every trial owns its own RNG stream, so the emitted
+numbers are identical for any worker count.
 
 Results are written as CSV next to a JSON manifest holding the
 configuration echo, the package version, a checksum of the CSV body and
@@ -78,21 +79,15 @@ class SweepConfig:
         }
 
 
-def evaluate_trial(d1, d2, k, master_seed, trial_index, eps=EPS):
-    """Sample and evaluate a single trial."""
-    spec = SampleSpec(d1, d2, k, master_seed, trial_index)
-    return evaluate_state(sample_reduced_state(spec), spec=spec, eps=eps)
-
-
 def _run_block(args):
-    d1, d2, k, master_seed, eps, start, stop = args
+    d1, d2, k, master_seed, start, stop = args
     return [
-        evaluate_trial(d1, d2, k, master_seed, trial, eps)
+        evaluate_state(sample_reduced_state(SampleSpec(d1, d2, k, master_seed, trial)))
         for trial in range(start, stop)
     ]
 
 
-def _cell_records(cells, n, master_seed, eps, workers):
+def _cell_records(cells, n, master_seed, workers):
     """Yield the records of each cell of ``cells`` in turn, ``n`` trials
     each, in trial order.
 
@@ -102,7 +97,7 @@ def _cell_records(cells, n, master_seed, eps, workers):
     the blocks that have not started.
     """
     blocks = [
-        [(d1, d2, k, master_seed, eps, start, min(start + BLOCK_SIZE, n))
+        [(d1, d2, k, master_seed, start, min(start + BLOCK_SIZE, n))
          for start in range(0, n, BLOCK_SIZE)]
         for d1, d2, k in cells
     ]
@@ -122,21 +117,25 @@ def _cell_records(cells, n, master_seed, eps, workers):
     pool.shutdown()
 
 
-def run_cell(d1, d2, k, n, master_seed, eps=EPS, workers=1):
-    """Evaluate ``n`` trials of one cell; returns evaluate_trial's records,
-    witnesses included, in trial order."""
-    [records] = _cell_records([(d1, d2, k)], n, master_seed, eps, workers)
+def run_cell(d1, d2, k, n, master_seed, workers=1):
+    """Evaluate ``n`` trials of one cell; returns evaluate_state's records
+    in trial order."""
+    [records] = _cell_records([(d1, d2, k)], n, master_seed, workers)
     return records
 
 
 def run_sweep(config):
     """Run every cell of a SweepConfig; returns a list of SweepStats."""
     cells = _cell_records(
-        config.cells, config.samples_per_cell, config.master_seed,
-        config.eps, config.workers,
+        config.cells, config.samples_per_cell, config.master_seed, config.workers
     )
     with contextlib.closing(cells):
-        return [aggregate(records, eps=config.eps) for records in cells]
+        # cells first: zip then runs the generator to its end, where it
+        # shuts the pool down without cancelling anything
+        return [
+            aggregate(records, cell, eps=config.eps)
+            for records, cell in zip(cells, config.cells)
+        ]
 
 
 def usable_cpu_count():

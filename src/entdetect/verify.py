@@ -1,9 +1,13 @@
 """Executable invariants over freshly sampled random states.
 
 INVARIANTS is the one statement of each checked property: it maps a name
-to ``margin(rho, rec, eps) -> float``, the distance of one evaluated
-state from the property's boundary. A non-negative margin means the
-property held; a check that does not apply to the state returns +inf.
+to ``margin(spec, rho, rec, eps) -> float``, the distance of one
+evaluated state from the property's boundary; ``spec`` is the SampleSpec
+``rho`` was drawn from and ``rec`` its evaluate_state record. A
+non-negative margin means the property held; a check that does not apply
+to the state returns +inf. The verdict-level checks read the record at
+``eps``; the spectral checks solve their own partial transposes, as
+references independent of the kernel.
 """
 
 import math
@@ -11,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import ln_threshold
-from .criteria import EPS, check_eps, evaluate_state
-from .linalg import partial_trace, partial_transpose, purity, realign, trace_norm
+from .criteria import CRITERIA, EPS, check_eps, evaluate_state
+from .linalg import partial_trace, partial_transpose, purity, realign
 from .sampling import SampleSpec, numerical_rank, sample_reduced_state
 
 DEFAULT_GRID = ((2, 4), (2, 5), (3, 3), (3, 5))
+
+PT, REDUCTION, REALIGNMENT = map(CRITERIA.index, ("pt", "reduction", "realignment"))
 
 
 @dataclass(frozen=True)
@@ -33,50 +38,54 @@ def _holds(ok):
 
 def _implies(weaker, stronger):
     """The criterion ``weaker`` never fires without ``stronger``."""
-    def margin(rho, rec, eps):
-        v = rec.verdicts
-        return _holds(v[stronger].detected or not v[weaker].detected)
+    weaker, stronger = CRITERIA.index(weaker), CRITERIA.index(stronger)
+
+    def margin(spec, rho, rec, eps):
+        detected = rec.detected(eps)
+        return _holds(detected[stronger] or not detected[weaker])
     return margin
 
 
-def _ln_iff_pt(rho, rec, eps):
-    return _holds((rec.ln > ln_threshold(eps)) == rec.verdicts["pt"].detected)
+def _ln_iff_pt(spec, rho, rec, eps):
+    return _holds((rec.ln(eps) > 0.0) == rec.detected(eps)[PT])
 
 
-def _realign_trace_norm_purity_bound(rho, rec, eps):
+# Bounds the kernel's own realignment witness, the number the CSV is built from.
+def _realign_trace_norm_purity_bound(spec, rho, rec, eps):
     bound = min(rho.d1, rho.d2) * math.sqrt(purity(rho)) + 1e-9
-    return bound - trace_norm(realign(rho))
+    return bound - (rec.witness[REALIGNMENT] + 1.0)
 
 
-def _pt_involution(rho, rec, eps):
+def _pt_involution(spec, rho, rec, eps):
     d1, d2 = rho.d1, rho.d2
     back = partial_transpose(rho, 1).reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3)
     return 1e-14 - np.abs(back.reshape(rho.mat.shape) - rho.mat).max()
 
 
-def _pt_side_spectra_match(rho, rec, eps):
+def _pt_side_spectra_match(spec, rho, rec, eps):
     eigs1 = np.linalg.eigvalsh(partial_transpose(rho, 1))
     eigs2 = np.linalg.eigvalsh(partial_transpose(rho, 2))
     return 1e-10 - np.abs(eigs1 - eigs2).max()
 
 
-def _realign_frobenius_preserved(rho, rec, eps):
+def _realign_frobenius_preserved(spec, rho, rec, eps):
     return 1e-12 - abs(np.linalg.norm(realign(rho)) - np.linalg.norm(rho.mat))
 
 
-def _rank_ceiling(rho, rec, eps):
-    return rec.spec.k - numerical_rank(rho)
+def _rank_ceiling(spec, rho, rec, eps):
+    return spec.k - numerical_rank(rho)
 
 
 # Proposition 3: in 2 x d the reduction and PT criteria are equivalent,
 # because I (x) rho_2 - rho and rho^T1 share their spectrum.
-def _prop3_verdict_agreement(rho, rec, eps):
+def _prop3_verdict_agreement(spec, rho, rec, eps):
     if rho.d1 != 2:
         return math.inf
-    return _holds(rec.verdicts["reduction"].detected == rec.verdicts["pt"].detected)
+    detected = rec.detected(eps)
+    return _holds(detected[REDUCTION] == detected[PT])
 
 
-def _prop3_spectral_match(rho, rec, eps):
+def _prop3_spectral_match(spec, rho, rec, eps):
     if rho.d1 != 2:
         return math.inf
     red = np.kron(np.eye(2), partial_trace(rho, 1)) - rho.mat
@@ -113,10 +122,10 @@ def run_checks(samples=1000, master_seed=2024, eps=EPS):
         for trial in range(max(1, samples // len(cells))):
             spec = SampleSpec(d1, d2, k, master_seed, trial)
             rho = sample_reduced_state(spec)
-            rec = evaluate_state(rho, spec=spec, eps=eps)
+            rec = evaluate_state(rho)
             n_states += 1
             for name, margin in INVARIANTS.items():
-                m = float(margin(rho, rec, eps))
+                m = float(margin(spec, rho, rec, eps))
                 worst[name] = min(worst[name], m)
                 violations[name] += not m >= 0
     return [

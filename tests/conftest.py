@@ -1,21 +1,21 @@
-import math
-
 import numpy as np
 import pytest
 
 from entdetect import (
+    CRITERIA,
     DensityMatrix,
     SampleSpec,
     StateRecord,
-    Verdict,
     partial_trace,
     partial_transpose,
     realign,
+    run_cell,
     sample_reduced_state,
     spectrum,
     trace_norm,
     von_neumann_entropy,
 )
+from entdetect.criteria import EPS
 
 
 def bell_state():
@@ -75,10 +75,17 @@ def _majorization_excess(global_eigs, marginal_eigs):
     return float((np.cumsum(global_eigs) - np.cumsum(padded)).max())
 
 
-def reference_verdicts(rho, eps):
-    """Reference for evaluate_state: every criterion computed on its own,
-    with its own eigendecompositions, and LN from the side-2 partial
-    transpose (evaluate_state uses side 1)."""
+def verdict(rec, criterion, eps=EPS):
+    """(detected, witness) of one criterion of a StateRecord."""
+    i = CRITERIA.index(criterion)
+    return rec.detected(eps)[i], rec.witness[i]
+
+
+def reference_record(rho):
+    """Reference for evaluate_state: every witness computed on its own,
+    with its own eigendecompositions, and the trace norm from the side-2
+    partial transpose (evaluate_state uses side 1). It returns raw
+    numbers; test_criteria's boundary table pins the thresholds."""
     rho1, rho2 = partial_trace(rho, 2), partial_trace(rho, 1)
 
     pt = float(np.linalg.eigvalsh(partial_transpose(rho, 1))[0])
@@ -102,18 +109,15 @@ def reference_verdicts(rho, eps):
     rl = trace_norm(realign(rho)) - 1.0
 
     tn = float(np.abs(np.linalg.eigvalsh(partial_transpose(rho, 2))).sum())
-    ln = 0.0 if tn <= 1.0 + 2.0 * eps else math.log2(tn)
-
-    verdicts = {
-        "pt": Verdict(pt < -eps, pt),
-        "reduction": Verdict(red < -eps, red),
-        "majorization": Verdict(maj > eps, maj),
-        "entropy": Verdict(ent < -eps, ent),
-        "realignment": Verdict(rl > eps, rl),
-    }
-    return StateRecord(ln=ln, verdicts=verdicts)
+    return StateRecord(tn, (pt, red, maj, ent, rl))
 
 
 @pytest.fixture
 def bell():
     return bell_state()
+
+
+@pytest.fixture(scope="session")
+def records_2x5_k8():
+    """One cell's records, evaluated once and read at several eps."""
+    return run_cell(2, 5, 8, 2000, master_seed=42)

@@ -6,72 +6,69 @@ import pytest
 
 from entdetect import (
     CRITERIA,
-    SampleSpec,
     StateRecord,
-    Verdict,
     aggregate,
     average_purity,
     entropy_rank_threshold,
-    ln_threshold,
     page_entropies,
     realignment_rank_bound,
     run_cell,
 )
+from entdetect.criteria import SIGNS
+
+CELL = (2, 3, 2)
 
 
-def make_record(ln, detected, spec=None):
-    verdicts = {c: Verdict(detected.get(c, False), 0.0) for c in CRITERIA}
-    return StateRecord(ln=ln, verdicts=verdicts, spec=spec)
+def make_record(tn, detected):
+    """A record with PT trace norm ``tn`` on which the criteria marked True
+    in ``detected`` fire: their witness is a unit past the threshold."""
+    witness = tuple(s if detected.get(c) else 0.0 for c, s in zip(CRITERIA, SIGNS))
+    return StateRecord(tn, witness)
 
 
-def all_detected(ln):
-    return make_record(ln, {c: True for c in CRITERIA})
+def all_detected(tn):
+    return make_record(tn, {c: True for c in CRITERIA})
 
 
 class TestAggregate:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            aggregate([])
-
-    def test_mixed_cells_raise(self):
-        a = make_record(0.5, {"pt": True}, spec=SampleSpec(2, 3, 2, 0, 0))
-        b = make_record(0.5, {"pt": True}, spec=SampleSpec(2, 4, 2, 0, 0))
-        with pytest.raises(ValueError):
-            aggregate([a, b])
+            aggregate([], CELL)
 
     def test_all_detected_fraction_one(self):
-        stats = aggregate([all_detected(0.5), all_detected(0.3)])
+        stats = aggregate([all_detected(2.0), all_detected(4.0)], CELL)
+        assert (stats.d1, stats.d2, stats.k) == CELL
         for c in CRITERIA:
             cs = stats.per_criterion[c]
             assert cs.fraction == 1.0
-            assert cs.mean_ln == pytest.approx(0.4)
-            assert cs.min_ln == 0.3
+            assert cs.mean_ln == 1.5
+            assert cs.min_ln == 1.0
 
     def test_no_detection_gives_nulls_not_zero(self):
-        recs = [make_record(0.5, {"pt": True}), make_record(0.2, {"pt": True})]
-        stats = aggregate(recs)
+        recs = [make_record(2.0, {"pt": True}), make_record(1.5, {"pt": True})]
+        stats = aggregate(recs, CELL)
         cs = stats.per_criterion["entropy"]
         assert cs.fraction == 0.0
         assert cs.mean_ln is None and cs.min_ln is None
 
     def test_zero_ln_records_excluded_from_denominator(self):
         recs = [
-            all_detected(0.5),
-            make_record(0.0, {}),  # PPT-like sample: not in the population
+            all_detected(2.0),
+            make_record(1.0, {}),  # PPT-like sample: not in the population
         ]
-        stats = aggregate(recs)
+        stats = aggregate(recs, CELL)
         assert stats.n_total == 2
         assert stats.n_npt == 1
         assert stats.per_criterion["pt"].fraction == 1.0
 
     def test_all_ppt_population_undefined(self):
-        stats = aggregate([make_record(0.0, {}), make_record(0.0, {})])
+        stats = aggregate([make_record(1.0, {}), make_record(1.0, {})], CELL)
         for c in CRITERIA:
             assert stats.per_criterion[c].fraction is None
 
     def test_stderr_is_bernoulli(self):
-        recs = [all_detected(0.5)] * 3 + [make_record(0.4, {"pt": True})]
-        stats = aggregate(recs)
+        recs = [all_detected(2.0)] * 3 + [make_record(1.5, {"pt": True})]
+        stats = aggregate(recs, CELL)
         cs = stats.per_criterion["majorization"]
         assert cs.fraction == 0.75
         assert cs.fraction_stderr == pytest.approx(math.sqrt(0.75 * 0.25 / 4))
@@ -79,25 +76,22 @@ class TestAggregate:
     def test_order_independence(self):
         rng = random.Random(5)
         recs = [
-            make_record(rng.uniform(0.01, 1.0), {c: rng.random() < 0.5 for c in CRITERIA} | {"pt": True})
+            make_record(rng.uniform(1.01, 2.0), {c: rng.random() < 0.5 for c in CRITERIA} | {"pt": True})
             for _ in range(300)
         ]
-        a = aggregate(recs)
+        a = aggregate(recs, CELL)
         shuffled = recs[:]
         rng.shuffle(shuffled)
-        b = aggregate(shuffled)
+        b = aggregate(shuffled, CELL)
         for c in CRITERIA:
             ca, cb = a.per_criterion[c], b.per_criterion[c]
             assert ca == cb  # exact equality, fsum accumulation
 
     def test_min_matches_brute_force_rescan(self):
         recs = run_cell(2, 4, 4, 300, master_seed=3)
-        stats = aggregate(recs)
-        eps_ln = ln_threshold()
-        for c in CRITERIA:
-            detected = [
-                r.ln for r in recs if r.ln > eps_ln and r.verdicts[c].detected
-            ]
+        stats = aggregate(recs, (2, 4, 4))
+        for i, c in enumerate(CRITERIA):
+            detected = [r.ln() for r in recs if r.ln() > 0 and r.detected()[i]]
             cs = stats.per_criterion[c]
             if detected:
                 assert cs.min_ln == min(detected)
@@ -107,11 +101,45 @@ class TestAggregate:
 
     def test_fraction_monotone_under_inclusion(self):
         recs = run_cell(3, 3, 5, 400, master_seed=13)
-        stats = aggregate(recs)
+        stats = aggregate(recs, (3, 3, 5))
         per = stats.per_criterion
         assert per["majorization"].fraction >= per["entropy"].fraction
         assert per["pt"].fraction >= per["reduction"].fraction
         assert per["pt"].fraction == 1.0
+
+    # Majorization detections in the 2x5 k=8 records at each eps. The
+    # records are evaluated once; only aggregate's eps differs.
+    MAJORIZATION_DETECTED = {0.0: 1277, 1e-10: 436, 1e-2: 287}
+
+    @pytest.mark.parametrize("eps", sorted(MAJORIZATION_DETECTED))
+    def test_eps_applied_once(self, records_2x5_k8, eps):
+        stats = aggregate(records_2x5_k8, (2, 5, 8), eps)
+        # The criteria docstring's comparisons, written out per criterion.
+        pt, red, maj, ent, rl = zip(*(r.witness for r in records_2x5_k8))
+        fires = {
+            "pt": [w < -eps for w in pt],
+            "reduction": [w < -eps for w in red],
+            "majorization": [w > eps for w in maj],
+            "entropy": [w < -eps for w in ent],
+            "realignment": [w > eps for w in rl],
+        }
+        npt = [r.tn > 1.0 + 2.0 * eps for r in records_2x5_k8]
+        assert stats.n_total == len(records_2x5_k8)
+        assert stats.n_npt == sum(fires["pt"])
+        for c in CRITERIA:
+            lns = [
+                math.log2(r.tn)
+                for r, in_population, fired in zip(records_2x5_k8, npt, fires[c])
+                if in_population and fired
+            ]
+            cs = stats.per_criterion[c]
+            assert cs.n_detected == len(lns), c
+            assert cs.fraction == len(lns) / sum(npt), c
+            assert cs.mean_ln == (math.fsum(lns) / len(lns) if lns else None), c
+            assert cs.min_ln == (min(lns) if lns else None), c
+        assert stats.per_criterion["majorization"].n_detected == (
+            self.MAJORIZATION_DETECTED[eps]
+        )
 
 
 class TestPageFormulas:

@@ -7,7 +7,9 @@ import platform
 import numpy as np
 import pytest
 
+from entdetect import aggregate
 from entdetect.cli import _workers, main
+from entdetect.harness import render_csv, stats_row
 from entdetect.verify import run_checks
 
 
@@ -28,6 +30,14 @@ class TestScanRank:
         assert len(lines) == 3
         assert lines[0].startswith("d1,d2,k,n,n_npt,pt_F")
         assert os.path.exists(tmp_path / "scan_rank_2x3.manifest.json")
+
+    def test_eps_reaches_aggregate_once(self, tmp_path, capsys, records_2x5_k8):
+        main([
+            "scan-rank", "--d1", "2", "--d2", "5", "--k", "8", "--samples", "2000",
+            "--seed", "42", "--eps", "1e-2", "--out", str(tmp_path),
+        ])
+        expected = render_csv([stats_row(aggregate(records_2x5_k8, (2, 5, 8), 1e-2))])
+        assert read_csv(tmp_path / "scan_rank_2x5.csv") == expected
 
     def test_rerun_is_noop(self, tmp_path, capsys):
         args = [

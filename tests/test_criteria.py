@@ -7,6 +7,7 @@ from entdetect import (
     CRITERIA,
     DensityMatrix,
     SampleSpec,
+    StateRecord,
     evaluate_state,
     partial_transpose,
     purity,
@@ -20,7 +21,8 @@ from conftest import (
     maximally_mixed,
     product_pure,
     random_state,
-    reference_verdicts,
+    reference_record,
+    verdict,
     werner_state,
 )
 
@@ -33,51 +35,51 @@ def werner_pt_min_eig(p):
 
 class TestPT:
     def test_bell(self):
-        v = evaluate_state(bell_state()).verdicts["pt"]
-        assert v.detected and v.witness == pytest.approx(-0.5, abs=1e-12)
+        detected, witness = verdict(evaluate_state(bell_state()), "pt")
+        assert detected and witness == pytest.approx(-0.5, abs=1e-12)
 
     @pytest.mark.parametrize("p,expect", [(0.5, True), (0.2, False)])
     def test_werner(self, p, expect):
-        v = evaluate_state(werner_state(p)).verdicts["pt"]
-        assert v.detected is expect
-        assert v.witness == pytest.approx(werner_pt_min_eig(p), abs=1e-12)
+        detected, witness = verdict(evaluate_state(werner_state(p)), "pt")
+        assert detected is expect
+        assert witness == pytest.approx(werner_pt_min_eig(p), abs=1e-12)
 
 
 class TestReduction:
     def test_bell(self):
-        v = evaluate_state(bell_state()).verdicts["reduction"]
-        assert v.detected and v.witness == pytest.approx(-0.5, abs=1e-12)
+        detected, witness = verdict(evaluate_state(bell_state()), "reduction")
+        assert detected and witness == pytest.approx(-0.5, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert not evaluate_state(maximally_mixed(2, 3)).verdicts["reduction"].detected
+        assert not verdict(evaluate_state(maximally_mixed(2, 3)), "reduction")[0]
 
     @pytest.mark.parametrize("trial", range(25))
     def test_prop3_equivalence_2x4(self, trial):
         rho = random_state(2, 4, 5, seed=61, trial=trial)
-        v = evaluate_state(rho).verdicts
-        assert v["reduction"].detected == v["pt"].detected
+        rec = evaluate_state(rho)
+        assert verdict(rec, "reduction")[0] == verdict(rec, "pt")[0]
 
 
 class TestMajorization:
     def test_bell(self):
-        v = evaluate_state(bell_state()).verdicts["majorization"]
-        assert v.detected and v.witness == pytest.approx(0.5, abs=1e-12)
+        detected, witness = verdict(evaluate_state(bell_state()), "majorization")
+        assert detected and witness == pytest.approx(0.5, abs=1e-12)
 
     def test_pure_product(self):
-        v = evaluate_state(product_pure(2, 3, seed=1)).verdicts["majorization"]
-        assert not v.detected and abs(v.witness) <= 1e-12
+        detected, witness = verdict(evaluate_state(product_pure(2, 3, seed=1)), "majorization")
+        assert not detected and abs(witness) <= 1e-12
 
     def test_maximally_mixed(self):
-        assert not evaluate_state(maximally_mixed(2, 2)).verdicts["majorization"].detected
+        assert not verdict(evaluate_state(maximally_mixed(2, 2)), "majorization")[0]
 
 
 class TestEntropy:
     def test_bell(self):
-        v = evaluate_state(bell_state()).verdicts["entropy"]
-        assert v.detected and v.witness == pytest.approx(-math.log(2), abs=1e-12)
+        detected, witness = verdict(evaluate_state(bell_state()), "entropy")
+        assert detected and witness == pytest.approx(-math.log(2), abs=1e-12)
 
     def test_product_not_detected(self):
-        assert not evaluate_state(product_pure(3, 4, seed=2)).verdicts["entropy"].detected
+        assert not verdict(evaluate_state(product_pure(3, 4, seed=2)), "entropy")[0]
 
     @pytest.mark.parametrize("p,expect", [(0.9, True), (0.6, False)])
     def test_werner_boundary(self, p, expect):
@@ -86,75 +88,111 @@ class TestEntropy:
         lam = np.array([(1 + 3 * p) / 4] + [(1 - p) / 4] * 3)
         s12 = float(-(lam[lam > 0] * np.log(lam[lam > 0])).sum())
         assert (s12 - math.log(2) < 0) is expect
-        assert evaluate_state(werner_state(p)).verdicts["entropy"].detected is expect
+        assert verdict(evaluate_state(werner_state(p)), "entropy")[0] is expect
 
 
 class TestRealignment:
     def test_bell(self):
-        v = evaluate_state(bell_state()).verdicts["realignment"]
-        assert v.detected and v.witness == pytest.approx(1.0, abs=1e-12)
+        detected, witness = verdict(evaluate_state(bell_state()), "realignment")
+        assert detected and witness == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_product_boundary_not_detected(self):
-        v = evaluate_state(product_pure(2, 3, seed=3)).verdicts["realignment"]
-        assert not v.detected and abs(v.witness) <= 1e-9
+        detected, witness = verdict(evaluate_state(product_pure(2, 3, seed=3)), "realignment")
+        assert not detected and abs(witness) <= 1e-9
 
     def test_maximally_mixed(self):
-        v = evaluate_state(maximally_mixed(2, 5)).verdicts["realignment"]
-        assert not v.detected
-        assert v.witness == pytest.approx(1 / math.sqrt(10) - 1, abs=1e-12)
+        detected, witness = verdict(evaluate_state(maximally_mixed(2, 5)), "realignment")
+        assert not detected
+        assert witness == pytest.approx(1 / math.sqrt(10) - 1, abs=1e-12)
 
     def test_rank_9_detection_above_average_bound_is_genuine(self):
         # 2x5 rank 9 lies above realignment_rank_bound(2, 5) = 6.5, which
         # bounds the average state only; this state's purity exceeds 1/d1^2.
         rho = sample_reduced_state(SampleSpec(2, 5, 9, 42, 2428))
-        v = evaluate_state(rho).verdicts["realignment"]
+        detected, witness = verdict(evaluate_state(rho), "realignment")
         r = rho.mat.reshape(2, 5, 2, 5).transpose(0, 2, 1, 3).reshape(4, 25)
         sv = np.sqrt(np.clip(np.linalg.eigvalsh(r @ r.conj().T), 0.0, None))
-        assert v.detected
-        assert v.witness == pytest.approx(sv.sum() - 1.0, abs=1e-12)
-        assert v.witness >= 0.01
+        assert detected
+        assert witness == pytest.approx(sv.sum() - 1.0, abs=1e-12)
+        assert witness >= 0.01
         assert purity(rho) > 1 / 2 ** 2
 
 
 class TestLogNegativity:
     def test_bell(self):
-        assert evaluate_state(bell_state()).ln == pytest.approx(1.0, abs=1e-12)
+        assert evaluate_state(bell_state()).ln() == pytest.approx(1.0, abs=1e-12)
 
     def test_separable_zero(self):
-        assert evaluate_state(product_pure(2, 4, seed=4)).ln == 0.0
-        assert evaluate_state(maximally_mixed(3, 3)).ln == 0.0
+        assert evaluate_state(product_pure(2, 4, seed=4)).ln() == 0.0
+        assert evaluate_state(maximally_mixed(3, 3)).ln() == 0.0
 
     def test_werner_half(self):
         # ||rho^T2||_1 = 1 + 2 |lambda_min| with a single negative eigenvalue
         expected = math.log2(1 + 2 * 0.125)
-        assert evaluate_state(werner_state(0.5)).ln == pytest.approx(expected, abs=1e-12)
+        assert evaluate_state(werner_state(0.5)).ln() == pytest.approx(expected, abs=1e-12)
+
+
+# Each criterion's threshold direction, written out as the criteria
+# docstring states it: True where it fires below -eps, False above +eps.
+FIRES_BELOW = [
+    ("pt", True),
+    ("reduction", True),
+    ("majorization", False),
+    ("entropy", True),
+    ("realignment", False),
+]
+EPS_VALUES = [0.0, 1e-10, 1e-2]
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("eps", EPS_VALUES)
+    @pytest.mark.parametrize("criterion,below", FIRES_BELOW)
+    def test_detected_is_strict(self, criterion, below, eps):
+        i = CRITERIA.index(criterion)
+        threshold = -eps if below else eps
+        past = math.nextafter(threshold, -math.inf if below else math.inf)
+        # at the threshold: not detected; the next float past it: detected;
+        # the same distance on the other side: not detected
+        for w, fires in ((threshold, False), (past, True), (-past, False)):
+            witness = tuple(w if j == i else 0.0 for j in range(len(CRITERIA)))
+            expected = tuple(fires and j == i for j in range(len(CRITERIA)))
+            assert StateRecord(1.0, witness).detected(eps) == expected, w
+
+    @pytest.mark.parametrize("eps", EPS_VALUES)
+    def test_ln_clips_at_one_plus_two_eps(self, eps):
+        witness = (0.0,) * len(CRITERIA)
+        edge = 1.0 + 2.0 * eps
+        assert StateRecord(edge, witness).ln(eps) == 0.0
+        above = math.nextafter(edge, math.inf)
+        ln = StateRecord(above, witness).ln(eps)
+        assert ln == math.log2(above) and ln > 0.0
 
 
 class TestEvaluateState:
     def test_bell_all_detected(self):
         rec = evaluate_state(bell_state())
-        assert all(rec.verdicts[c].detected for c in CRITERIA)
-        assert rec.ln == pytest.approx(1.0, abs=1e-12)
+        assert all(rec.detected())
+        assert rec.ln() == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_none(self):
         rec = evaluate_state(maximally_mixed(2, 3))
-        assert not any(rec.verdicts[c].detected for c in CRITERIA)
-        assert rec.ln == 0.0
+        assert not any(rec.detected())
+        assert rec.ln() == 0.0
 
     def test_product_pure_none(self):
         rec = evaluate_state(product_pure(2, 5, seed=5))
-        assert not any(rec.verdicts[c].detected for c in CRITERIA)
-        assert rec.ln == 0.0
+        assert not any(rec.detected())
+        assert rec.ln() == 0.0
 
     @pytest.mark.parametrize("trial", range(10))
     def test_matches_individual_detectors(self, trial):
         rho = random_state(3, 4, 7, seed=71, trial=trial)
         rec = evaluate_state(rho)
-        ref = reference_verdicts(rho, eps=1e-10)
-        for c in CRITERIA:
-            assert rec.verdicts[c].detected == ref.verdicts[c].detected
-            assert rec.verdicts[c].witness == pytest.approx(ref.verdicts[c].witness, abs=1e-10)
-        assert rec.ln == pytest.approx(ref.ln, abs=1e-10)
+        ref = reference_record(rho)
+        assert rec.detected() == ref.detected()
+        assert rec.witness == pytest.approx(ref.witness, abs=1e-10)
+        assert rec.tn == pytest.approx(ref.tn, abs=1e-10)
+        assert rec.ln() == pytest.approx(ref.ln(), abs=1e-10)
 
     @pytest.mark.parametrize(
         "cell", [(2, 5, 6), (5, 2, 6), (3, 4, 7), (4, 3, 5), (3, 3, 9), (6, 6, 2)]
@@ -168,13 +206,13 @@ class TestEvaluateState:
         for trial in range(100):
             rho = random_state(d1, d2, k, seed=97, trial=trial)
             rec = evaluate_state(rho)
-            ref = reference_verdicts(rho, eps=EPS)
-            for c in ("reduction", "majorization"):
-                assert rec.verdicts[c].witness == ref.verdicts[c].witness, (c, trial)
+            ref = reference_record(rho)
+            for i in map(CRITERIA.index, ("reduction", "majorization")):
+                assert rec.witness[i] == ref.witness[i], (CRITERIA[i], trial)
 
     def test_witnesses_finite(self):
         rec = evaluate_state(random_state(2, 6, 12, seed=73))
-        assert all(math.isfinite(v.witness) for v in rec.verdicts.values())
+        assert all(math.isfinite(w) for w in rec.witness)
 
 
 class TestImplications:
@@ -185,9 +223,9 @@ class TestImplications:
         for trial in range(50):
             spec = SampleSpec(d1, d2, k, 83, trial)
             rho = sample_reduced_state(spec)
-            rec = evaluate_state(rho, spec=spec)
+            rec = evaluate_state(rho)
             for name, margin in INVARIANTS.items():
-                assert margin(rho, rec, EPS) >= 0, (name, trial)
+                assert margin(spec, rho, rec, EPS) >= 0, (name, trial)
 
     @pytest.mark.parametrize("trial", range(20))
     def test_prop3_spectral_form(self, trial):
@@ -210,7 +248,6 @@ class TestLocalUnitaryInvariance:
         u = np.kron(haar_unitary(3, rng), haar_unitary(4, rng))
         rotated = DensityMatrix(u @ rho.mat @ u.conj().T, 3, 4, check=False)
         a, b = evaluate_state(rho), evaluate_state(rotated)
-        assert abs(a.ln - b.ln) <= 1e-9
-        for c in CRITERIA:
-            assert a.verdicts[c].detected == b.verdicts[c].detected
-            assert abs(a.verdicts[c].witness - b.verdicts[c].witness) <= 1e-9
+        assert abs(a.ln() - b.ln()) <= 1e-9
+        assert a.detected() == b.detected()
+        assert a.witness == pytest.approx(b.witness, abs=1e-9)

@@ -26,9 +26,9 @@ PROPERTY_SETTINGS = settings(
 @given(specs())
 def test_hierarchy_invariants(spec):
     rho = sample_reduced_state(spec)
-    rec = evaluate_state(rho, spec=spec)
+    rec = evaluate_state(rho)
     for name, margin in INVARIANTS.items():
-        assert margin(rho, rec, EPS) >= 0, name
+        assert margin(spec, rho, rec, EPS) >= 0, name
 
 
 @PROPERTY_SETTINGS

@@ -13,7 +13,7 @@ from entdetect import (
 )
 from entdetect.analytics import average_purity, page_entropies
 from entdetect.linalg import von_neumann_entropy
-from conftest import bell_state, haar_unitary, maximally_mixed, product_pure
+from conftest import bell_state, haar_unitary, maximally_mixed, product_pure, verdict
 
 
 class TestSampleSpec:
@@ -103,31 +103,30 @@ class TestReducedState:
         raw, rotated = [], []
         for t in range(n):
             rho = sample_reduced_state(SampleSpec(2, 4, 3, 41, t))
-            raw.append(evaluate_state(rho).ln)
+            raw.append(evaluate_state(rho).ln())
             rot = type(rho)(u @ rho.mat @ u.conj().T, 2, 4, check=False)
             rho2 = sample_reduced_state(SampleSpec(2, 4, 3, 43, t))
             rotated.append(
-                evaluate_state(type(rho2)(u @ rho2.mat @ u.conj().T, 2, 4, check=False)).ln
+                evaluate_state(type(rho2)(u @ rho2.mat @ u.conj().T, 2, 4, check=False)).ln()
             )
-            assert abs(evaluate_state(rot).ln - raw[-1]) <= 1e-9
+            assert abs(evaluate_state(rot).ln() - raw[-1]) <= 1e-9
         se = np.sqrt(np.var(raw) / n + np.var(rotated) / n)
         assert abs(np.mean(raw) - np.mean(rotated)) <= 3 * se
 
 
 class TestIsNpt:
     def test_bell_is_npt(self):
-        assert evaluate_state(bell_state()).verdicts["pt"].detected
+        assert verdict(evaluate_state(bell_state()), "pt")[0]
 
     def test_product_is_ppt(self):
-        assert not evaluate_state(product_pure(2, 3, seed=8)).verdicts["pt"].detected
+        assert not verdict(evaluate_state(product_pure(2, 3, seed=8)), "pt")[0]
 
     def test_maximally_mixed_is_ppt(self):
-        assert not evaluate_state(maximally_mixed(2, 3)).verdicts["pt"].detected
+        assert not verdict(evaluate_state(maximally_mixed(2, 3)), "pt")[0]
 
     def test_npt_prevalence_at_low_rank(self):
         hits = sum(
-            evaluate_state(sample_reduced_state(SampleSpec(3, 4, 6, 53, t)))
-            .verdicts["pt"].detected
+            verdict(evaluate_state(sample_reduced_state(SampleSpec(3, 4, 6, 53, t))), "pt")[0]
             for t in range(200)
         )
         assert hits == 200

@@ -6,14 +6,19 @@ import math
 
 import pytest
 
-from entdetect import CRITERIA, StateRecord, Verdict
-from entdetect.criteria import EPS
-from entdetect.verify import INVARIANTS
-from conftest import maximally_mixed
+from entdetect import CRITERIA, SampleSpec, StateRecord, evaluate_state
+from entdetect.criteria import EPS, SIGNS
+from entdetect.verify import INVARIANTS, REALIGNMENT
+from conftest import maximally_mixed, random_state
+
+SPEC = SampleSpec(2, 3, 6, 0)
 
 
 def record(ln, *detected):
-    return StateRecord(ln, {c: Verdict(c in detected, 0.0) for c in CRITERIA})
+    """A record with LN ``ln`` on which exactly the ``detected`` criteria
+    fire: their witness is a unit past the threshold, the others are 0."""
+    witness = tuple(s if c in detected else 0.0 for c, s in zip(CRITERIA, SIGNS))
+    return StateRecord(2.0 ** ln, witness)
 
 
 @pytest.mark.parametrize("name,rec,holds", [
@@ -33,11 +38,21 @@ def record(ln, *detected):
     ("prop3_verdict_agreement", record(0.0), True),
 ])
 def test_verdict_invariant_margin_sign(name, rec, holds):
-    margin = INVARIANTS[name](maximally_mixed(2, 3), rec, EPS)
+    margin = INVARIANTS[name](SPEC, maximally_mixed(2, 3), rec, EPS)
     assert (margin >= 0) is holds
+
+
+def test_purity_bound_reads_the_records_realignment_witness():
+    rho = random_state(2, 3, 2, seed=5)
+    rec = evaluate_state(rho)
+    margin = INVARIANTS["realign_trace_norm_purity_bound"]
+    assert margin(SPEC, rho, rec, EPS) >= 0
+    witness = list(rec.witness)
+    witness[REALIGNMENT] += 2 * margin(SPEC, rho, rec, EPS) + 1e-6
+    assert margin(SPEC, rho, rec._replace(witness=tuple(witness)), EPS) < 0
 
 
 def test_prop3_does_not_apply_beyond_qubit_qudit():
     rho = maximally_mixed(3, 2)
     for name in ("prop3_verdict_agreement", "prop3_spectral_match"):
-        assert INVARIANTS[name](rho, record(0.5, "pt"), EPS) == math.inf
+        assert INVARIANTS[name](SPEC, rho, record(0.5, "pt"), EPS) == math.inf
