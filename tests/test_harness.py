@@ -35,12 +35,21 @@ class TestRunCell:
         assert len(serial) == len(parallel) == 600
         assert serial == parallel  # tn and every witness, exactly
 
-    def test_record_t_is_trial_t(self):
-        # 300 trials: the second block starts at trial 256, not 0
-        recs = run_cell(2, 3, 4, 300, master_seed=77)
+    def test_trials_are_globally_indexed(self):
+        # 300 trials in two blocks through a pool: the second block starts
+        # at trial 256, not 0
+        recs = run_cell(2, 3, 4, 300, master_seed=77, workers=2)
+        assert len(recs) == 300
         for t in (0, 1, 255, 256, 299):
             rho = sample_reduced_state(SampleSpec(2, 3, 4, 77, t))
             assert recs[t] == evaluate_state(rho), t
+
+    def test_evaluate_trial_matches_cell_records(self):
+        # record t of a cell is the evaluation of trial t on its own
+        recs = run_cell(2, 3, 4, 5, master_seed=77)
+        for t, rec in enumerate(recs):
+            rho = sample_reduced_state(SampleSpec(2, 3, 4, 77, t))
+            assert rec == evaluate_state(rho), t
 
 
 _RUN_BLOCK = harness._run_block
