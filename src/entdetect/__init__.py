@@ -20,7 +20,13 @@ from .linalg import (
     trace_norm,
     von_neumann_entropy,
 )
-from .sampling import SampleSpec, numerical_rank, sample_reduced_state, sample_tripartite_pure
+from .sampling import (
+    SampleSpec,
+    numerical_rank,
+    sample_reduced_state,
+    sample_states,
+    sample_tripartite_pure,
+)
 from .criteria import CRITERIA, StateRecord, evaluate_state
 from .analytics import (
     CriterionStats,

@@ -10,7 +10,9 @@ run_cell is the one-cell case: it returns evaluate_state's own records,
 in trial order; a record holds no eps and no cell, so its caller passes
 both to aggregate. Trial indices are assigned globally from the
 configuration, and every trial owns its own RNG stream, so the emitted
-numbers are identical for any worker count.
+numbers are identical for any worker count. A block draws its states
+through sampling.sample_states, which seeds the block's streams in one
+pass.
 
 Results are written as CSV next to a JSON manifest holding the
 configuration echo, the package version, a checksum of the CSV body and
@@ -37,7 +39,9 @@ import numpy as np
 from . import __version__
 from .criteria import CRITERIA, EPS, check_eps, evaluate_state
 from .analytics import aggregate
-from .sampling import SampleSpec, sample_reduced_state
+from .sampling import SampleSpec, sample_states
+# Unused here, but benchmarks/layers.py traces this name on this module.
+from .sampling import sample_reduced_state  # noqa: F401
 
 BLOCK_SIZE = 256
 
@@ -80,11 +84,7 @@ class SweepConfig:
 
 
 def _run_block(args):
-    d1, d2, k, master_seed, start, stop = args
-    return [
-        evaluate_state(sample_reduced_state(SampleSpec(d1, d2, k, master_seed, trial)))
-        for trial in range(start, stop)
-    ]
+    return [evaluate_state(rho) for rho in sample_states(*args)]
 
 
 def _cell_records(cells, n, master_seed, workers):

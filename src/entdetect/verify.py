@@ -17,7 +17,7 @@ import numpy as np
 
 from .criteria import CRITERIA, EPS, check_eps, evaluate_state
 from .linalg import partial_trace, partial_transpose, purity, realign
-from .sampling import SampleSpec, numerical_rank, sample_reduced_state
+from .sampling import SampleSpec, numerical_rank, sample_states
 
 DEFAULT_GRID = ((2, 4), (2, 5), (3, 3), (3, 5))
 
@@ -118,10 +118,10 @@ def run_checks(samples=1000, master_seed=2024, eps=EPS):
     worst = dict.fromkeys(INVARIANTS, math.inf)
     violations = dict.fromkeys(INVARIANTS, 0)
     n_states = 0
+    n = max(1, samples // len(cells))
     for d1, d2, k in cells:
-        for trial in range(max(1, samples // len(cells))):
-            spec = SampleSpec(d1, d2, k, master_seed, trial)
-            rho = sample_reduced_state(spec)
+        specs = (SampleSpec(d1, d2, k, master_seed, trial) for trial in range(n))
+        for spec, rho in zip(specs, sample_states(d1, d2, k, master_seed, 0, n)):
             rec = evaluate_state(rho)
             n_states += 1
             for name, margin in INVARIANTS.items():

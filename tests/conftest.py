@@ -63,6 +63,28 @@ def random_state(d1, d2, k, seed=0, trial=0):
     return sample_reduced_state(SampleSpec(d1, d2, k, seed, trial))
 
 
+def reference_stream(spec, redraw=0):
+    """numpy's own Generator for one trial's stream (or its redraw
+    sub-stream), the contract the sampler's seeding must reproduce."""
+    key = (spec.d1, spec.d2, spec.k, spec.trial_index, redraw)
+    return np.random.default_rng(np.random.SeedSequence(spec.master_seed, spawn_key=key))
+
+
+def reference_state(spec):
+    """Reference for the sampler: one trial drawn with SeedSequence and
+    default_rng directly, one re-draw from the redraw sub-stream after a
+    zero draw, then rho = A A^dag of the normalized vector."""
+    n = spec.d1 * spec.d2 * spec.k
+    for redraw in (0, 1):
+        rng = reference_stream(spec, redraw)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        norm = np.linalg.norm(v)
+        if norm > 0:
+            a = (v / norm).reshape(spec.d1 * spec.d2, spec.k)
+            return DensityMatrix(a @ a.conj().T, spec.d1, spec.d2, check=False)
+    raise RuntimeError("drew a zero vector twice; RNG is broken")
+
+
 def haar_unitary(d, rng):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)

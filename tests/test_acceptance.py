@@ -11,13 +11,12 @@ import pytest
 
 from entdetect import (
     CRITERIA,
-    SampleSpec,
     aggregate,
     evaluate_state,
     page_entropies,
     purity,
     run_cell,
-    sample_reduced_state,
+    sample_states,
     spectrum,
 )
 from entdetect.analytics import average_purity
@@ -137,8 +136,7 @@ def test_criterion_2_reduction_pt_equivalence_qubit_qudit():
     spectral_gap = 0.0
     for d2 in (3, 4, 6):
         for k in (2, 4, 2 * d2):
-            for trial in range(1000):
-                rho = sample_reduced_state(SampleSpec(2, d2, k, SEED, trial))
+            for rho in sample_states(2, d2, k, SEED, 0, 1000):
                 rec = evaluate_state(rho)
                 agree &= verdict(rec, "reduction")[0] == verdict(rec, "pt")[0]
                 rho2 = np.einsum("imin->mn", rho.mat.reshape(2, d2, 2, d2))
@@ -176,8 +174,7 @@ def test_criterion_4_page_purity_calibration():
     ok = True
     for k in (4, 10):
         entropies, purities = [], []
-        for trial in range(N_FULL):
-            rho = sample_reduced_state(SampleSpec(2, 5, k, SEED, trial))
+        for rho in sample_states(2, 5, k, SEED, 0, N_FULL):
             entropies.append(von_neumann_entropy(spectrum(rho.mat)))
             purities.append(purity(rho))
         s12_pred = page_entropies(2, 5, k)[2]
