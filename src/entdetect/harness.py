@@ -12,7 +12,8 @@ both to aggregate. Trial indices are assigned globally from the
 configuration, and every trial owns its own RNG stream, so the emitted
 numbers are identical for any worker count. A block draws its states
 through sampling.sample_states, which seeds the block's streams in one
-pass.
+pass and builds the states a chunk at a time as one stack; each state is
+still evaluated on its own, by one evaluate_state call.
 
 Results are written as CSV next to a JSON manifest holding the
 configuration echo, the package version, a checksum of the CSV body and

@@ -23,36 +23,59 @@ class DensityMatrix:
 
     Pass ``check=False`` to skip the eigendecomposition-based PSD check
     when the matrix is positive by construction (e.g. ``A @ A^dag``).
+    ``DensityMatrix.stack`` makes the same checks, bar that one, on a
+    whole stack of such matrices at once.
     """
 
     __slots__ = ("d1", "d2", "mat")
 
     def __init__(self, mat, d1, d2, check=True):
-        if d1 < 1 or d2 < 1:
-            raise ValueError("subsystem dimensions must be positive")
-        mat = np.asarray(mat, dtype=complex)
-        n = d1 * d2
-        if mat.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} matrix, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("matrix has non-finite entries")
-        adj = mat.conj().T
-        scale = np.abs(mat).max()
-        if scale > 0 and np.abs(mat - adj).max() > HERMITICITY_RTOL * scale:
-            raise ValueError("matrix is not Hermitian within tolerance")
+        [self.mat] = _symmetrized(np.asarray(mat, dtype=complex)[None], d1, d2)
         self.d1 = d1
         self.d2 = d2
-        self.mat = 0.5 * (mat + adj)
-        if abs(self.mat.trace().real - 1.0) > TRACE_ATOL:
-            raise ValueError("matrix does not have unit trace")
         if check:
             lmin = np.linalg.eigvalsh(self.mat)[0]
             if lmin < -PSD_ATOL:
                 raise ValueError(f"matrix is not PSD (min eigenvalue {lmin:g})")
 
+    @classmethod
+    def stack(cls, mats, d1, d2):
+        """One state per matrix of a ``(B, n, n)`` stack of matrices that
+        are PSD by construction, each viewing its row of one symmetrized
+        stack: ``DensityMatrix(m, d1, d2, check=False)`` of every ``m``,
+        checked in one pass."""
+        states = []
+        for mat in _symmetrized(np.asarray(mats, dtype=complex), d1, d2):
+            rho = cls.__new__(cls)
+            rho.d1, rho.d2, rho.mat = d1, d2, mat
+            states.append(rho)
+        return states
+
     def _blocks(self):
         """View the matrix with indices (i, mu, j, nu)."""
         return self.mat.reshape(self.d1, self.d2, self.d1, self.d2)
+
+
+def _symmetrized(mats, d1, d2):
+    """``(M + M^dag)/2`` of each matrix of a ``(B, n, n)`` complex stack,
+    after checking that every one is finite, Hermitian to within
+    HERMITICITY_RTOL of its largest entry, and, once symmetrized, of unit
+    trace to within TRACE_ATOL. The first failed check raises."""
+    if d1 < 1 or d2 < 1:
+        raise ValueError("subsystem dimensions must be positive")
+    n = d1 * d2
+    if mats.shape[1:] != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix, got {mats.shape[1:]}")
+    if not np.isfinite(mats).all():
+        raise ValueError("matrix has non-finite entries")
+    adj = mats.conj().transpose(0, 2, 1)
+    scale = np.abs(mats).max(axis=(1, 2))
+    if (np.abs(mats - adj).max(axis=(1, 2)) > HERMITICITY_RTOL * scale).any():
+        raise ValueError("matrix is not Hermitian within tolerance")
+    sym = 0.5 * (mats + adj)
+    if (np.abs(np.trace(sym, axis1=1, axis2=2).real - 1.0) > TRACE_ATOL).any():
+        raise ValueError("matrix does not have unit trace")
+    return sym
 
 
 def partial_transpose(rho, subsystem=1):

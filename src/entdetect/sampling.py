@@ -18,11 +18,15 @@ assembly, ``mix_entropy`` hash and ``generate_state(4, uint64)`` (numpy's
 uint32 arrays; the words that depend only on the seed and the cell are
 mixed once per block. Each trial's PCG64 state then follows from PCG64's
 seeding step, two 128-bit LCG steps (O'Neill 2014), and is assigned to
-one reused PCG64 before its draw. The states are still drawn and built
-one at a time, so memory does not grow with the block. numpy's own
-SeedSequence is still used for the redraw sub-stream of a zero draw
-(spawn key ending in 1), for trial indices of 2**32 and above (whose
-keys are two words long), for a block of a single trial, and as a guard:
+one reused PCG64 before its draw. The trials are drawn and built a chunk
+at a time: each trial's draws fill one row of the chunk's array, and the
+chunk's unit vectors, its ``A A^dag`` products and their checks and
+symmetrization are each one stacked pass. A chunk holds as many density
+matrices as fit in CHUNK_ENTRIES complex entries, so its memory does not
+grow with the block. numpy's own SeedSequence is still used for the
+redraw sub-stream of a zero draw (spawn key ending in 1), for trial
+indices of 2**32 and above (whose keys are two words long), for a run of
+a single trial, which draws from numpy's own Generator, and as a guard:
 the first computed state of every block is compared with numpy's, and a
 mismatch, as a numpy that changed these internals would give, raises
 RuntimeError before any state of the block is yielded.
@@ -36,8 +40,13 @@ from .linalg import DensityMatrix
 
 RANK_TOL = 1e-10
 
-# Trials seeded, guarded and drawn per pass of sample_states.
+# Trials seeded and guarded per pass of sample_states.
 STREAM_BLOCK = 256
+# Complex entries in one chunk's stack of density matrices (64 KB). It
+# bounds the chunk's temporaries: a 2x5 sweep's peak RSS grows by
+# ~0.15-0.5 MB at 2**12 and by ~2 MB at 2**14, for no more speed on small
+# cells.
+CHUNK_ENTRIES = 2 ** 12
 
 # SeedSequence's hash constants and pool size (numpy bit_generator.pyx).
 _INIT_A = 0x43B0D7E5
@@ -136,11 +145,15 @@ def _pcg64_state(seed_hi, seed_lo, inc_hi, inc_lo):
             "has_uint32": 0, "uinteger": 0}
 
 
+def _numpy_rng(master_seed, key):
+    """``default_rng(SeedSequence(master_seed, spawn_key=key))``, seeded by
+    numpy itself."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
+
+
 def _numpy_stream(master_seed, key):
-    """PCG64 state dict of ``default_rng(SeedSequence(master_seed,
-    spawn_key=key))``, seeded by numpy itself."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=key)
-    return np.random.PCG64(seq).state
+    """PCG64 state dict of ``_numpy_rng(master_seed, key)``."""
+    return _numpy_rng(master_seed, key).bit_generator.state
 
 
 def _stream_states(d1, d2, k, master_seed, start, stop):
@@ -169,14 +182,34 @@ def _stream_states(d1, d2, k, master_seed, start, stop):
     return states
 
 
-def _draw(rng, n):
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v, np.linalg.norm(v)
+def _streams(d1, d2, k, master_seed, start, stop):
+    """Yield the Generator of each trial ``start .. stop - 1`` in turn.
+
+    A lone trial gets numpy's own; otherwise one reused PCG64 is set to
+    each trial's state before it is yielded, so each must be drawn from
+    before the next is taken.
+    """
+    if stop - start == 1:
+        yield _numpy_rng(master_seed, (d1, d2, k, start, 0))
+        return
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for lo in range(start, stop, STREAM_BLOCK):
+        for state in _stream_states(d1, d2, k, master_seed, lo, min(lo + STREAM_BLOCK, stop)):
+            bitgen.state = state
+            yield rng
+
+
+def _chunk_size(d1, d2):
+    """Trials per chunk: as many ``(d1*d2)^2`` density matrices as fit in
+    CHUNK_ENTRIES complex entries, and at least one."""
+    return max(1, CHUNK_ENTRIES // (d1 * d2) ** 2)
 
 
 def _unit_vectors(d1, d2, k, master_seed, start, stop):
-    """Yield the Haar-uniform unit vector on C^(d1*d2*k) of each trial
-    ``start .. stop - 1`` in turn.
+    """Yield the Haar-uniform unit vectors on C^(d1*d2*k) of trials
+    ``start .. stop - 1``, in trial order, as the rows of one ``(B,
+    d1*d2*k)`` array per chunk of ``_chunk_size(d1, d2)`` trials.
 
     A numerically zero draw (probability zero) triggers exactly one
     re-draw from the trial's sub-stream with spawn key ending in 1; a
@@ -184,34 +217,42 @@ def _unit_vectors(d1, d2, k, master_seed, start, stop):
     """
     SampleSpec(d1, d2, k, master_seed, start)  # validates the arguments
     n = d1 * d2 * k
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for lo in range(start, stop, STREAM_BLOCK):
-        hi = min(lo + STREAM_BLOCK, stop)
-        for trial, state in zip(range(lo, hi), _stream_states(d1, d2, k, master_seed, lo, hi)):
-            bitgen.state = state
-            v, norm = _draw(rng, n)
-            if not norm > 0:
-                bitgen.state = _numpy_stream(master_seed, (d1, d2, k, trial, 1))
-                v, norm = _draw(rng, n)
-                if not norm > 0:
+    size = _chunk_size(d1, d2)
+    streams = _streams(d1, d2, k, master_seed, start, stop)
+    for lo in range(start, stop, size):
+        x = np.empty((min(size, stop - lo), 2, n))
+        # x first, so zip takes no stream past the chunk's last row
+        for row, rng in zip(x, streams):
+            rng.standard_normal(out=row[0])
+            rng.standard_normal(out=row[1])
+        v = x[:, 0] + 1j * x[:, 1]
+        norms = np.empty(len(v))
+        for b in range(len(v)):
+            # one norm per row: the 1-D call gives the 1-D draw's bits
+            norms[b] = np.linalg.norm(v[b])
+            if not norms[b] > 0:
+                rng = _numpy_rng(master_seed, (d1, d2, k, lo + b, 1))
+                v[b] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                norms[b] = np.linalg.norm(v[b])
+                if not norms[b] > 0:
                     raise RuntimeError("drew a zero vector twice; RNG is broken")
-            yield v / norm
+        yield v / norms[:, None]
 
 
 def sample_states(d1, d2, k, master_seed, start, stop):
     """Yield the rank-k state of each trial ``start .. stop - 1`` of cell
     (d1, d2, k), in trial order, each as its own DensityMatrix."""
     for psi in _unit_vectors(d1, d2, k, master_seed, start, stop):
-        a = psi.reshape(d1 * d2, k)
-        # A A^dag is PSD with unit trace by construction; skip the eig check.
-        yield DensityMatrix(a @ a.conj().T, d1, d2, check=False)
+        a = psi.reshape(len(psi), d1 * d2, k)
+        # A A^dag is PSD with unit trace by construction; no eig check.
+        yield from DensityMatrix.stack(a @ a.conj().transpose(0, 2, 1), d1, d2)
 
 
 def sample_tripartite_pure(spec):
     """Haar-uniform unit vector on C^(d1*d2*k) of one trial."""
     t = spec.trial_index
-    return next(_unit_vectors(spec.d1, spec.d2, spec.k, spec.master_seed, t, t + 1))
+    [psi] = next(_unit_vectors(spec.d1, spec.d2, spec.k, spec.master_seed, t, t + 1))
+    return psi
 
 
 def sample_reduced_state(spec):

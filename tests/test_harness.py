@@ -1,7 +1,9 @@
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from entdetect import (
@@ -50,6 +52,34 @@ class TestRunCell:
         for t, rec in enumerate(recs):
             rho = sample_reduced_state(SampleSpec(2, 3, 4, 77, t))
             assert rec == evaluate_state(rho), t
+
+    def test_per_state_calls_the_benchmark_tracer_counts(self, monkeypatch):
+        # benchmarks/layers.py counts evaluated states as calls to
+        # harness.evaluate_state, pins 6 eigvalsh and 1 svd per such call,
+        # and wraps harness.sample_reduced_state.
+        assert callable(harness.sample_reduced_state)
+        lapack = Counter()
+        for name in ("eigvalsh", "svd"):
+            fn = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                lapack[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        per_state = []
+        evaluate = harness.evaluate_state
+
+        def traced(rho):
+            before = lapack.copy()
+            rec = evaluate(rho)
+            per_state.append((lapack["eigvalsh"] - before["eigvalsh"],
+                              lapack["svd"] - before["svd"]))
+            return rec
+
+        monkeypatch.setattr(harness, "evaluate_state", traced)
+        assert len(run_cell(2, 5, 6, 300, 42)) == 300
+        assert per_state == [(6, 1)] * 300
 
 
 _RUN_BLOCK = harness._run_block

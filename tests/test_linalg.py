@@ -68,6 +68,70 @@ class TestDensityMatrix:
         assert np.abs(rho.mat - rho.mat.conj().T).max() == 0
 
 
+def _wishart_stack(b, d1, d2, k, seed=0):
+    """``b`` unit-trace ``A A^dag`` products, Hermitian only to rounding."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((b, d1 * d2, k)) + 1j * rng.standard_normal((b, d1 * d2, k))
+    m = a @ a.conj().transpose(0, 2, 1)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+
+def _non_finite(m):
+    m[1, 2] = complex(0.0, np.nan)
+    return m
+
+
+def _non_hermitian(m):
+    m[0, 1] += 1e-3
+    return m
+
+
+def _off_trace(m):
+    return m * (1 + 1e-6)
+
+
+class TestStack:
+    """DensityMatrix.stack checks a stack as DensityMatrix checks each of
+    its matrices (check=False), and in one pass."""
+
+    D1, D2 = 2, 3
+
+    def test_equals_one_matrix_at_a_time(self):
+        mats = _wishart_stack(7, self.D1, self.D2, 4)
+        states = DensityMatrix.stack(mats, self.D1, self.D2)
+        assert len(states) == 7
+        for m, rho in zip(mats, states):
+            assert (rho.d1, rho.d2) == (self.D1, self.D2)
+            assert np.array_equal(rho.mat, DensityMatrix(m, self.D1, self.D2, check=False).mat)
+
+    @pytest.mark.parametrize("spoil", [_non_finite, _non_hermitian, _off_trace])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_one_bad_matrix_raises_its_own_error(self, spoil, where):
+        mats = _wishart_stack(5, self.D1, self.D2, 3)
+        mats[where] = spoil(mats[where].copy())
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(mats[where], self.D1, self.D2, check=False)
+        with pytest.raises(ValueError) as stacked:
+            DensityMatrix.stack(mats, self.D1, self.D2)
+        assert str(stacked.value) == str(alone.value)
+        assert "\n" not in str(stacked.value)
+
+    def test_hermiticity_is_relative_to_each_matrix(self):
+        # An asymmetry of 5e-13 is within HERMITICITY_RTOL of a pure
+        # state's largest entry (1) but not of I/6's (1/6), so I/6 fails
+        # even beside the pure state.
+        pure = np.diag([1.0, 0, 0, 0, 0, 0]).astype(complex)
+        mixed = np.eye(6, dtype=complex) / 6
+        pure[0, 1] = mixed[0, 1] = 5e-13
+        DensityMatrix.stack(pure[None], 2, 3)
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix.stack(np.stack([pure, mixed]), 2, 3)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="6x6"):
+            DensityMatrix.stack(np.stack([np.eye(4) / 4] * 2), 2, 3)
+
+
 class TestPartialTranspose:
     def test_product_projector_fixed(self):
         rho = DensityMatrix(np.diag([1.0, 0, 0, 0]).astype(complex), 2, 2)

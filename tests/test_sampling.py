@@ -245,6 +245,31 @@ class TestRedraw:
             sample_tripartite_pure(self._spec())
 
 
+def test_chunk_size_caps_entries():
+    assert [sampling._chunk_size(d1, d2) for d1, d2 in ((2, 5), (3, 4), (6, 6), (2, 18))] == [
+        40, 28, 3, 3
+    ]
+
+
+@pytest.mark.parametrize(
+    "cell, start, stop",
+    [
+        # chunks [240, 280) and [277, 317) straddle the stream blocks'
+        # edges at 256 and 293
+        ((2, 5, 6), 0, 300),
+        ((2, 5, 6), 37, 421),
+        ((3, 4, 12), 27, 60),
+        # three matrices a chunk
+        ((2, 18, 36), 0, 20),
+    ],
+)
+def test_chunk_edges_equal_reference_sampler(cell, start, stop):
+    states = list(sample_states(*cell, 42, start, stop))
+    assert len(states) == stop - start
+    for trial, rho in zip(range(start, stop), states):
+        assert np.array_equal(rho.mat, reference_state(SampleSpec(*cell, 42, trial)).mat), trial
+
+
 @pytest.mark.parametrize("cell", [(2, 5, 6), (3, 5, 2), (3, 4, 12), (6, 6, 2)])
 def test_sample_states_equal_reference_sampler(cell):
     """Bit-identical to the per-trial SeedSequence sampler: every trial of
