@@ -26,7 +26,6 @@ from .harness import (
 )
 # Unused here, but benchmarks/layers.py traces these names on this module.
 from .harness import aggregate, run_cell  # noqa: F401
-from .verify import run_checks
 
 
 def _checked(check, *args, **kwargs):
@@ -169,6 +168,8 @@ def cmd_bounds(args):
 
 
 def cmd_verify(args):
+    from .verify import run_checks  # only this command needs it
+
     # run_checks checks these too, but only once it is running
     _checked(check_eps, args.eps)
     _checked(SampleSpec, 2, 2, 1, args.seed)

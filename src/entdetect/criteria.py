@@ -23,6 +23,7 @@ LN is log2 of the trace norm of the partial transpose, clipped to 0 when
 that norm is within 2*eps of 1 (a PPT state).
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -71,13 +72,23 @@ def check_eps(eps):
         raise ValueError(f"eps must be a non-negative finite number, got {eps!r}")
 
 
-def _majorization_witness(global_eigs, marginal_eigs):
-    # Zero-pad the marginal spectrum to the global length, then compare
-    # every descending prefix sum.
+def _majorization_witness(global_eigs, eigs1, eigs2):
+    # Zero-pad both marginal spectra to the global length as the rows of
+    # one array, then compare every descending prefix sum of each.
     n = len(global_eigs)
-    padded = np.zeros(n)
-    padded[: len(marginal_eigs)] = marginal_eigs
-    return float((np.cumsum(global_eigs) - np.cumsum(padded)).max())
+    padded = np.zeros((2, n))
+    padded[0, : len(eigs1)] = eigs1
+    padded[1, : len(eigs2)] = eigs2
+    return float((np.cumsum(global_eigs) - np.cumsum(padded, axis=1)).max())
+
+
+@functools.cache
+def _identity(d):
+    """The d x d complex identity, built once per dimension and read-only,
+    so every state can share it."""
+    eye = np.eye(d, dtype=complex)
+    eye.flags.writeable = False
+    return eye
 
 
 def evaluate_state(rho):
@@ -98,18 +109,16 @@ def evaluate_state(rho):
 
     # The reduction operators rho1 (x) I - rho and I (x) rho2 - rho, with
     # each Kronecker product formed by broadcasting on the (i, mu, j, nu)
-    # index view: the same products as np.kron, without its overhead.
+    # index view against a shared identity: the same products as np.kron,
+    # without its overhead.
     n = len(rho.mat)
-    kron1 = rho1[:, None, :, None] * np.eye(rho.d2)[None, :, None, :]
-    kron2 = np.eye(rho.d1)[:, None, :, None] * rho2[None, :, None, :]
+    kron1 = rho1[:, None, :, None] * _identity(rho.d2)[None, :, None, :]
+    kron2 = _identity(rho.d1)[:, None, :, None] * rho2[None, :, None, :]
     op1 = kron1.reshape(n, n) - rho.mat
     op2 = kron2.reshape(n, n) - rho.mat
     red_min = float(min(np.linalg.eigvalsh(op1)[0], np.linalg.eigvalsh(op2)[0]))
 
-    maj = max(
-        _majorization_witness(eigs12, eigs1),
-        _majorization_witness(eigs12, eigs2),
-    )
+    maj = _majorization_witness(eigs12, eigs1, eigs2)
 
     s12 = von_neumann_entropy(eigs12)
     ent = min(s12 - von_neumann_entropy(eigs1), s12 - von_neumann_entropy(eigs2))

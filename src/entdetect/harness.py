@@ -32,7 +32,6 @@ import os
 import platform
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +87,14 @@ def _run_block(args):
     return [evaluate_state(rho) for rho in sample_states(*args)]
 
 
+def _start_pool(workers):
+    """A pool of ``workers`` processes. concurrent.futures is imported
+    here, so a run that starts no pool never loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _cell_records(cells, n, master_seed, workers):
     """Yield the records of each cell of ``cells`` in turn, ``n`` trials
     each, in trial order.
@@ -106,7 +113,7 @@ def _cell_records(cells, n, master_seed, workers):
         for cell in blocks:
             yield [rec for block in cell for rec in _run_block(block)]
         return
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = _start_pool(workers)
     try:
         pending = deque([pool.submit(_run_block, b) for b in cell] for cell in blocks)
         while pending:

@@ -6,7 +6,6 @@ from entdetect import (
     DensityMatrix,
     SampleSpec,
     StateRecord,
-    partial_trace,
     partial_transpose,
     realign,
     run_cell,
@@ -97,6 +96,13 @@ def _majorization_excess(global_eigs, marginal_eigs):
     return float((np.cumsum(global_eigs) - np.cumsum(padded)).max())
 
 
+def reference_marginal(rho, traced_subsystem):
+    """Reference for partial_trace: the einsum over the (i, mu, j, nu)
+    view, which partial_trace must match bit for bit."""
+    t = rho.mat.reshape(rho.d1, rho.d2, rho.d1, rho.d2)
+    return np.einsum("imjm->ij" if traced_subsystem == 2 else "imin->mn", t)
+
+
 def verdict(rec, criterion, eps=EPS):
     """(detected, witness) of one criterion of a StateRecord."""
     i = CRITERIA.index(criterion)
@@ -108,7 +114,7 @@ def reference_record(rho):
     with its own eigendecompositions, and the trace norm from the side-2
     partial transpose (evaluate_state uses side 1). It returns raw
     numbers; test_criteria's boundary table pins the thresholds."""
-    rho1, rho2 = partial_trace(rho, 2), partial_trace(rho, 1)
+    rho1, rho2 = reference_marginal(rho, 2), reference_marginal(rho, 1)
 
     pt = float(np.linalg.eigvalsh(partial_transpose(rho, 1))[0])
 

@@ -3,6 +3,9 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from entdetect import aggregate
 from entdetect.cli import _workers, main
 from entdetect.harness import render_csv, stats_row
 from entdetect.verify import run_checks
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_csv(path):
@@ -158,6 +163,25 @@ class TestVerify:
         assert "prop3_verdict_agreement" in out
         for r in run_checks(samples=120, master_seed=8):
             assert type(r.passed) is bool and type(r.margin) is float
+
+
+def test_serial_run_loads_no_pool_machinery():
+    # concurrent.futures.process pulls in multiprocessing; a command that
+    # starts no pool should import neither.
+    code = (
+        "import sys\n"
+        "import entdetect.cli as cli\n"
+        "cli.run_cell(2, 5, 2, 1, 42)\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestConfigFile:

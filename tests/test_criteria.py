@@ -195,13 +195,16 @@ class TestEvaluateState:
         assert rec.ln() == pytest.approx(ref.ln(), abs=1e-10)
 
     @pytest.mark.parametrize(
-        "cell", [(2, 5, 6), (5, 2, 6), (3, 4, 7), (4, 3, 5), (3, 3, 9), (6, 6, 2)]
+        "cell",
+        [(2, 5, 6), (5, 2, 6), (3, 4, 7), (4, 3, 5), (3, 3, 9), (6, 6, 2),
+         (2, 18, 36), (9, 4, 3)],
     )
     def test_reduction_and_majorization_witnesses_exact(self, cell):
         # The kernel forms the reduction operators by broadcasting, the
-        # reference with np.kron, and each computes the majorization
-        # witness on its own spectra. Same arithmetic, so the witnesses
-        # must agree to the last bit.
+        # reference with np.kron; the kernel pads both marginal spectra
+        # into one array for the majorization witness, the reference pads
+        # one marginal at a time. Same arithmetic, so the witnesses must
+        # agree to the last bit, also on sides of 9 and more.
         d1, d2, k = cell
         for trial in range(100):
             rho = random_state(d1, d2, k, seed=97, trial=trial)

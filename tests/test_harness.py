@@ -95,9 +95,9 @@ def _block_failing_at_k3(args):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Replace harness's ProcessPoolExecutor with one that records each
-    pool built, the futures it hands out and the cancel_futures flag of
-    each shutdown; returns the list of pools built."""
+    """Make harness start, in place of its ProcessPoolExecutor, one that
+    records each pool built, the futures it hands out and the
+    cancel_futures flag of each shutdown; returns the list of pools built."""
     built = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -116,7 +116,7 @@ def pools(monkeypatch):
             self.shutdowns.append(cancel_futures)
             super().shutdown(wait=wait, cancel_futures=cancel_futures)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_start_pool", RecordingPool)
     return built
 
 

@@ -18,6 +18,7 @@ from conftest import (
     product_mixed,
     product_pure,
     random_state,
+    reference_marginal,
 )
 
 
@@ -192,6 +193,21 @@ class TestPartialTrace:
         rho = maximally_mixed(3, 4)
         np.testing.assert_allclose(partial_trace(rho, 2), np.eye(3) / 3, atol=1e-14)
         np.testing.assert_allclose(partial_trace(rho, 1), np.eye(4) / 4, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "cell", [(2, 18, 4), (18, 2, 4), (3, 12, 5), (4, 9, 3), (9, 4, 3), (6, 6, 2)]
+    )
+    def test_matches_einsum_reference_bit_for_bit(self, cell):
+        # Every witness starts from these marginals, so they must be the
+        # einsum's to the last bit, on sides up to 18 wide.
+        d1, d2, k = cell
+        for trial in range(20):
+            rho = random_state(d1, d2, k, seed=61, trial=trial)
+            for side in (1, 2):
+                got = partial_trace(rho, side)
+                want = reference_marginal(rho, side)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (side, trial)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_marginal_spectrum_sums_to_one(self, seed):
