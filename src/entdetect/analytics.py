@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 from .criteria import CRITERIA, EPS
+from .sampling import check_cell, check_dims
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def aggregate(records, cell, eps=EPS):
 
 def page_entropies(d1, d2, k):
     """Haar-average subsystem entropies (natural log) for rank-k states."""
-    _check_cell(d1, d2, k)
+    check_cell(d1, d2, k)
     s1 = math.log(d1) - d1 / (2.0 * d2 * k)
     s2 = math.log(d2) - d2 / (2.0 * d1 * k)
     s12 = math.log(k) - k / (2.0 * d1 * d2)
@@ -75,13 +76,13 @@ def page_entropies(d1, d2, k):
 
 def average_purity(d1, d2, k):
     """Haar-average Tr rho^2 of a rank-k state: (d1 d2 + k)/(d1 d2 k + 1)."""
-    _check_cell(d1, d2, k)
+    check_cell(d1, d2, k)
     return (d1 * d2 + k) / (d1 * d2 * k + 1)
 
 
 def entropy_rank_threshold(d1, d2):
     """Rank above which the entropy criterion fails on Haar average."""
-    _check_dims(d1, d2)
+    check_dims(d1, d2)
     return max(d1, d2)
 
 
@@ -96,20 +97,10 @@ def realignment_rank_bound(d1, d2):
     Requires d1 <= d2 (swap at the call site otherwise). Returns +inf for
     equal dimensions, where the bound is vacuous.
     """
-    _check_dims(d1, d2)
+    check_dims(d1, d2)
     if d1 > d2:
         raise ValueError("requires d1 <= d2; swap the arguments")
     if d1 == d2:
         return math.inf
     return (d1 ** 3 * d2 - 1) / (d1 * (d2 - d1))
 
-
-def _check_dims(d1, d2):
-    if d1 < 2 or d2 < 2:
-        raise ValueError("subsystem dimensions must be at least 2")
-
-
-def _check_cell(d1, d2, k):
-    _check_dims(d1, d2)
-    if not 1 <= k <= d1 * d2:
-        raise ValueError(f"rank k={k} outside [1, {d1 * d2}]")

@@ -14,7 +14,7 @@ import time
 
 from . import analytics
 from .criteria import CRITERIA, EPS, check_eps
-from .sampling import SampleSpec
+from .sampling import check_samples, check_seed
 from .harness import (
     SweepConfig,
     csv_columns,
@@ -73,9 +73,10 @@ def _criteria(args):
     if not args.criteria:
         return CRITERIA
     chosen = tuple(c.strip() for c in args.criteria.split(","))
-    unknown = set(chosen) - set(CRITERIA)
-    if unknown:
-        raise SystemExit(f"unknown criteria: {', '.join(sorted(unknown))}")
+    for i, c in enumerate(chosen):
+        if c not in CRITERIA or c in chosen[:i]:
+            why = "repeated" if c in CRITERIA else "not one of " + ", ".join(CRITERIA)
+            raise SystemExit(f"--criteria {args.criteria}: entry {i + 1}, {c!r}, is {why}")
     return chosen
 
 
@@ -170,9 +171,10 @@ def cmd_bounds(args):
 def cmd_verify(args):
     from .verify import run_checks  # only this command needs it
 
-    # run_checks checks these too, but only once it is running
+    # run_checks checks these too, but a ValueError from it is a traceback
     _checked(check_eps, args.eps)
-    _checked(SampleSpec, 2, 2, 1, args.seed)
+    _checked(check_seed, args.seed)
+    _checked(check_samples, args.samples)
     results = run_checks(samples=args.samples, master_seed=args.seed, eps=args.eps)
     failed = 0
     for r in results:

@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__
 from .criteria import CRITERIA, EPS, check_eps, evaluate_state
 from .analytics import aggregate
-from .sampling import SampleSpec, sample_states
+from .sampling import check_cell, check_samples, check_seed, sample_states
 # Unused here, but benchmarks/layers.py traces this name on this module.
 from .sampling import sample_reduced_state  # noqa: F401
 
@@ -68,11 +68,11 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.samples_per_cell < 1:
-            raise ValueError("samples_per_cell must be positive")
+        check_samples(self.samples_per_cell)
+        check_seed(self.master_seed)
         check_eps(self.eps)
-        for d1, d2, k in self.cells:
-            SampleSpec(d1, d2, k, self.master_seed)  # validates the cell
+        for cell in self.cells:
+            check_cell(*cell)
 
     def to_dict(self):
         return {
@@ -128,6 +128,7 @@ def _cell_records(cells, n, master_seed, workers):
 def run_cell(d1, d2, k, n, master_seed, workers=1):
     """Evaluate ``n`` trials of one cell; returns evaluate_state's records
     in trial order."""
+    check_samples(n)
     [records] = _cell_records([(d1, d2, k)], n, master_seed, workers)
     return records
 

@@ -19,31 +19,26 @@ class DensityMatrix:
 
     The input is validated against the Hermiticity/trace/positivity
     invariants and then symmetrized once, ``(M + M^dag)/2``; no operation
-    downstream ever re-symmetrizes silently.
-
-    Pass ``check=False`` to skip the eigendecomposition-based PSD check
-    when the matrix is positive by construction (e.g. ``A @ A^dag``).
-    ``DensityMatrix.stack`` makes the same checks, bar that one, on a
-    whole stack of such matrices at once.
+    downstream ever re-symmetrizes silently. Only ``DensityMatrix.stack``
+    skips the positivity check, for stacks that are PSD by construction.
     """
 
     __slots__ = ("d1", "d2", "mat")
 
-    def __init__(self, mat, d1, d2, check=True):
+    def __init__(self, mat, d1, d2):
         [self.mat] = _symmetrized(np.asarray(mat, dtype=complex)[None], d1, d2)
         self.d1 = d1
         self.d2 = d2
-        if check:
-            lmin = np.linalg.eigvalsh(self.mat)[0]
-            if lmin < -PSD_ATOL:
-                raise ValueError(f"matrix is not PSD (min eigenvalue {lmin:g})")
+        lmin = np.linalg.eigvalsh(self.mat)[0]
+        if lmin < -PSD_ATOL:
+            raise ValueError(f"matrix is not PSD (min eigenvalue {lmin:g})")
 
     @classmethod
     def stack(cls, mats, d1, d2):
-        """One state per matrix of a ``(B, n, n)`` stack of matrices that
-        are PSD by construction, each viewing its row of one symmetrized
-        stack: ``DensityMatrix(m, d1, d2, check=False)`` of every ``m``,
-        checked in one pass."""
+        """One state per matrix of a ``(B, n, n)`` stack that is PSD by
+        construction (the sampler's ``A A^dag``), each viewing its row of
+        one symmetrized stack. Every check of ``DensityMatrix`` but
+        positivity is made on the whole stack in one pass."""
         states = []
         for mat in _symmetrized(np.asarray(mats, dtype=complex), d1, d2):
             rho = cls.__new__(cls)

@@ -73,14 +73,35 @@ class SampleSpec:
     trial_index: int = 0
 
     def __post_init__(self):
-        if self.d1 < 2 or self.d2 < 2:
-            raise ValueError("both subsystem dimensions must be at least 2")
-        if not 1 <= self.k <= self.d1 * self.d2:
-            raise ValueError(f"rank k={self.k} outside [1, {self.d1 * self.d2}]")
+        check_cell(self.d1, self.d2, self.k)
         if self.trial_index < 0:
             raise ValueError("trial_index must be non-negative")
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
+        check_seed(self.master_seed)
+
+
+def check_dims(d1, d2):
+    """Reject a subsystem dimension below 2."""
+    if d1 < 2 or d2 < 2:
+        raise ValueError("both subsystem dimensions must be at least 2")
+
+
+def check_cell(d1, d2, k):
+    """Reject a cell (d1, d2, k) of dimension below 2 or rank outside [1, d1*d2]."""
+    check_dims(d1, d2)
+    if not 1 <= k <= d1 * d2:
+        raise ValueError(f"rank k={k} outside [1, {d1 * d2}]")
+
+
+def check_seed(master_seed):
+    """Reject a master seed that does not fit in 64 unsigned bits."""
+    if not 0 <= master_seed < 2 ** 64:
+        raise ValueError("master_seed must fit in 64 unsigned bits")
+
+
+def check_samples(n):
+    """Reject a sample count below 1."""
+    if n < 1:
+        raise ValueError(f"sample count must be positive, got {n!r}")
 
 
 def _words(x):
@@ -261,6 +282,6 @@ def sample_reduced_state(spec):
     return next(sample_states(spec.d1, spec.d2, spec.k, spec.master_seed, t, t + 1))
 
 
-def numerical_rank(rho, tol=RANK_TOL):
-    """Number of eigenvalues above ``tol``."""
-    return int((np.linalg.eigvalsh(rho.mat) > tol).sum())
+def numerical_rank(rho):
+    """Number of eigenvalues above RANK_TOL."""
+    return int((np.linalg.eigvalsh(rho.mat) > RANK_TOL).sum())

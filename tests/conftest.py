@@ -80,7 +80,7 @@ def reference_state(spec):
         norm = np.linalg.norm(v)
         if norm > 0:
             a = (v / norm).reshape(spec.d1 * spec.d2, spec.k)
-            return DensityMatrix(a @ a.conj().T, spec.d1, spec.d2, check=False)
+            return DensityMatrix(a @ a.conj().T, spec.d1, spec.d2)
     raise RuntimeError("drew a zero vector twice; RNG is broken")
 
 

@@ -92,6 +92,19 @@ class TestScanRank:
         header = read_csv(tmp_path / "scan_rank_2x3.csv").split("\r\n")[0]
         assert "majorization_F" in header and "entropy_F" not in header
 
+    @pytest.mark.parametrize("value,named", [
+        ("pt,pt", "entry 2, 'pt', is repeated"),
+        ("pt,,entropy", "entry 2, '', is not one of"),
+        ("pt, entropy,foo", "entry 3, 'foo', is not one of"),
+    ])
+    def test_bad_criteria_entry_is_named(self, tmp_path, value, named):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "scan-rank", "--d1", "2", "--d2", "3", "--k", "2",
+                "--samples", "5", "--out", str(tmp_path), "--criteria", value,
+            ])
+        assert named in exc.value.code
+
     def test_criteria_change_recomputes(self, tmp_path, capsys):
         args = [
             "scan-rank", "--d1", "2", "--d2", "3", "--k", "2",
@@ -311,6 +324,10 @@ SCAN = ["scan-rank", "--d1", "2", "--d2", "3", "--k", "2", "--samples", "5"]
     ["asymmetry", "--d12", "0", "--samples", "5"],
     ["verify", "--samples", "12", "--eps", "-1"],
     ["verify", "--samples", "12", "--seed", "-1"],
+    ["verify", "--samples", "0"],
+    ["verify", "--samples", "-5"],
+    SCAN + ["--criteria", "pt,pt"],
+    SCAN + ["--criteria", "pt,,entropy"],
 ], ids=" ".join)
 def test_bad_numeric_input_is_one_line_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)

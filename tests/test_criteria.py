@@ -222,13 +222,11 @@ class TestImplications:
     @pytest.mark.parametrize("cell", [(2, 4, 5), (2, 5, 6), (3, 3, 5), (3, 5, 8)])
     def test_entropy_implies_majorization_and_reduction_implies_pt(self, cell):
         # Every invariant of the table, these two among them.
-        d1, d2, k = cell
         for trial in range(50):
-            spec = SampleSpec(d1, d2, k, 83, trial)
-            rho = sample_reduced_state(spec)
+            rho = sample_reduced_state(SampleSpec(*cell, 83, trial))
             rec = evaluate_state(rho)
             for name, margin in INVARIANTS.items():
-                assert margin(spec, rho, rec, EPS) >= 0, (name, trial)
+                assert margin(cell, rho, rec, EPS) >= 0, (name, trial)
 
     @pytest.mark.parametrize("trial", range(20))
     def test_prop3_spectral_form(self, trial):
@@ -249,7 +247,7 @@ class TestLocalUnitaryInvariance:
         rho = random_state(3, 4, 6, seed=97, trial=trial)
         rng = np.random.default_rng(1000 + trial)
         u = np.kron(haar_unitary(3, rng), haar_unitary(4, rng))
-        rotated = DensityMatrix(u @ rho.mat @ u.conj().T, 3, 4, check=False)
+        rotated = DensityMatrix(u @ rho.mat @ u.conj().T, 3, 4)
         a, b = evaluate_state(rho), evaluate_state(rotated)
         assert abs(a.ln() - b.ln()) <= 1e-9
         assert a.detected() == b.detected()

@@ -183,6 +183,8 @@ class TestSweepConfig:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             SweepConfig(cells=((2, 3, 2),), samples_per_cell=0, master_seed=0)
+        with pytest.raises(ValueError):
+            run_cell(2, 3, 2, 0, 0)
 
     @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
     def test_rejects_bad_eps(self, eps):

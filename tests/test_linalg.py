@@ -93,7 +93,7 @@ def _off_trace(m):
 
 class TestStack:
     """DensityMatrix.stack checks a stack as DensityMatrix checks each of
-    its matrices (check=False), and in one pass."""
+    its matrices, bar positivity, and in one pass."""
 
     D1, D2 = 2, 3
 
@@ -103,7 +103,7 @@ class TestStack:
         assert len(states) == 7
         for m, rho in zip(mats, states):
             assert (rho.d1, rho.d2) == (self.D1, self.D2)
-            assert np.array_equal(rho.mat, DensityMatrix(m, self.D1, self.D2, check=False).mat)
+            assert np.array_equal(rho.mat, DensityMatrix(m, self.D1, self.D2).mat)
 
     @pytest.mark.parametrize("spoil", [_non_finite, _non_hermitian, _off_trace])
     @pytest.mark.parametrize("where", [0, -1])
@@ -111,7 +111,7 @@ class TestStack:
         mats = _wishart_stack(5, self.D1, self.D2, 3)
         mats[where] = spoil(mats[where].copy())
         with pytest.raises(ValueError) as alone:
-            DensityMatrix(mats[where], self.D1, self.D2, check=False)
+            DensityMatrix(mats[where], self.D1, self.D2)
         with pytest.raises(ValueError) as stacked:
             DensityMatrix.stack(mats, self.D1, self.D2)
         assert str(stacked.value) == str(alone.value)

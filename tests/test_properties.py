@@ -28,7 +28,7 @@ def test_hierarchy_invariants(spec):
     rho = sample_reduced_state(spec)
     rec = evaluate_state(rho)
     for name, margin in INVARIANTS.items():
-        assert margin(spec, rho, rec, EPS) >= 0, name
+        assert margin((spec.d1, spec.d2, spec.k), rho, rec, EPS) >= 0, name
 
 
 @PROPERTY_SETTINGS

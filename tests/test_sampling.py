@@ -13,7 +13,13 @@ from entdetect import (
     sampling,
     spectrum,
 )
-from entdetect.analytics import average_purity, page_entropies
+from entdetect.analytics import (
+    average_purity,
+    entropy_rank_threshold,
+    page_entropies,
+    realignment_rank_bound,
+)
+from entdetect.harness import SweepConfig, run_cell
 from entdetect.linalg import von_neumann_entropy
 from conftest import (
     bell_state,
@@ -42,6 +48,28 @@ class TestSampleSpec:
     def test_rejects_negative_trial(self):
         with pytest.raises(ValueError):
             SampleSpec(2, 3, 2, 0, trial_index=-1)
+
+
+@pytest.mark.parametrize("cell", [(1, 5, 2), (5, 1, 2), (2, 5, 0), (2, 5, 11)])
+def test_bad_cell_gets_one_message_everywhere(cell):
+    """Every entry point that takes a cell, or its dimensions, rejects a bad
+    one with the same message."""
+    d1, d2, k = cell
+    calls = [
+        lambda: SampleSpec(d1, d2, k, 0),
+        lambda: SweepConfig(cells=(cell,), samples_per_cell=1, master_seed=0),
+        lambda: run_cell(d1, d2, k, 1, 0),
+        lambda: page_entropies(d1, d2, k),
+        lambda: average_purity(d1, d2, k),
+    ]
+    if min(d1, d2) < 2:  # these take the dimensions alone
+        calls += [lambda: entropy_rank_threshold(d1, d2), lambda: realignment_rank_bound(d1, d2)]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        messages.add(str(exc.value))
+    assert len(messages) == 1, messages
 
 
 class TestPureSampling:
@@ -114,10 +142,10 @@ class TestReducedState:
         for t in range(n):
             rho = sample_reduced_state(SampleSpec(2, 4, 3, 41, t))
             raw.append(evaluate_state(rho).ln())
-            rot = type(rho)(u @ rho.mat @ u.conj().T, 2, 4, check=False)
+            rot = type(rho)(u @ rho.mat @ u.conj().T, 2, 4)
             rho2 = sample_reduced_state(SampleSpec(2, 4, 3, 43, t))
             rotated.append(
-                evaluate_state(type(rho2)(u @ rho2.mat @ u.conj().T, 2, 4, check=False)).ln()
+                evaluate_state(type(rho2)(u @ rho2.mat @ u.conj().T, 2, 4)).ln()
             )
             assert abs(evaluate_state(rot).ln() - raw[-1]) <= 1e-9
         se = np.sqrt(np.var(raw) / n + np.var(rotated) / n)
@@ -225,7 +253,7 @@ class TestRedraw:
         norm = self._zero_norm_of(monkeypatch, 0)
         v = self._vector(1)
         a = (v / norm(v)).reshape(10, 6)
-        redrawn = DensityMatrix(a @ a.conj().T, 2, 5, check=False)
+        redrawn = DensityMatrix(a @ a.conj().T, 2, 5)
         start, stop = self.TRIAL - 2, self.TRIAL + 3
         states = sample_states(*self.CELL, self.SEED, start, stop)
         for trial, rho in zip(range(start, stop), states):

@@ -6,12 +6,12 @@ import math
 
 import pytest
 
-from entdetect import CRITERIA, SampleSpec, StateRecord, evaluate_state
+from entdetect import CRITERIA, StateRecord, evaluate_state
 from entdetect.criteria import EPS, SIGNS
-from entdetect.verify import INVARIANTS, REALIGNMENT
+from entdetect.verify import INVARIANTS, REALIGNMENT, run_checks
 from conftest import maximally_mixed, random_state
 
-SPEC = SampleSpec(2, 3, 6, 0)
+CELL = (2, 3, 6)
 
 
 def record(ln, *detected):
@@ -38,7 +38,7 @@ def record(ln, *detected):
     ("prop3_verdict_agreement", record(0.0), True),
 ])
 def test_verdict_invariant_margin_sign(name, rec, holds):
-    margin = INVARIANTS[name](SPEC, maximally_mixed(2, 3), rec, EPS)
+    margin = INVARIANTS[name](CELL, maximally_mixed(2, 3), rec, EPS)
     assert (margin >= 0) is holds
 
 
@@ -46,13 +46,19 @@ def test_purity_bound_reads_the_records_realignment_witness():
     rho = random_state(2, 3, 2, seed=5)
     rec = evaluate_state(rho)
     margin = INVARIANTS["realign_trace_norm_purity_bound"]
-    assert margin(SPEC, rho, rec, EPS) >= 0
+    assert margin(CELL, rho, rec, EPS) >= 0
     witness = list(rec.witness)
-    witness[REALIGNMENT] += 2 * margin(SPEC, rho, rec, EPS) + 1e-6
-    assert margin(SPEC, rho, rec._replace(witness=tuple(witness)), EPS) < 0
+    witness[REALIGNMENT] += 2 * margin(CELL, rho, rec, EPS) + 1e-6
+    assert margin(CELL, rho, rec._replace(witness=tuple(witness)), EPS) < 0
 
 
 def test_prop3_does_not_apply_beyond_qubit_qudit():
     rho = maximally_mixed(3, 2)
     for name in ("prop3_verdict_agreement", "prop3_spectral_match"):
-        assert INVARIANTS[name](SPEC, rho, record(0.5, "pt"), EPS) == math.inf
+        assert INVARIANTS[name](CELL, rho, record(0.5, "pt"), EPS) == math.inf
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_run_checks_rejects_a_sample_count_below_one(samples):
+    with pytest.raises(ValueError, match="sample count"):
+        run_checks(samples=samples)
