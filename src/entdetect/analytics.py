@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass, field
 
 from .criteria import CRITERIA, EPS
-from .sampling import check_cell, check_dims
+from .linalg import check_dims
+from .sampling import check_cell
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ that norm is within 2*eps of 1 (a PPT state).
 
 import functools
 import math
+from itertools import accumulate
+from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -73,13 +75,19 @@ def check_eps(eps):
 
 
 def _majorization_witness(global_eigs, eigs1, eigs2):
-    # Zero-pad both marginal spectra to the global length as the rows of
-    # one array, then compare every descending prefix sum of each.
-    n = len(global_eigs)
-    padded = np.zeros((2, n))
-    padded[0, : len(eigs1)] = eigs1
-    padded[1, : len(eigs2)] = eigs2
-    return float((np.cumsum(global_eigs) - np.cumsum(padded, axis=1)).max())
+    # Every descending prefix sum of each marginal spectrum against the
+    # global one, as Python floats: a spectrum holds at most d1*d2 entries,
+    # too few to pay numpy's per-call overhead. accumulate adds left to
+    # right as np.cumsum does, so the sums are the same bits. A marginal's
+    # running sum holds at its total past its own length, which is its
+    # zero padding to the global length.
+    total = list(accumulate(global_eigs.tolist()))
+    excess = []
+    for eigs in (eigs1, eigs2):
+        part = list(accumulate(eigs.tolist()))
+        part += part[-1:] * (len(total) - len(part))
+        excess.append(max(map(sub, total, part)))
+    return max(excess)
 
 
 @functools.cache
@@ -125,5 +133,5 @@ def evaluate_state(rho):
 
     rl = trace_norm(realign(rho)) - 1.0
 
-    tn = float(np.abs(pt_eigs).sum())
+    tn = float(np.add.reduce(np.abs(pt_eigs)))
     return StateRecord(tn, (pt_min, red_min, maj, ent, rl))

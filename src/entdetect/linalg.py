@@ -14,6 +14,12 @@ PSD_ATOL = 1e-10
 ENTROPY_FLOOR = 1e-14   # eigenvalues at or below this contribute 0*log 0 = 0
 
 
+def check_dims(d1, d2):
+    """Reject a subsystem dimension below 2."""
+    if d1 < 2 or d2 < 2:
+        raise ValueError("both subsystem dimensions must be at least 2")
+
+
 class DensityMatrix:
     """A Hermitian, unit-trace, PSD matrix on C^d1 (x) C^d2.
 
@@ -53,11 +59,11 @@ class DensityMatrix:
 
 def _symmetrized(mats, d1, d2):
     """``(M + M^dag)/2`` of each matrix of a ``(B, n, n)`` complex stack,
-    after checking that every one is finite, Hermitian to within
-    HERMITICITY_RTOL of its largest entry, and, once symmetrized, of unit
-    trace to within TRACE_ATOL. The first failed check raises."""
-    if d1 < 1 or d2 < 1:
-        raise ValueError("subsystem dimensions must be positive")
+    after checking the dimensions (check_dims) and that every matrix is
+    finite, Hermitian to within HERMITICITY_RTOL of its largest entry,
+    and, once symmetrized, of unit trace to within TRACE_ATOL. The first
+    failed check raises."""
+    check_dims(d1, d2)
     n = d1 * d2
     if mats.shape[1:] != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {mats.shape[1:]}")
@@ -115,7 +121,7 @@ def realign(rho):
 
 def trace_norm(m):
     """Sum of singular values of ``m``."""
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    return float(np.add.reduce(np.linalg.svd(m, compute_uv=False)))
 
 
 def spectrum(mat):
@@ -130,8 +136,10 @@ def von_neumann_entropy(eigenvalues):
     eigensolver among them) contribute zero; the rest are clipped to 1.
     """
     p = np.asarray(eigenvalues, dtype=float)
-    p = np.minimum(p[p > ENTROPY_FLOOR], 1.0)
-    return max(float(-(p * np.log(p)).sum()), 0.0)
+    p = p[p > ENTROPY_FLOOR]  # a copy, so it can be worked in place
+    np.minimum(p, 1.0, out=p)
+    p *= np.log(p)
+    return max(-float(np.add.reduce(p)), 0.0)
 
 
 def purity(rho):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, check_dims
 
 RANK_TOL = 1e-10
 
@@ -77,12 +77,6 @@ class SampleSpec:
         if self.trial_index < 0:
             raise ValueError("trial_index must be non-negative")
         check_seed(self.master_seed)
-
-
-def check_dims(d1, d2):
-    """Reject a subsystem dimension below 2."""
-    if d1 < 2 or d2 < 2:
-        raise ValueError("both subsystem dimensions must be at least 2")
 
 
 def check_cell(d1, d2, k):

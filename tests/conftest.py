@@ -11,10 +11,9 @@ from entdetect import (
     run_cell,
     sample_reduced_state,
     spectrum,
-    trace_norm,
-    von_neumann_entropy,
 )
 from entdetect.criteria import EPS
+from entdetect.linalg import ENTROPY_FLOOR
 
 
 def bell_state():
@@ -96,6 +95,13 @@ def _majorization_excess(global_eigs, marginal_eigs):
     return float((np.cumsum(global_eigs) - np.cumsum(padded)).max())
 
 
+def _entropy(eigs):
+    """Reference for von_neumann_entropy: the clip, log and sum written
+    out, which the kernel's entropies must match bit for bit."""
+    p = np.minimum(eigs[eigs > ENTROPY_FLOOR], 1.0)
+    return max(float(-(p * np.log(p)).sum()), 0.0)
+
+
 def reference_marginal(rho, traced_subsystem):
     """Reference for partial_trace: the einsum over the (i, mu, j, nu)
     view, which partial_trace must match bit for bit."""
@@ -111,8 +117,8 @@ def verdict(rec, criterion, eps=EPS):
 
 def reference_record(rho):
     """Reference for evaluate_state: every witness computed on its own,
-    with its own eigendecompositions, and the trace norm from the side-2
-    partial transpose (evaluate_state uses side 1). It returns raw
+    with its own eigendecompositions and sums, and the trace norm from the
+    side-2 partial transpose (evaluate_state uses side 1). It returns raw
     numbers; test_criteria's boundary table pins the thresholds."""
     rho1, rho2 = reference_marginal(rho, 2), reference_marginal(rho, 1)
 
@@ -128,13 +134,10 @@ def reference_record(rho):
         _majorization_excess(eigs, spectrum(rho2)),
     )
 
-    s12 = von_neumann_entropy(spectrum(rho.mat))
-    ent = min(
-        s12 - von_neumann_entropy(spectrum(rho1)),
-        s12 - von_neumann_entropy(spectrum(rho2)),
-    )
+    s12 = _entropy(spectrum(rho.mat))
+    ent = min(s12 - _entropy(spectrum(rho1)), s12 - _entropy(spectrum(rho2)))
 
-    rl = trace_norm(realign(rho)) - 1.0
+    rl = float(np.linalg.svd(realign(rho), compute_uv=False).sum()) - 1.0
 
     tn = float(np.abs(np.linalg.eigvalsh(partial_transpose(rho, 2))).sum())
     return StateRecord(tn, (pt, red, maj, ent, rl))

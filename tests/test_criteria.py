@@ -168,6 +168,12 @@ class TestThresholds:
         assert ln == math.log2(above) and ln > 0.0
 
 
+# Cells on which the kernel must match reference_record bit for bit,
+# sides of 9 and more among them.
+EXACT_CELLS = [(2, 5, 6), (5, 2, 6), (3, 4, 7), (4, 3, 5), (3, 3, 9), (6, 6, 2),
+               (2, 18, 36), (9, 4, 3)]
+
+
 class TestEvaluateState:
     def test_bell_all_detected(self):
         rec = evaluate_state(bell_state())
@@ -194,16 +200,12 @@ class TestEvaluateState:
         assert rec.tn == pytest.approx(ref.tn, abs=1e-10)
         assert rec.ln() == pytest.approx(ref.ln(), abs=1e-10)
 
-    @pytest.mark.parametrize(
-        "cell",
-        [(2, 5, 6), (5, 2, 6), (3, 4, 7), (4, 3, 5), (3, 3, 9), (6, 6, 2),
-         (2, 18, 36), (9, 4, 3)],
-    )
+    @pytest.mark.parametrize("cell", EXACT_CELLS)
     def test_reduction_and_majorization_witnesses_exact(self, cell):
         # The kernel forms the reduction operators by broadcasting, the
-        # reference with np.kron; the kernel pads both marginal spectra
-        # into one array for the majorization witness, the reference pads
-        # one marginal at a time. Same arithmetic, so the witnesses must
+        # reference with np.kron; the kernel takes the majorization prefix
+        # sums as Python floats, the reference zero-pads each marginal for
+        # np.cumsum. Same arithmetic, so the witnesses must
         # agree to the last bit, also on sides of 9 and more.
         d1, d2, k = cell
         for trial in range(100):
@@ -212,6 +214,20 @@ class TestEvaluateState:
             ref = reference_record(rho)
             for i in map(CRITERIA.index, ("reduction", "majorization")):
                 assert rec.witness[i] == ref.witness[i], (CRITERIA[i], trial)
+
+    @pytest.mark.parametrize("cell", EXACT_CELLS)
+    def test_all_witnesses_and_trace_norm_exact(self, cell):
+        # The kernel sums the majorization prefixes as Python floats and
+        # the entropies and trace norms with np.add.reduce; the reference
+        # writes out np.cumsum and .sum(). Same additions in the same
+        # order, so every number must agree to the last bit.
+        d1, d2, k = cell
+        for trial in range(100):
+            rho = random_state(d1, d2, k, seed=97, trial=trial)
+            rec = evaluate_state(rho)
+            assert rec.witness == reference_record(rho).witness, trial
+            pt_eigs = np.linalg.eigvalsh(partial_transpose(rho, 1))
+            assert rec.tn == float(np.abs(pt_eigs).sum()), trial
 
     def test_witnesses_finite(self):
         rec = evaluate_state(random_state(2, 6, 12, seed=73))

@@ -11,6 +11,7 @@ from entdetect import (
     __version__,
     SampleSpec,
     aggregate,
+    criteria,
     evaluate_state,
     harness,
     run_cell,
@@ -80,6 +81,35 @@ class TestRunCell:
         monkeypatch.setattr(harness, "evaluate_state", traced)
         assert len(run_cell(2, 5, 6, 300, 42)) == 300
         assert per_state == [(6, 1)] * 300
+
+    def test_per_state_calls_every_helper_the_benchmark_tracer_wraps(self, monkeypatch):
+        # benchmarks/layers.py times each of these helpers as it is looked
+        # up on criteria; a kernel that inlined one would read 0 for its
+        # per-layer metric without any error.
+        helpers = ("partial_trace", "spectrum", "partial_transpose", "realign",
+                   "trace_norm", "von_neumann_entropy")
+        calls = Counter()
+        for name in helpers:
+            fn = getattr(criteria, name)
+
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(criteria, name, counted)
+        per_state = []
+        evaluate = harness.evaluate_state
+
+        def traced(rho):
+            calls.clear()
+            rec = evaluate(rho)
+            per_state.append(min(calls[name] for name in helpers))
+            return rec
+
+        monkeypatch.setattr(harness, "evaluate_state", traced)
+        assert len(run_cell(2, 5, 6, 300, 42)) == 300
+        assert len(per_state) == 300
+        assert min(per_state) >= 1
 
 
 _RUN_BLOCK = harness._run_block

@@ -63,7 +63,13 @@ def test_bad_cell_gets_one_message_everywhere(cell):
         lambda: average_purity(d1, d2, k),
     ]
     if min(d1, d2) < 2:  # these take the dimensions alone
-        calls += [lambda: entropy_rank_threshold(d1, d2), lambda: realignment_rank_bound(d1, d2)]
+        mixed = np.eye(d1 * d2) / (d1 * d2)
+        calls += [
+            lambda: entropy_rank_threshold(d1, d2),
+            lambda: realignment_rank_bound(d1, d2),
+            lambda: DensityMatrix(mixed, d1, d2),
+            lambda: DensityMatrix.stack(mixed[None], d1, d2),
+        ]
     messages = set()
     for call in calls:
         with pytest.raises(ValueError) as exc:

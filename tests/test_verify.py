@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from entdetect import CRITERIA, StateRecord, evaluate_state
+from entdetect import CRITERIA, StateRecord, evaluate_state, verify
 from entdetect.criteria import EPS, SIGNS
 from entdetect.verify import INVARIANTS, REALIGNMENT, run_checks
 from conftest import maximally_mixed, random_state
@@ -62,3 +62,18 @@ def test_prop3_does_not_apply_beyond_qubit_qudit():
 def test_run_checks_rejects_a_sample_count_below_one(samples):
     with pytest.raises(ValueError, match="sample count"):
         run_checks(samples=samples)
+
+
+@pytest.mark.parametrize("samples", [5, 13])
+def test_run_checks_checks_exactly_the_sample_count(samples, monkeypatch):
+    # 12 cells: 5 gives seven cells no state, 13 gives the first cell two
+    evaluated = []
+
+    def counted(rho):
+        evaluated.append(rho)
+        return evaluate_state(rho)
+
+    monkeypatch.setattr(verify, "evaluate_state", counted)
+    for result in run_checks(samples=samples):
+        assert result.detail.endswith(f"over {samples} states"), result
+    assert len(evaluated) == samples
