@@ -7,13 +7,12 @@ Run with: python3 demos/theory_bounds.py
 import numpy as np
 
 from entdetect import (
-    SampleSpec,
     average_purity,
     entropy_rank_threshold,
     page_entropies,
     purity,
     realignment_rank_bound,
-    sample_reduced_state,
+    sample_states,
     spectrum,
 )
 from entdetect.linalg import von_neumann_entropy
@@ -23,8 +22,7 @@ def main():
     d1, d2, k, n = 2, 5, 8, 2000
     ent = []
     pur = []
-    for trial in range(n):
-        rho = sample_reduced_state(SampleSpec(d1, d2, k, 11, trial))
+    for rho in sample_states(d1, d2, k, 11, 0, n):
         ent.append(von_neumann_entropy(spectrum(rho.mat)))
         pur.append(purity(rho))
     s12 = page_entropies(d1, d2, k)[2]

@@ -1,8 +1,8 @@
 """Command-line entry points: scan-rank, scan-dim, asymmetry, bounds, verify.
 
 Flags can be pre-loaded from a JSON config file (--config); explicit
-flags always win. ENTDETECT_WORKERS overrides the worker count. Sweeps
-run through harness.run_sweep.
+flags always win. The worker count comes from --workers (or its --config
+entry) alone. Sweeps run through harness.run_sweep.
 """
 
 import argparse
@@ -57,7 +57,7 @@ def _require(args, *names):
 
 
 def _workers(args):
-    value = os.environ.get("ENTDETECT_WORKERS") or args.workers
+    value = args.workers
     if value is None:
         return 1
     if value == "auto":

@@ -14,7 +14,8 @@ Witness conventions:
 * pt           min eigenvalue of the partial transpose; detected < -eps
 * reduction    min eigenvalue over both reduction operators; detected < -eps
 * majorization largest excess of a descending partial sum of the global
-               spectrum over a marginal's (marginals zero-padded);
+               spectrum over a marginal's, over the prefixes shorter
+               than that marginal; negative when every test passes;
                detected > eps
 * entropy      min conditional entropy (natural log); detected < -eps
 * realignment  trace norm of the realigned matrix minus 1; detected > eps
@@ -75,19 +76,18 @@ def check_eps(eps):
 
 
 def _majorization_witness(global_eigs, eigs1, eigs2):
-    # Every descending prefix sum of each marginal spectrum against the
-    # global one, as Python floats: a spectrum holds at most d1*d2 entries,
+    # The descending prefix sums of the global spectrum against each
+    # marginal's, as Python floats: a spectrum holds at most d1*d2 entries,
     # too few to pay numpy's per-call overhead. accumulate adds left to
-    # right as np.cumsum does, so the sums are the same bits. A marginal's
-    # running sum holds at its total past its own length, which is its
-    # zero padding to the global length.
+    # right as np.cumsum does, so the sums are the same bits. Only the
+    # prefixes shorter than the marginal are compared: from its own length
+    # on, a marginal's sum is its whole trace, 1, which no global sum
+    # exceeds, so those tests cannot fail and their difference is only
+    # the roundoff of 1 - 1.
     total = list(accumulate(global_eigs.tolist()))
-    excess = []
-    for eigs in (eigs1, eigs2):
-        part = list(accumulate(eigs.tolist()))
-        part += part[-1:] * (len(total) - len(part))
-        excess.append(max(map(sub, total, part)))
-    return max(excess)
+    return max(
+        max(map(sub, total, accumulate(eigs[:-1].tolist()))) for eigs in (eigs1, eigs2)
+    )
 
 
 @functools.cache

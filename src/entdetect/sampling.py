@@ -25,14 +25,18 @@ symmetrization are each one stacked pass. A chunk holds as many density
 matrices as fit in CHUNK_ENTRIES complex entries, so its memory does not
 grow with the block. numpy's own SeedSequence is still used for the
 redraw sub-stream of a zero draw (spawn key ending in 1), for trial
-indices of 2**32 and above (whose keys are two words long), for a run of
-a single trial, which draws from numpy's own Generator, and as a guard:
-the first computed state of every block is compared with numpy's, and a
-mismatch, as a numpy that changed these internals would give, raises
-RuntimeError before any state of the block is yielded.
-"""
+indices of 2**32 and above (whose keys are two words long), for a range
+with fewer than two trials below 2**32, and as a guard: the first
+computed state of every block is compared with numpy's, and a mismatch,
+as a numpy that changed these internals would give, raises RuntimeError
+before any state of the block is yielded. Every trial, a lone one
+included, is drawn through the reused PCG64.
 
-from dataclasses import dataclass
+A trial is named by its plain arguments ``(d1, d2, k, master_seed,
+trial_index)``, checked by check_cell and check_seed, and
+sample_states is the one path that draws it; sample_reduced_state and
+sample_tripartite_pure are its one-trial views.
+"""
 
 import numpy as np
 
@@ -60,23 +64,6 @@ _MASK32 = 0xFFFFFFFF
 # PCG64's default 128-bit LCG multiplier.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    """One sample's identity: cell (d1, d2, k) plus seed and trial index."""
-
-    d1: int
-    d2: int
-    k: int
-    master_seed: int
-    trial_index: int = 0
-
-    def __post_init__(self):
-        check_cell(self.d1, self.d2, self.k)
-        if self.trial_index < 0:
-            raise ValueError("trial_index must be non-negative")
-        check_seed(self.master_seed)
 
 
 def check_cell(d1, d2, k):
@@ -166,17 +153,13 @@ def _numpy_rng(master_seed, key):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
-def _numpy_stream(master_seed, key):
-    """PCG64 state dict of ``_numpy_rng(master_seed, key)``."""
-    return _numpy_rng(master_seed, key).bit_generator.state
-
-
 def _stream_states(d1, d2, k, master_seed, start, stop):
     """PCG64 state dicts of trials ``start .. stop - 1`` (redraw 0).
 
     Trials below 2**32 are hashed together, and the first hashed state is
     checked against numpy's own seeding; the rest are seeded by numpy. So
-    is a lone trial, whose check would compute its state anyway.
+    is a range with fewer than two trials below 2**32, whose check would
+    compute its one state anyway.
     """
     split = min(max(start, 2 ** 32), stop)
     if split - start < 2:
@@ -188,25 +171,21 @@ def _stream_states(d1, d2, k, master_seed, start, stop):
         pool = _mix_entropy(seed_words + _words(d1) + _words(d2) + _words(k) + [trials, 0])
         words = [w.tolist() for w in _generate_state(pool)]
         states = [_pcg64_state(*w) for w in zip(*words)]
-        if states[0] != _numpy_stream(master_seed, (d1, d2, k, start, 0)):
+        if states[0] != _numpy_rng(master_seed, (d1, d2, k, start, 0)).bit_generator.state:
             raise RuntimeError(
                 "vectorised SeedSequence seeding disagrees with numpy's own; "
                 "numpy's SeedSequence or PCG64 seeding has changed"
             )
-    states += [_numpy_stream(master_seed, (d1, d2, k, t, 0)) for t in range(split, stop)]
+    states += [_numpy_rng(master_seed, (d1, d2, k, t, 0)).bit_generator.state
+               for t in range(split, stop)]
     return states
 
 
 def _streams(d1, d2, k, master_seed, start, stop):
-    """Yield the Generator of each trial ``start .. stop - 1`` in turn.
-
-    A lone trial gets numpy's own; otherwise one reused PCG64 is set to
-    each trial's state before it is yielded, so each must be drawn from
-    before the next is taken.
+    """Yield the Generator of each trial ``start .. stop - 1`` in turn: one
+    reused PCG64, set to each trial's state before it is yielded, so each
+    must be drawn from before the next is taken.
     """
-    if stop - start == 1:
-        yield _numpy_rng(master_seed, (d1, d2, k, start, 0))
-        return
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
     for lo in range(start, stop, STREAM_BLOCK):
@@ -230,7 +209,10 @@ def _unit_vectors(d1, d2, k, master_seed, start, stop):
     re-draw from the trial's sub-stream with spawn key ending in 1; a
     second failure is an error.
     """
-    SampleSpec(d1, d2, k, master_seed, start)  # validates the arguments
+    check_cell(d1, d2, k)
+    check_seed(master_seed)
+    if start < 0:
+        raise ValueError(f"trial index must be non-negative, got {start!r}")
     n = d1 * d2 * k
     size = _chunk_size(d1, d2)
     streams = _streams(d1, d2, k, master_seed, start, stop)
@@ -263,17 +245,15 @@ def sample_states(d1, d2, k, master_seed, start, stop):
         yield from DensityMatrix.stack(a @ a.conj().transpose(0, 2, 1), d1, d2)
 
 
-def sample_tripartite_pure(spec):
+def sample_tripartite_pure(d1, d2, k, master_seed, trial_index=0):
     """Haar-uniform unit vector on C^(d1*d2*k) of one trial."""
-    t = spec.trial_index
-    [psi] = next(_unit_vectors(spec.d1, spec.d2, spec.k, spec.master_seed, t, t + 1))
+    [psi] = next(_unit_vectors(d1, d2, k, master_seed, trial_index, trial_index + 1))
     return psi
 
 
-def sample_reduced_state(spec):
+def sample_reduced_state(d1, d2, k, master_seed, trial_index=0):
     """Rank-k bipartite mixed state of one trial."""
-    t = spec.trial_index
-    return next(sample_states(spec.d1, spec.d2, spec.k, spec.master_seed, t, t + 1))
+    return next(sample_states(d1, d2, k, master_seed, trial_index, trial_index + 1))
 
 
 def numerical_rank(rho):

@@ -4,7 +4,6 @@ import pytest
 from entdetect import (
     CRITERIA,
     DensityMatrix,
-    SampleSpec,
     StateRecord,
     partial_transpose,
     realign,
@@ -58,28 +57,28 @@ def product_mixed(d1, d2, k1=2, k2=2, seed=0):
 
 
 def random_state(d1, d2, k, seed=0, trial=0):
-    return sample_reduced_state(SampleSpec(d1, d2, k, seed, trial))
+    return sample_reduced_state(d1, d2, k, seed, trial)
 
 
-def reference_stream(spec, redraw=0):
+def reference_stream(d1, d2, k, master_seed, trial, redraw=0):
     """numpy's own Generator for one trial's stream (or its redraw
     sub-stream), the contract the sampler's seeding must reproduce."""
-    key = (spec.d1, spec.d2, spec.k, spec.trial_index, redraw)
-    return np.random.default_rng(np.random.SeedSequence(spec.master_seed, spawn_key=key))
+    key = (d1, d2, k, trial, redraw)
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
-def reference_state(spec):
+def reference_state(d1, d2, k, master_seed, trial):
     """Reference for the sampler: one trial drawn with SeedSequence and
     default_rng directly, one re-draw from the redraw sub-stream after a
     zero draw, then rho = A A^dag of the normalized vector."""
-    n = spec.d1 * spec.d2 * spec.k
+    n = d1 * d2 * k
     for redraw in (0, 1):
-        rng = reference_stream(spec, redraw)
+        rng = reference_stream(d1, d2, k, master_seed, trial, redraw)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         norm = np.linalg.norm(v)
         if norm > 0:
-            a = (v / norm).reshape(spec.d1 * spec.d2, spec.k)
-            return DensityMatrix(a @ a.conj().T, spec.d1, spec.d2)
+            a = (v / norm).reshape(d1 * d2, k)
+            return DensityMatrix(a @ a.conj().T, d1, d2)
     raise RuntimeError("drew a zero vector twice; RNG is broken")
 
 
@@ -90,9 +89,10 @@ def haar_unitary(d, rng):
 
 
 def _majorization_excess(global_eigs, marginal_eigs):
-    padded = np.zeros(len(global_eigs))
-    padded[: len(marginal_eigs)] = marginal_eigs
-    return float((np.cumsum(global_eigs) - np.cumsum(padded)).max())
+    """Largest excess of the global prefix sums over the marginal's, over
+    the prefixes shorter than the marginal (the longer ones test 1 - 1)."""
+    j = len(marginal_eigs) - 1
+    return float((np.cumsum(global_eigs)[:j] - np.cumsum(marginal_eigs)[:j]).max())
 
 
 def _entropy(eigs):

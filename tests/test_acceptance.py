@@ -21,8 +21,9 @@ from entdetect import (
 )
 from entdetect.analytics import average_purity
 from entdetect.harness import render_csv, stats_row
-from entdetect.linalg import partial_transpose, von_neumann_entropy
-from entdetect.verify import run_checks
+from entdetect.linalg import von_neumann_entropy
+from entdetect.criteria import EPS
+from entdetect.verify import INVARIANTS, run_checks
 from conftest import bell_state, maximally_mixed, product_pure, verdict
 
 SEED = 42
@@ -131,27 +132,25 @@ def test_consistent_with_zero_decision_edge():
 
 
 def test_criterion_2_reduction_pt_equivalence_qubit_qudit():
-    n_states = 0
-    agree = True
-    spectral_gap = 0.0
-    for d2 in (3, 4, 6):
-        for k in (2, 4, 2 * d2):
-            for rho in sample_states(2, d2, k, SEED, 0, 1000):
-                rec = evaluate_state(rho)
-                agree &= verdict(rec, "reduction")[0] == verdict(rec, "pt")[0]
-                rho2 = np.einsum("imin->mn", rho.mat.reshape(2, d2, 2, d2))
-                red = np.kron(np.eye(2), rho2) - rho.mat
-                gap = np.abs(
-                    np.linalg.eigvalsh(red)
-                    - np.linalg.eigvalsh(partial_transpose(rho, 1))
-                ).max()
-                spectral_gap = max(spectral_gap, gap)
-                n_states += 1
+    # Proposition 3 as verify.INVARIANTS states it: verdicts agree, and the
+    # spectra match to 1e-9 (a non-negative prop3_spectral_match margin).
+    names = ("prop3_verdict_agreement", "prop3_spectral_match")
+    cells = [(2, d2, k) for d2 in (3, 4, 6) for k in (2, 4, 2 * d2)]
+    worst = dict.fromkeys(names, math.inf)
+    n_states = violations = 0
+    for cell in cells:
+        for rho in sample_states(*cell, SEED, 0, 1000):
+            rec = evaluate_state(rho)
+            for name in names:
+                m = float(INVARIANTS[name](cell, rho, rec, EPS))
+                worst[name] = min(worst[name], m)
+                violations += not m >= 0  # NaN included
+            n_states += 1
     _report(
         2,
-        agree and spectral_gap <= 1e-9,
+        violations == 0,
         f"reduction/PT verdicts agree on {n_states} qubit-qudit states; "
-        f"worst spectral mismatch {spectral_gap:.2e}",
+        f"worst spectral mismatch {1e-9 - worst['prop3_spectral_match']:.2e}",
     )
 
 

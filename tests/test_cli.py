@@ -56,8 +56,7 @@ class TestScanRank:
         assert "skipping" in capsys.readouterr().out
         assert os.path.getmtime(tmp_path / "scan_rank_2x3.csv") == before
 
-    def test_manifest_describes_the_run(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)
+    def test_manifest_describes_the_run(self, tmp_path, capsys):
         args = [
             "scan-rank", "--d1", "2", "--d2", "3", "--k", "2..3",
             "--samples", "120", "--seed", "4", "--out", str(tmp_path),
@@ -237,8 +236,7 @@ class TestConfigFile:
         {"samples": 2.5}, {"d1": 2.0}, {"d1": None}, {"k": [2, 3]}, {"seed": {}},
         {"sampels": 7}, {"d12": 36},
     ], ids=json.dumps)
-    def test_bad_config_value_rejected(self, tmp_path, monkeypatch, capsys, bad):
-        monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)
+    def test_bad_config_value_rejected(self, tmp_path, capsys, bad):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "d1": 2, "d2": 3, "k": "2", "samples": 5, "out": str(tmp_path / "runs"),
@@ -257,21 +255,31 @@ class TestConfigFile:
 
 
 class TestWorkersEnv:
-    def test_env_override_keeps_results_identical(self, tmp_path, monkeypatch, capsys):
+    """The worker count comes from --workers or its --config entry; the
+    process environment has no say in it."""
+
+    def test_worker_count_keeps_results_identical(self, tmp_path, capsys):
         args = [
             "scan-rank", "--d1", "2", "--d2", "3", "--k", "2",
             "--samples", "300", "--seed", "4",
         ]
         main(args + ["--out", str(tmp_path / "a")])
-        monkeypatch.setenv("ENTDETECT_WORKERS", "4")
-        main(args + ["--out", str(tmp_path / "b")])
+        main(args + ["--out", str(tmp_path / "b"), "--workers", "4"])
         assert read_csv(tmp_path / "a" / "scan_rank_2x3.csv") == read_csv(
             tmp_path / "b" / "scan_rank_2x3.csv"
         )
 
+    def test_environment_does_not_override_the_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ENTDETECT_WORKERS", "4")
+        main([
+            "scan-rank", "--d1", "2", "--d2", "3", "--k", "2", "--samples", "5",
+            "--workers", "1", "--out", str(tmp_path),
+        ])
+        manifest = json.loads((tmp_path / "scan_rank_2x3.manifest.json").read_text())
+        assert manifest["run"]["workers"] == 1
+
     def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch):
-        monkeypatch.setenv("ENTDETECT_WORKERS", "auto")
-        args = argparse.Namespace(workers=None)
+        args = argparse.Namespace(workers="auto")
         # as under taskset -c 0 on a machine with more CPUs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -280,25 +288,21 @@ class TestWorkersEnv:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert _workers(args) == 4
 
-    # A flag that is not a string is given in a --config file, whose JSON
-    # types it.
+    # Each count is given once as typed after --workers (flag) and once in
+    # a --config file (config), whose JSON types it.
     @pytest.mark.parametrize(
-        "env,flag", [("0", None), ("abc", None), (None, "-3"), (None, 2.5), (None, True)]
+        "flag,config", [("0", None), ("abc", None), (None, "-3"), (None, 2.5), (None, True)]
     )
-    def test_bad_worker_count_rejected(self, tmp_path, monkeypatch, env, flag):
-        if env is None:
-            monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("ENTDETECT_WORKERS", env)
+    def test_bad_worker_count_rejected(self, tmp_path, flag, config):
         argv = [
             "scan-rank", "--d1", "2", "--d2", "3", "--k", "2",
             "--samples", "5", "--out", str(tmp_path),
         ]
-        if isinstance(flag, str):
+        if flag is not None:
             argv += ["--workers", flag]
-        elif flag is not None:
+        else:
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"workers": flag}))
+            cfg.write_text(json.dumps({"workers": config}))
             argv = ["--config", str(cfg)] + argv
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -329,8 +333,7 @@ SCAN = ["scan-rank", "--d1", "2", "--d2", "3", "--k", "2", "--samples", "5"]
     SCAN + ["--criteria", "pt,pt"],
     SCAN + ["--criteria", "pt,,entropy"],
 ], ids=" ".join)
-def test_bad_numeric_input_is_one_line_error(tmp_path, monkeypatch, capsys, argv):
-    monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)
+def test_bad_numeric_input_is_one_line_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + (["--out", str(tmp_path)] if argv[0] != "bounds" else []))
     message = exc.value.code
@@ -340,8 +343,7 @@ def test_bad_numeric_input_is_one_line_error(tmp_path, monkeypatch, capsys, argv
     assert os.listdir(tmp_path) == []
 
 
-def test_out_under_a_file_is_one_line_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)
+def test_out_under_a_file_is_one_line_error(tmp_path, capsys):
     (tmp_path / "file").write_text("")
     out = str(tmp_path / "file" / "runs")
     with pytest.raises(SystemExit) as exc:
@@ -367,8 +369,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_csv_bodies(tmp_path, monkeypatch, capsys, name):
-    monkeypatch.delenv("ENTDETECT_WORKERS", raising=False)
+def test_golden_csv_bodies(tmp_path, capsys, name):
     argv, digest = GOLDEN[name]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     body = read_csv(tmp_path / name)

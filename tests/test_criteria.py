@@ -6,12 +6,12 @@ import pytest
 from entdetect import (
     CRITERIA,
     DensityMatrix,
-    SampleSpec,
     StateRecord,
     evaluate_state,
     partial_transpose,
     purity,
     sample_reduced_state,
+    sample_states,
 )
 from entdetect.criteria import EPS
 from entdetect.verify import INVARIANTS
@@ -108,7 +108,7 @@ class TestRealignment:
     def test_rank_9_detection_above_average_bound_is_genuine(self):
         # 2x5 rank 9 lies above realignment_rank_bound(2, 5) = 6.5, which
         # bounds the average state only; this state's purity exceeds 1/d1^2.
-        rho = sample_reduced_state(SampleSpec(2, 5, 9, 42, 2428))
+        rho = sample_reduced_state(2, 5, 9, 42, 2428)
         detected, witness = verdict(evaluate_state(rho), "realignment")
         r = rho.mat.reshape(2, 5, 2, 5).transpose(0, 2, 1, 3).reshape(4, 25)
         sv = np.sqrt(np.clip(np.linalg.eigvalsh(r @ r.conj().T), 0.0, None))
@@ -204,12 +204,11 @@ class TestEvaluateState:
     def test_reduction_and_majorization_witnesses_exact(self, cell):
         # The kernel forms the reduction operators by broadcasting, the
         # reference with np.kron; the kernel takes the majorization prefix
-        # sums as Python floats, the reference zero-pads each marginal for
-        # np.cumsum. Same arithmetic, so the witnesses must
-        # agree to the last bit, also on sides of 9 and more.
+        # sums as Python floats, the reference with np.cumsum. Same
+        # arithmetic, so the witnesses must agree to the last bit, also on
+        # sides of 9 and more.
         d1, d2, k = cell
-        for trial in range(100):
-            rho = random_state(d1, d2, k, seed=97, trial=trial)
+        for trial, rho in enumerate(sample_states(d1, d2, k, 97, 0, 100)):
             rec = evaluate_state(rho)
             ref = reference_record(rho)
             for i in map(CRITERIA.index, ("reduction", "majorization")):
@@ -222,12 +221,22 @@ class TestEvaluateState:
         # writes out np.cumsum and .sum(). Same additions in the same
         # order, so every number must agree to the last bit.
         d1, d2, k = cell
-        for trial in range(100):
-            rho = random_state(d1, d2, k, seed=97, trial=trial)
+        for trial, rho in enumerate(sample_states(d1, d2, k, 97, 0, 100)):
             rec = evaluate_state(rho)
             assert rec.witness == reference_record(rho).witness, trial
             pt_eigs = np.linalg.eigvalsh(partial_transpose(rho, 1))
             assert rec.tn == float(np.abs(pt_eigs).sum()), trial
+
+    @pytest.mark.parametrize("cell", EXACT_CELLS)
+    def test_majorization_witness_sign_is_its_verdict(self, cell):
+        # Only prefixes shorter than a marginal are tested, so no witness
+        # is the roundoff of 1 - 1: an undetected state's witness is
+        # negative, and eps decides no verdict.
+        i = CRITERIA.index("majorization")
+        for trial, rho in enumerate(sample_states(*cell, 97, 0, 100)):
+            rec = evaluate_state(rho)
+            assert not 0 <= rec.witness[i] <= EPS, trial
+            assert rec.detected(0.0)[i] == rec.detected(EPS)[i], trial
 
     def test_witnesses_finite(self):
         rec = evaluate_state(random_state(2, 6, 12, seed=73))
@@ -238,8 +247,7 @@ class TestImplications:
     @pytest.mark.parametrize("cell", [(2, 4, 5), (2, 5, 6), (3, 3, 5), (3, 5, 8)])
     def test_entropy_implies_majorization_and_reduction_implies_pt(self, cell):
         # Every invariant of the table, these two among them.
-        for trial in range(50):
-            rho = sample_reduced_state(SampleSpec(*cell, 83, trial))
+        for trial, rho in enumerate(sample_states(*cell, 83, 0, 50)):
             rec = evaluate_state(rho)
             for name, margin in INVARIANTS.items():
                 assert margin(cell, rho, rec, EPS) >= 0, (name, trial)

@@ -9,7 +9,6 @@ import pytest
 from entdetect import (
     SweepConfig,
     __version__,
-    SampleSpec,
     aggregate,
     criteria,
     evaluate_state,
@@ -44,14 +43,14 @@ class TestRunCell:
         recs = run_cell(2, 3, 4, 300, master_seed=77, workers=2)
         assert len(recs) == 300
         for t in (0, 1, 255, 256, 299):
-            rho = sample_reduced_state(SampleSpec(2, 3, 4, 77, t))
+            rho = sample_reduced_state(2, 3, 4, 77, t)
             assert recs[t] == evaluate_state(rho), t
 
     def test_evaluate_trial_matches_cell_records(self):
         # record t of a cell is the evaluation of trial t on its own
         recs = run_cell(2, 3, 4, 5, master_seed=77)
         for t, rec in enumerate(recs):
-            rho = sample_reduced_state(SampleSpec(2, 3, 4, 77, t))
+            rho = sample_reduced_state(2, 3, 4, 77, t)
             assert rec == evaluate_state(rho), t
 
     def test_per_state_calls_the_benchmark_tracer_counts(self, monkeypatch):

@@ -7,6 +7,7 @@ from entdetect import (
     partial_transpose,
     purity,
     realign,
+    sample_states,
     spectrum,
     trace_norm,
     von_neumann_entropy,
@@ -201,8 +202,7 @@ class TestPartialTrace:
         # Every witness starts from these marginals, so they must be the
         # einsum's to the last bit, on sides up to 18 wide.
         d1, d2, k = cell
-        for trial in range(20):
-            rho = random_state(d1, d2, k, seed=61, trial=trial)
+        for trial, rho in enumerate(sample_states(d1, d2, k, 61, 0, 20)):
             for side in (1, 2):
                 got = partial_trace(rho, side)
                 want = reference_marginal(rho, side)

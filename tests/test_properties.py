@@ -4,17 +4,18 @@ over random cells (d1, d2 in 2..4, any rank) and seeds."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from entdetect import SampleSpec, evaluate_state, partial_trace, sample_reduced_state
+from entdetect import evaluate_state, partial_trace, sample_reduced_state
 from entdetect.criteria import EPS
 from entdetect.verify import INVARIANTS
 
 
 @st.composite
-def specs(draw):
+def trials(draw):
+    """(d1, d2, k, master_seed) of one trial; its index is 0."""
     d1 = draw(st.integers(2, 4))
     d2 = draw(st.integers(2, 4))
     k = draw(st.integers(1, d1 * d2))
-    return SampleSpec(d1, d2, k, draw(st.integers(0, 2 ** 64 - 1)))
+    return d1, d2, k, draw(st.integers(0, 2 ** 64 - 1))
 
 
 PROPERTY_SETTINGS = settings(
@@ -23,20 +24,20 @@ PROPERTY_SETTINGS = settings(
 
 
 @PROPERTY_SETTINGS
-@given(specs())
-def test_hierarchy_invariants(spec):
-    rho = sample_reduced_state(spec)
+@given(trials())
+def test_hierarchy_invariants(trial):
+    rho = sample_reduced_state(*trial)
     rec = evaluate_state(rho)
     for name, margin in INVARIANTS.items():
-        assert margin((spec.d1, spec.d2, spec.k), rho, rec, EPS) >= 0, name
+        assert margin(trial[:3], rho, rec, EPS) >= 0, name
 
 
 @PROPERTY_SETTINGS
-@given(specs())
-def test_marginals_exactly_hermitian_unit_trace(spec):
+@given(trials())
+def test_marginals_exactly_hermitian_unit_trace(trial):
     # evaluate_state relies on this instead of re-checking each marginal.
-    rho = sample_reduced_state(spec)
-    for side, d in ((2, spec.d1), (1, spec.d2)):
+    rho = sample_reduced_state(*trial)
+    for side, d in ((2, rho.d1), (1, rho.d2)):
         m = partial_trace(rho, side)
         assert isinstance(m, np.ndarray) and m.shape == (d, d)
         assert np.array_equal(m, m.conj().T)

@@ -3,7 +3,6 @@ import pytest
 
 from entdetect import (
     DensityMatrix,
-    SampleSpec,
     evaluate_state,
     numerical_rank,
     purity,
@@ -32,22 +31,30 @@ from conftest import (
 )
 
 
-class TestSampleSpec:
+class TestTrialIdentity:
+    """A trial is named by (d1, d2, k, master_seed, trial_index); the sampler
+    rejects a bad one with a one-line ValueError before drawing."""
+
+    @staticmethod
+    def _rejects(d1, d2, k, master_seed, start):
+        with pytest.raises(ValueError) as exc:
+            next(sample_states(d1, d2, k, master_seed, start, start + 3))
+        assert "\n" not in str(exc.value)
+
     def test_rejects_small_dims(self):
-        with pytest.raises(ValueError):
-            SampleSpec(1, 4, 2, 0)
-        with pytest.raises(ValueError):
-            SampleSpec(4, 1, 2, 0)
+        self._rejects(1, 4, 2, 0, 0)
+        self._rejects(4, 1, 2, 0, 0)
 
     def test_rejects_bad_rank(self):
-        with pytest.raises(ValueError):
-            SampleSpec(2, 3, 0, 0)
-        with pytest.raises(ValueError):
-            SampleSpec(2, 3, 7, 0)
+        self._rejects(2, 3, 0, 0, 0)
+        self._rejects(2, 3, 7, 0, 0)
 
     def test_rejects_negative_trial(self):
-        with pytest.raises(ValueError):
-            SampleSpec(2, 3, 2, 0, trial_index=-1)
+        self._rejects(2, 3, 2, 0, -1)
+
+    def test_rejects_seed_past_64_bits(self):
+        self._rejects(2, 3, 2, 2 ** 64, 0)
+        self._rejects(2, 3, 2, -1, 0)
 
 
 @pytest.mark.parametrize("cell", [(1, 5, 2), (5, 1, 2), (2, 5, 0), (2, 5, 11)])
@@ -56,7 +63,8 @@ def test_bad_cell_gets_one_message_everywhere(cell):
     one with the same message."""
     d1, d2, k = cell
     calls = [
-        lambda: SampleSpec(d1, d2, k, 0),
+        lambda: next(sample_states(d1, d2, k, 0, 0, 1)),
+        lambda: sample_reduced_state(d1, d2, k, 0),
         lambda: SweepConfig(cells=(cell,), samples_per_cell=1, master_seed=0),
         lambda: run_cell(d1, d2, k, 1, 0),
         lambda: page_entropies(d1, d2, k),
@@ -81,18 +89,17 @@ def test_bad_cell_gets_one_message_everywhere(cell):
 class TestPureSampling:
     def test_unit_norm(self):
         for k in (1, 3, 10):
-            psi = sample_tripartite_pure(SampleSpec(2, 5, k, 7, 3))
+            psi = sample_tripartite_pure(2, 5, k, 7, 3)
             assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
 
     def test_bitwise_determinism(self):
-        spec = SampleSpec(3, 4, 5, 42, 0)
-        a = sample_tripartite_pure(spec)
-        b = sample_tripartite_pure(spec)
+        a = sample_tripartite_pure(3, 4, 5, 42, 0)
+        b = sample_tripartite_pure(3, 4, 5, 42, 0)
         assert np.array_equal(a, b)
 
     def test_distinct_trials_differ(self):
-        a = sample_tripartite_pure(SampleSpec(2, 2, 2, 42, 0))
-        b = sample_tripartite_pure(SampleSpec(2, 2, 2, 42, 1))
+        a = sample_tripartite_pure(2, 2, 2, 42, 0)
+        b = sample_tripartite_pure(2, 2, 2, 42, 1)
         assert not np.allclose(a, b)
 
     def test_haar_marginal_uniform(self):
@@ -102,9 +109,8 @@ class TestPureSampling:
         d1, d2, k = 2, 2, 2
         n = d1 * d2 * k
         acc = np.zeros(n)
-        for trial in range(n_draws):
-            psi = sample_tripartite_pure(SampleSpec(d1, d2, k, 99, trial))
-            acc += np.abs(psi) ** 2
+        for chunk in sampling._unit_vectors(d1, d2, k, 99, 0, n_draws):
+            acc += (np.abs(chunk) ** 2).sum(axis=0)
         mean = acc / n_draws
         se = np.sqrt((n - 1) / (n ** 2 * (n + 1)) / n_draws)
         assert np.abs(mean - 1 / n).max() <= 3 * se
@@ -112,28 +118,26 @@ class TestPureSampling:
 
 class TestReducedState:
     def test_rank_one_is_pure(self):
-        rho = sample_reduced_state(SampleSpec(3, 4, 1, 5))
+        rho = sample_reduced_state(3, 4, 1, 5)
         assert abs(purity(rho) - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("k", [2, 4, 10])
     def test_rank_equals_k(self, k):
-        for trial in range(20):
-            rho = sample_reduced_state(SampleSpec(2, 5, k, 11, trial))
+        for rho in sample_states(2, 5, k, 11, 0, 20):
             DensityMatrix(rho.mat, 2, 5)
             assert numerical_rank(rho) == k
             assert abs(spectrum(rho.mat).sum() - 1.0) <= 1e-9
 
     def test_mean_purity_matches_formula(self):
         n = 4000
-        vals = [purity(sample_reduced_state(SampleSpec(2, 5, 4, 17, t))) for t in range(n)]
+        vals = [purity(rho) for rho in sample_states(2, 5, 4, 17, 0, n)]
         assert np.mean(vals) == pytest.approx(average_purity(2, 5, 4), abs=0.01)
         assert average_purity(2, 5, 4) == pytest.approx(14 / 41)
 
     def test_mean_entropy_matches_page(self):
         n = 3000
         vals = [
-            von_neumann_entropy(spectrum(sample_reduced_state(SampleSpec(2, 5, 10, 23, t)).mat))
-            for t in range(n)
+            von_neumann_entropy(spectrum(rho.mat)) for rho in sample_states(2, 5, 10, 23, 0, n)
         ]
         _, _, s12 = page_entropies(2, 5, 10)
         assert s12 == pytest.approx(np.log(10) - 0.5)
@@ -145,11 +149,9 @@ class TestReducedState:
         rng = np.random.default_rng(31)
         u = np.kron(haar_unitary(2, rng), haar_unitary(4, rng))
         raw, rotated = [], []
-        for t in range(n):
-            rho = sample_reduced_state(SampleSpec(2, 4, 3, 41, t))
+        for rho, rho2 in zip(sample_states(2, 4, 3, 41, 0, n), sample_states(2, 4, 3, 43, 0, n)):
             raw.append(evaluate_state(rho).ln())
             rot = type(rho)(u @ rho.mat @ u.conj().T, 2, 4)
-            rho2 = sample_reduced_state(SampleSpec(2, 4, 3, 43, t))
             rotated.append(
                 evaluate_state(type(rho2)(u @ rho2.mat @ u.conj().T, 2, 4)).ln()
             )
@@ -170,8 +172,7 @@ class TestIsNpt:
 
     def test_npt_prevalence_at_low_rank(self):
         hits = sum(
-            verdict(evaluate_state(sample_reduced_state(SampleSpec(3, 4, 6, 53, t))), "pt")[0]
-            for t in range(200)
+            verdict(evaluate_state(rho), "pt")[0] for rho in sample_states(3, 4, 6, 53, 0, 200)
         )
         assert hits == 200
 
@@ -196,8 +197,7 @@ class TestStreams:
         assert len(states) == stop - start
         bitgen = np.random.PCG64(0)
         for trial, state in zip(range(start, stop), states):
-            spec = SampleSpec(*cell, seed, trial)
-            ref = reference_stream(spec)
+            ref = reference_stream(*cell, seed, trial)
             assert state == ref.bit_generator.state
             bitgen.state = state
             assert np.array_equal(
@@ -214,7 +214,7 @@ class TestStreams:
     def test_block_spanning_two_word_trials_matches_reference(self):
         start, stop = STREAM_BLOCKS[1]
         for trial, rho in zip(range(start, stop), sample_states(2, 5, 6, 42, start, stop)):
-            assert np.array_equal(rho.mat, reference_state(SampleSpec(2, 5, 6, 42, trial)).mat)
+            assert np.array_equal(rho.mat, reference_state(2, 5, 6, 42, trial).mat)
 
     @pytest.mark.parametrize(
         "constant", ["_INIT_A", "_MULT_A", "_MIX_MULT_L", "_INIT_B", "_MULT_B", "_PCG_MULT"]
@@ -236,12 +236,9 @@ class TestRedraw:
 
     CELL, SEED, TRIAL = (2, 5, 6), 42, 300
 
-    def _spec(self, trial=TRIAL):
-        return SampleSpec(*self.CELL, self.SEED, trial)
-
     def _vector(self, redraw):
         n = int(np.prod(self.CELL))
-        rng = reference_stream(self._spec(), redraw)
+        rng = reference_stream(*self.CELL, self.SEED, self.TRIAL, redraw)
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
     def _zero_norm_of(self, monkeypatch, *redraws):
@@ -263,20 +260,21 @@ class TestRedraw:
         start, stop = self.TRIAL - 2, self.TRIAL + 3
         states = sample_states(*self.CELL, self.SEED, start, stop)
         for trial, rho in zip(range(start, stop), states):
-            ref = redrawn if trial == self.TRIAL else reference_state(self._spec(trial))
+            ref = redrawn if trial == self.TRIAL else reference_state(*self.CELL, self.SEED, trial)
             assert np.array_equal(rho.mat, ref.mat)
 
     def test_single_trial_redraws(self, monkeypatch):
         norm = self._zero_norm_of(monkeypatch, 0)
         v = self._vector(1)
-        assert np.array_equal(sample_tripartite_pure(self._spec()), v / norm(v))
+        psi = sample_tripartite_pure(*self.CELL, self.SEED, self.TRIAL)
+        assert np.array_equal(psi, v / norm(v))
 
     def test_second_zero_raises(self, monkeypatch):
         self._zero_norm_of(monkeypatch, 0, 1)
         with pytest.raises(RuntimeError, match="twice"):
             list(sample_states(*self.CELL, self.SEED, self.TRIAL - 2, self.TRIAL + 3))
         with pytest.raises(RuntimeError, match="twice"):
-            sample_tripartite_pure(self._spec())
+            sample_tripartite_pure(*self.CELL, self.SEED, self.TRIAL)
 
 
 def test_chunk_size_caps_entries():
@@ -301,17 +299,17 @@ def test_chunk_edges_equal_reference_sampler(cell, start, stop):
     states = list(sample_states(*cell, 42, start, stop))
     assert len(states) == stop - start
     for trial, rho in zip(range(start, stop), states):
-        assert np.array_equal(rho.mat, reference_state(SampleSpec(*cell, 42, trial)).mat), trial
+        assert np.array_equal(rho.mat, reference_state(*cell, 42, trial).mat), trial
 
 
 @pytest.mark.parametrize("cell", [(2, 5, 6), (3, 5, 2), (3, 4, 12), (6, 6, 2)])
 def test_sample_states_equal_reference_sampler(cell):
     """Bit-identical to the per-trial SeedSequence sampler: every trial of
     two stream blocks, a block starting mid-way, and the one-trial calls."""
-    specs = [SampleSpec(*cell, 42, t) for t in range(512)]
-    for spec, rho in zip(specs, sample_states(*cell, 42, 0, 512)):
-        assert np.array_equal(rho.mat, reference_state(spec).mat)
-    for spec, rho in zip(specs[100:140], sample_states(*cell, 42, 100, 140)):
-        assert np.array_equal(rho.mat, reference_state(spec).mat)
+    refs = [reference_state(*cell, 42, t).mat for t in range(512)]
+    for ref, rho in zip(refs, sample_states(*cell, 42, 0, 512)):
+        assert np.array_equal(rho.mat, ref)
+    for ref, rho in zip(refs[100:140], sample_states(*cell, 42, 100, 140)):
+        assert np.array_equal(rho.mat, ref)
     for t in (0, 255, 256, 511):
-        assert np.array_equal(sample_reduced_state(specs[t]).mat, reference_state(specs[t]).mat)
+        assert np.array_equal(sample_reduced_state(*cell, 42, t).mat, refs[t])
