@@ -95,12 +95,11 @@ def realignment_rank_bound(d1, d2):
     about the average state only: an individual state above this rank
     can still be detected if its purity exceeds 1/d1^2.
 
-    Requires d1 <= d2 (swap at the call site otherwise). Returns +inf for
-    equal dimensions, where the bound is vacuous.
+    The dimensions may come in either order: d1 above is the smaller.
+    Returns +inf for equal dimensions, where the bound is vacuous.
     """
     check_dims(d1, d2)
-    if d1 > d2:
-        raise ValueError("requires d1 <= d2; swap the arguments")
+    d1, d2 = sorted((d1, d2))
     if d1 == d2:
         return math.inf
     return (d1 ** 3 * d2 - 1) / (d1 * (d2 - d1))

@@ -2,7 +2,9 @@
 
 Flags can be pre-loaded from a JSON config file (--config); explicit
 flags always win. The worker count comes from --workers (or its --config
-entry) alone. Sweeps run through harness.run_sweep.
+entry) alone. Sweeps run through harness.run_sweep, and
+harness.write_results writes and harness.results_current checks their
+result files. verify takes --samples, --seed and --eps only.
 """
 
 import argparse
@@ -13,14 +15,12 @@ import sys
 import time
 
 from . import analytics
-from .criteria import CRITERIA, EPS, check_eps
-from .sampling import check_samples, check_seed
+from .criteria import CRITERIA, EPS
 from .harness import (
     SweepConfig,
     csv_columns,
     results_current,
     run_sweep,
-    stats_row,
     usable_cpu_count,
     write_results,
 )
@@ -100,18 +100,10 @@ def _run_and_write(name, cells, args, extra=None):
         print(f"{name}: results are current, skipping")
         return os.path.join(args.out, name + ".csv")
 
-    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     t0 = time.perf_counter()
     stats = run_sweep(config)
-    wall_s = time.perf_counter() - t0
-    rows = [stats_row(s, extra=extra) for s in stats]
-    cells_meta = [
-        {"d1": s.d1, "d2": s.d2, "k": s.k, "n": s.n_total, "n_npt": s.n_npt}
-        for s in stats
-    ]
     path = write_results(
-        args.out, name, rows, config, columns=columns,
-        cells_meta=cells_meta, started_at=started, wall_s=wall_s,
+        args.out, name, stats, config, columns, extra, wall_s=time.perf_counter() - t0
     )
     print(f"{name}: wrote {path}")
     return path
@@ -155,7 +147,7 @@ def cmd_bounds(args):
     threshold = _checked(analytics.entropy_rank_threshold, d1, d2)
     print(f"bounds for {d1}x{d2}")
     print(f"  entropy_rank_threshold   {threshold}")
-    bound = analytics.realignment_rank_bound(min(d1, d2), max(d1, d2))
+    bound = analytics.realignment_rank_bound(d1, d2)
     if bound == float("inf"):
         print("  realignment_rank_bound   vacuous (equal dimensions)")
     else:
@@ -171,11 +163,7 @@ def cmd_bounds(args):
 def cmd_verify(args):
     from .verify import run_checks  # only this command needs it
 
-    # run_checks checks these too, but a ValueError from it is a traceback
-    _checked(check_eps, args.eps)
-    _checked(check_seed, args.seed)
-    _checked(check_samples, args.samples)
-    results = run_checks(samples=args.samples, master_seed=args.seed, eps=args.eps)
+    results = _checked(run_checks, samples=args.samples, master_seed=args.seed, eps=args.eps)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -185,10 +173,16 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
-def _add_common(sub, samples_default=10000):
+def _add_run_flags(sub, samples_default):
+    """The flags verify shares with the sweeps."""
     sub.add_argument("--samples", type=int, default=samples_default)
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--eps", type=float, default=EPS)
+
+
+def _add_sweep_flags(sub):
+    """The flags of scan-rank, scan-dim and asymmetry."""
+    _add_run_flags(sub, samples_default=10000)
     sub.add_argument("--out", default="runs")
     sub.add_argument("--workers", default=None, help="worker count or 'auto'")
     sub.add_argument("--criteria", default=None,
@@ -210,19 +204,19 @@ def build_parser(defaults=None):
     p.add_argument("--d1", type=int)
     p.add_argument("--d2", type=int)
     p.add_argument("--k", help="rank or range, e.g. 2..10")
-    _add_common(p)
+    _add_sweep_flags(p)
     p.set_defaults(func=cmd_scan_rank)
 
     p = sub.add_parser("scan-dim", help="sweep d2 at fixed d1 and rank")
     p.add_argument("--d1", type=int)
     p.add_argument("--d2", help="d2 value or range, e.g. 3..10")
     p.add_argument("--k")
-    _add_common(p)
+    _add_sweep_flags(p)
     p.set_defaults(func=cmd_scan_dim)
 
     p = sub.add_parser("asymmetry", help="factorizations of a total dimension")
     p.add_argument("--d12", type=int)
-    _add_common(p)
+    _add_sweep_flags(p)
     p.set_defaults(func=cmd_asymmetry)
 
     p = sub.add_parser("bounds", help="closed-form predictors for one cell")
@@ -231,7 +225,7 @@ def build_parser(defaults=None):
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    _add_common(p, samples_default=1000)
+    _add_run_flags(p, samples_default=1000)
     p.set_defaults(func=cmd_verify)
 
     if defaults:

@@ -15,12 +15,14 @@ through sampling.sample_states, which seeds the block's streams in one
 pass and builds the states a chunk at a time as one stack; each state is
 still evaluated on its own, by one evaluate_state call.
 
-Results are written as CSV next to a JSON manifest holding the
-configuration echo, the package version, a checksum of the CSV body and
-a description of the run (workers, CPUs, library versions, wall time).
-A run whose CSV still matches its manifest checksum, whose manifest
-echoes the same configuration and version, and whose CSV header has the
-requested columns, is not recomputed.
+This module alone defines the result files. write_results turns a
+sweep's SweepStats into a CSV, one row per cell, and writes it next to a
+JSON manifest holding the configuration echo, the package version, the
+CSV's columns and cells, a sha256 checksum of the CSV's bytes and a
+description of the run (workers, CPUs, library versions, wall time).
+A run whose CSV bytes still match its manifest checksum, and whose
+manifest echoes the same configuration, version and columns, is not
+recomputed; a file that cannot be read or decoded means recompute.
 """
 
 import contextlib
@@ -45,11 +47,14 @@ from .sampling import sample_reduced_state  # noqa: F401
 
 BLOCK_SIZE = 256
 
+# The cell and its counts: the CSV columns that the manifest's cells repeat.
+CELL_FIELDS = ("d1", "d2", "k", "n", "n_npt")
+
 
 def csv_columns(criteria=CRITERIA, extra=()):
     """CSV header: extra columns, the cell and counts, then per criterion
     F, its stderr, M and m."""
-    return list(extra) + ["d1", "d2", "k", "n", "n_npt"] + [
+    return list(extra) + list(CELL_FIELDS) + [
         f"{c}_{f}" for c in criteria for f in ("F", "F_stderr", "M", "m")
     ]
 
@@ -202,84 +207,81 @@ def render_csv(rows, columns=CSV_COLUMNS):
     return buf.getvalue()
 
 
-def checksum(text):
-    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+def checksum(data):
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, data):
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
 
 
-def write_results(out_dir, name, rows, config, columns=CSV_COLUMNS, cells_meta=None,
-                  started_at=None, wall_s=None):
-    """Write <name>.csv and its manifest <name>.manifest.json atomically.
+def _utc(seconds):
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(seconds))
 
-    ``wall_s`` is the sweep's wall time, from which the manifest's ``run``
-    entry reports states/s. Returns the CSV path. The manifest is written
-    only after the CSV, so an interrupted run leaves a recognizably orphan
-    CSV.
+
+def write_results(out_dir, name, stats, config, columns=CSV_COLUMNS, extra=None, *,
+                  wall_s):
+    """Write the SweepStats ``stats`` as <name>.csv, one row per cell with
+    ``extra``'s values leading, and its manifest <name>.manifest.json,
+    each atomically.
+
+    ``wall_s`` is the sweep's wall time: the manifest reports states/s
+    from it and dates the start that long before the finish. Returns the
+    CSV path. The manifest is written only after the CSV, so an
+    interrupted run leaves a recognizably orphan CSV.
     """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, name + ".csv")
-    manifest_path = os.path.join(out_dir, name + ".manifest.json")
-    body = render_csv(rows, columns)
+    rows = [stats_row(s, extra) for s in stats]
+    body = render_csv(rows, columns).encode()
+    finished = time.time()
     manifest = {
         "config": config.to_dict(),
         "version": __version__,
-        "started_at": started_at if started_at is not None else time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        ),
-        "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "cells": cells_meta or [],
+        "started_at": _utc(finished - wall_s),
+        "finished_at": _utc(finished),
+        "columns": list(columns),
+        "cells": [{key: row[key] for key in CELL_FIELDS} for row in rows],
         "run": _run_metadata(config, wall_s),
         "checksum": checksum(body),
     }
     _atomic_write(csv_path, body)
-    _atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
+    _atomic_write(os.path.join(out_dir, name + ".manifest.json"),
+                  (json.dumps(manifest, indent=2) + "\n").encode())
     return csv_path
 
 
-def _read_manifest(out_dir, name):
-    """The manifest of <name> as a dict; None if it is missing or corrupt."""
+def _verified_manifest(out_dir, name):
+    """The manifest of <name> if <name>.csv's bytes match its checksum;
+    None if either file cannot be read or decoded, or they do not match."""
     try:
-        with open(os.path.join(out_dir, name + ".manifest.json")) as fh:
+        with open(os.path.join(out_dir, name + ".manifest.json"), "rb") as fh:
             manifest = json.load(fh)
-    except (FileNotFoundError, ValueError):
+        with open(os.path.join(out_dir, name + ".csv"), "rb") as fh:
+            body = fh.read()
+    except (OSError, ValueError):
         return None
-    return manifest if isinstance(manifest, dict) else None
+    if isinstance(manifest, dict) and manifest.get("checksum") == checksum(body):
+        return manifest
+    return None
 
 
 def results_current(out_dir, name, config, columns=CSV_COLUMNS):
-    """True iff <name>.csv exists, matches its manifest checksum, has the
-    header ``columns``, and the manifest echoes the same configuration and
-    package version. A missing or corrupt manifest means recompute."""
-    csv_path = os.path.join(out_dir, name + ".csv")
-    manifest = _read_manifest(out_dir, name)
-    if manifest is None or not os.path.exists(csv_path):
-        return False
-    if manifest.get("config") != config.to_dict():
-        return False
-    if manifest.get("version") != __version__:
-        return False
-    with open(csv_path, newline="") as fh:
-        body = fh.read()
-    header = next(csv.reader(io.StringIO(body, newline="")), None)
-    return header == list(columns) and manifest.get("checksum") == checksum(body)
+    """True iff <name>.csv matches its manifest checksum and the manifest
+    echoes the same configuration, package version and ``columns``."""
+    manifest = _verified_manifest(out_dir, name)
+    return manifest is not None and (
+        manifest.get("config"), manifest.get("version"), manifest.get("columns")
+    ) == (config.to_dict(), __version__, list(columns))
 
 
 def find_orphans(out_dir):
     """CSVs lacking a readable manifest or failing its checksum, and .tmp files."""
-    orphans = []
-    for entry in sorted(os.listdir(out_dir)):
-        if entry.endswith((".csv.tmp", ".manifest.json.tmp")):
-            orphans.append(entry)
-        if not entry.endswith(".csv"):
-            continue
-        manifest = _read_manifest(out_dir, entry[: -len(".csv")])
-        with open(os.path.join(out_dir, entry), newline="") as fh:
-            if manifest is None or manifest.get("checksum") != checksum(fh.read()):
-                orphans.append(entry)
-    return orphans
+    return [
+        entry for entry in sorted(os.listdir(out_dir))
+        if entry.endswith((".csv.tmp", ".manifest.json.tmp"))
+        or (entry.endswith(".csv") and _verified_manifest(out_dir, entry[:-4]) is None)
+    ]

@@ -192,8 +192,7 @@ class TestThresholds:
         assert realignment_rank_bound(3, 4) == pytest.approx(107 / 3)
         assert realignment_rank_bound(3, 4) > 12  # never binding for 3x4
         assert realignment_rank_bound(3, 3) == math.inf
-        with pytest.raises(ValueError):
-            realignment_rank_bound(5, 2)
+        assert realignment_rank_bound(5, 2) == realignment_rank_bound(2, 5)
 
     def test_average_purity(self):
         assert average_purity(2, 2, 1) == 1.0

@@ -12,7 +12,7 @@ import pytest
 
 from entdetect import aggregate
 from entdetect.cli import _workers, main
-from entdetect.harness import render_csv, stats_row
+from entdetect.harness import find_orphans, render_csv, stats_row
 from entdetect.verify import run_checks
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -77,6 +77,23 @@ class TestScanRank:
         capsys.readouterr()
         main(args + ["--workers", "2"])
         assert "skipping" in capsys.readouterr().out
+
+    def test_corrupt_csv_is_recomputed(self, tmp_path, capsys):
+        args = [
+            "scan-rank", "--d1", "2", "--d2", "3", "--k", "2",
+            "--samples", "120", "--seed", "4", "--out", str(tmp_path),
+        ]
+        main(args)
+        first = read_csv(tmp_path / "scan_rank_2x3.csv")
+        # not UTF-8, under the first run's intact manifest
+        (tmp_path / "scan_rank_2x3.csv").write_bytes(b"\xff\xfebad")
+        assert find_orphans(str(tmp_path)) == ["scan_rank_2x3.csv"]
+        capsys.readouterr()
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert "wrote" in out and "Traceback" not in err
+        assert read_csv(tmp_path / "scan_rank_2x3.csv") == first
+        assert find_orphans(str(tmp_path)) == []
 
     def test_missing_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -175,6 +192,28 @@ class TestVerify:
         assert "prop3_verdict_agreement" in out
         for r in run_checks(samples=120, master_seed=8):
             assert type(r.passed) is bool and type(r.margin) is float
+
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--criteria", "pt"], ["--out", "x"]])
+    def test_sweep_flags_rejected(self, capsys, monkeypatch, flag):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a state was evaluated")
+
+        monkeypatch.setattr("entdetect.verify.evaluate_state", evaluated)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--samples", "12"] + flag)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in err and "Traceback" not in err
+
+    def test_sweep_flag_in_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 2}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "verify", "--samples", "12"])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "'workers' is not a flag of verify" in message
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_serial_run_loads_no_pool_machinery():
@@ -335,7 +374,7 @@ SCAN = ["scan-rank", "--d1", "2", "--d2", "3", "--k", "2", "--samples", "5"]
 ], ids=" ".join)
 def test_bad_numeric_input_is_one_line_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(argv + (["--out", str(tmp_path)] if argv[0] != "bounds" else []))
+        main(argv + (["--out", str(tmp_path)] if argv[0] not in ("bounds", "verify") else []))
     message = exc.value.code
     # a string code exits with status 1 and prints that one line
     assert isinstance(message, str) and message and "\n" not in message

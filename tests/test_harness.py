@@ -254,10 +254,7 @@ class TestPersistence:
     def _write(self, tmp_path, seed=3):
         config = SweepConfig(cells=((2, 3, 2),), samples_per_cell=100, master_seed=seed)
         stats = aggregate(run_cell(2, 3, 2, 100, master_seed=seed), (2, 3, 2))
-        path = write_results(
-            str(tmp_path), "cell", [stats_row(stats)], config,
-            cells_meta=[{"d1": 2, "d2": 3, "k": 2, "n": 100, "n_npt": stats.n_npt}],
-        )
+        path = write_results(str(tmp_path), "cell", [stats], config, wall_s=1.0)
         return config, path
 
     def test_manifest_schema(self, tmp_path):
@@ -265,12 +262,35 @@ class TestPersistence:
         with open(os.path.join(tmp_path, "cell.manifest.json")) as fh:
             manifest = json.load(fh)
         assert set(manifest) == {
-            "config", "version", "started_at", "finished_at", "cells", "run", "checksum",
+            "config", "version", "started_at", "finished_at", "columns", "cells", "run",
+            "checksum",
         }
         assert manifest["config"] == config.to_dict()
         assert manifest["cells"][0]["n"] == 100
-        with open(path, newline="") as fh:
-            assert manifest["checksum"] == checksum(fh.read())
+        with open(path, "rb") as fh:
+            body = fh.read()
+        assert manifest["checksum"] == checksum(body)
+        header, *rows = [line.split(",") for line in body.decode().split("\r\n")[:-1]]
+        assert manifest["columns"] == header == CSV_COLUMNS
+        assert [[str(c[key]) for key in ("d1", "d2", "k", "n", "n_npt")]
+                for c in manifest["cells"]] == [row[:5] for row in rows]
+
+    def test_corrupt_csv_means_recompute_and_orphan(self, tmp_path):
+        config, path = self._write(tmp_path)
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfebad")  # not UTF-8
+        assert not results_current(str(tmp_path), "cell", config)
+        assert find_orphans(str(tmp_path)) == ["cell.csv"]
+
+    def test_manifest_without_columns_not_current(self, tmp_path):
+        # the manifest format before it recorded the columns
+        config, path = self._write(tmp_path)
+        assert results_current(str(tmp_path), "cell", config)
+        manifest_path = tmp_path / "cell.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["columns"]
+        manifest_path.write_text(json.dumps(manifest))
+        assert not results_current(str(tmp_path), "cell", config)
 
     def test_results_current_and_resume(self, tmp_path):
         config, path = self._write(tmp_path)
