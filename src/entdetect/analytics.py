@@ -9,7 +9,7 @@ are different statements.
 import math
 from dataclasses import dataclass, field
 
-from .criteria import CRITERIA, EPS
+from .criteria import CRITERIA, EPS, check_eps
 from .linalg import check_dims
 from .sampling import check_cell
 
@@ -40,6 +40,8 @@ def aggregate(records, cell, eps=EPS):
     denominator; means use exact (fsum) accumulation so the result is
     independent of record order and of shard merging.
     """
+    check_eps(eps)
+    check_cell(*cell)
     read = [(r.ln(eps), r.detected(eps)) for r in records]
     if not read:
         raise ValueError("cannot aggregate an empty record list")

@@ -102,9 +102,12 @@ def _run_and_write(name, cells, args, extra=None):
 
     t0 = time.perf_counter()
     stats = run_sweep(config)
-    path = write_results(
-        args.out, name, stats, config, columns, extra, wall_s=time.perf_counter() - t0
-    )
+    try:
+        path = write_results(
+            args.out, name, stats, config, columns, extra, wall_s=time.perf_counter() - t0
+        )
+    except OSError as exc:
+        raise SystemExit(f"--out {args.out}: {exc.strerror}")
     print(f"{name}: wrote {path}")
     return path
 

@@ -1,19 +1,19 @@
 """Batch Monte Carlo driver and persistence.
 
 run_sweep is the one sweep loop. Each (d1, d2, k) cell is split into
-blocks of 256 trials; with more than one worker, every block of every
-cell is submitted, in cell order and block order, to one process pool
-per sweep. A cell's records are concatenated in block order and
-aggregated at the configuration's eps as soon as its last block is back,
-then dropped, so a sweep holds about one cell's records at a time.
+blocks of sampling.BLOCK_SIZE trials; with more than one worker, every
+block of every cell is submitted, in cell order and block order, to one
+process pool per sweep. A cell's records are concatenated in block order
+and aggregated at the configuration's eps as soon as its last block is
+back, then dropped, so a sweep holds about one cell's records at a time.
 run_cell is the one-cell case: it returns evaluate_state's own records,
 in trial order; a record holds no eps and no cell, so its caller passes
 both to aggregate. Trial indices are assigned globally from the
 configuration, and every trial owns its own RNG stream, so the emitted
 numbers are identical for any worker count. A block draws its states
-through sampling.sample_states, which seeds the block's streams in one
-pass and builds the states a chunk at a time as one stack; each state is
-still evaluated on its own, by one evaluate_state call.
+through sampling.sample_states, whose one seeding pass covers the whole
+block, and which builds the states a chunk at a time as one stack; each
+state is still evaluated on its own, by one evaluate_state call.
 
 This module alone defines the result files. write_results turns a
 sweep's SweepStats into a CSV, one row per cell, and writes it next to a
@@ -41,11 +41,9 @@ import numpy as np
 from . import __version__
 from .criteria import CRITERIA, EPS, check_eps, evaluate_state
 from .analytics import aggregate
-from .sampling import check_cell, check_samples, check_seed, sample_states
+from .sampling import BLOCK_SIZE, check_cell, check_samples, check_seed, sample_states
 # Unused here, but benchmarks/layers.py traces this name on this module.
 from .sampling import sample_reduced_state  # noqa: F401
-
-BLOCK_SIZE = 256
 
 # The cell and its counts: the CSV columns that the manifest's cells repeat.
 CELL_FIELDS = ("d1", "d2", "k", "n", "n_npt")

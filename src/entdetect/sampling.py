@@ -11,26 +11,25 @@ word size. Gaussians are drawn with a fixed transform: one
 ``standard_normal`` call for all real parts followed by one for all
 imaginary parts.
 
-sample_states computes those streams a block of trials at a time rather
-than building a SeedSequence per trial. It runs SeedSequence's entropy
-assembly, ``mix_entropy`` hash and ``generate_state(4, uint64)`` (numpy's
-``bit_generator.pyx``) over all of the block's trial indices at once in
-uint32 arrays; the words that depend only on the seed and the cell are
-mixed once per block. Each trial's PCG64 state then follows from PCG64's
-seeding step, two 128-bit LCG steps (O'Neill 2014), and is assigned to
-one reused PCG64 before its draw. The trials are drawn and built a chunk
-at a time: each trial's draws fill one row of the chunk's array, and the
-chunk's unit vectors, its ``A A^dag`` products and their checks and
-symmetrization are each one stacked pass. A chunk holds as many density
-matrices as fit in CHUNK_ENTRIES complex entries, so its memory does not
-grow with the block. numpy's own SeedSequence is still used for the
-redraw sub-stream of a zero draw (spawn key ending in 1), for trial
-indices of 2**32 and above (whose keys are two words long), for a range
-with fewer than two trials below 2**32, and as a guard: the first
-computed state of every block is compared with numpy's, and a mismatch,
-as a numpy that changed these internals would give, raises RuntimeError
-before any state of the block is yielded. Every trial, a lone one
-included, is drawn through the reused PCG64.
+sample_states seeds those streams a block of BLOCK_SIZE trials at a time
+rather than building a SeedSequence per trial. It runs SeedSequence's
+entropy assembly, ``mix_entropy`` hash and ``generate_state(4, uint64)``
+(numpy's ``bit_generator.pyx``) over all of the block's trial indices at
+once in uint32 arrays; the words that depend only on the seed and the
+cell are mixed once per block. Each trial's PCG64 state then follows from
+PCG64's seeding step, two 128-bit LCG steps (O'Neill 2014). The block is
+drawn and built a chunk at a time: each trial's state is assigned to one
+reused PCG64 right before its draws fill one row of the chunk's array,
+and the chunk's unit vectors, its ``A A^dag`` products and their checks
+and symmetrization are each one stacked pass. A chunk holds as many
+density matrices as fit in CHUNK_ENTRIES complex entries, so its memory
+does not grow with the block. numpy's own SeedSequence seeds only the
+redraw sub-stream of a zero draw (spawn key ending in 1) and trial
+indices of 2**32 and above (whose keys are two words long). It is also
+the guard: the first hashed state of every block, a lone trial's
+included, is compared with numpy's, and a mismatch, as a numpy that
+changed these internals would give, raises RuntimeError before any state
+of the block is yielded.
 
 A trial is named by its plain arguments ``(d1, d2, k, master_seed,
 trial_index)``, checked by check_cell and check_seed, and
@@ -44,8 +43,9 @@ from .linalg import DensityMatrix, check_dims
 
 RANK_TOL = 1e-10
 
-# Trials seeded and guarded per pass of sample_states.
-STREAM_BLOCK = 256
+# Trials seeded and guarded per pass of sample_states, and per block of a
+# sweep.
+BLOCK_SIZE = 256
 # Complex entries in one chunk's stack of density matrices (64 KB). It
 # bounds the chunk's temporaries: a 2x5 sweep's peak RSS grows by
 # ~0.15-0.5 MB at 2**12 and by ~2 MB at 2**14, for no more speed on small
@@ -157,13 +157,9 @@ def _stream_states(d1, d2, k, master_seed, start, stop):
     """PCG64 state dicts of trials ``start .. stop - 1`` (redraw 0).
 
     Trials below 2**32 are hashed together, and the first hashed state is
-    checked against numpy's own seeding; the rest are seeded by numpy. So
-    is a range with fewer than two trials below 2**32, whose check would
-    compute its one state anyway.
+    checked against numpy's own seeding; the rest are seeded by numpy.
     """
     split = min(max(start, 2 ** 32), stop)
-    if split - start < 2:
-        split = start
     states = []
     if start < split:
         trials = np.arange(start, split, dtype=np.uint32)
@@ -181,19 +177,6 @@ def _stream_states(d1, d2, k, master_seed, start, stop):
     return states
 
 
-def _streams(d1, d2, k, master_seed, start, stop):
-    """Yield the Generator of each trial ``start .. stop - 1`` in turn: one
-    reused PCG64, set to each trial's state before it is yielded, so each
-    must be drawn from before the next is taken.
-    """
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for lo in range(start, stop, STREAM_BLOCK):
-        for state in _stream_states(d1, d2, k, master_seed, lo, min(lo + STREAM_BLOCK, stop)):
-            bitgen.state = state
-            yield rng
-
-
 def _chunk_size(d1, d2):
     """Trials per chunk: as many ``(d1*d2)^2`` density matrices as fit in
     CHUNK_ENTRIES complex entries, and at least one."""
@@ -203,7 +186,8 @@ def _chunk_size(d1, d2):
 def _unit_vectors(d1, d2, k, master_seed, start, stop):
     """Yield the Haar-uniform unit vectors on C^(d1*d2*k) of trials
     ``start .. stop - 1``, in trial order, as the rows of one ``(B,
-    d1*d2*k)`` array per chunk of ``_chunk_size(d1, d2)`` trials.
+    d1*d2*k)`` array per chunk: each block of BLOCK_SIZE trials is cut
+    into chunks of ``_chunk_size(d1, d2)`` trials, its last one short.
 
     A numerically zero draw (probability zero) triggers exactly one
     re-draw from the trial's sub-stream with spawn key ending in 1; a
@@ -215,25 +199,29 @@ def _unit_vectors(d1, d2, k, master_seed, start, stop):
         raise ValueError(f"trial index must be non-negative, got {start!r}")
     n = d1 * d2 * k
     size = _chunk_size(d1, d2)
-    streams = _streams(d1, d2, k, master_seed, start, stop)
-    for lo in range(start, stop, size):
-        x = np.empty((min(size, stop - lo), 2, n))
-        # x first, so zip takes no stream past the chunk's last row
-        for row, rng in zip(x, streams):
-            rng.standard_normal(out=row[0])
-            rng.standard_normal(out=row[1])
-        v = x[:, 0] + 1j * x[:, 1]
-        norms = np.empty(len(v))
-        for b in range(len(v)):
-            # one norm per row: the 1-D call gives the 1-D draw's bits
-            norms[b] = np.linalg.norm(v[b])
-            if not norms[b] > 0:
-                rng = _numpy_rng(master_seed, (d1, d2, k, lo + b, 1))
-                v[b] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for block in range(start, stop, BLOCK_SIZE):
+        states = _stream_states(d1, d2, k, master_seed, block, min(block + BLOCK_SIZE, stop))
+        for lo in range(0, len(states), size):
+            chunk = states[lo:lo + size]
+            x = np.empty((len(chunk), 2, n))
+            for row, state in zip(x, chunk):
+                bitgen.state = state
+                rng.standard_normal(out=row[0])
+                rng.standard_normal(out=row[1])
+            v = x[:, 0] + 1j * x[:, 1]
+            norms = np.empty(len(v))
+            for b in range(len(v)):
+                # one norm per row: the 1-D call gives the 1-D draw's bits
                 norms[b] = np.linalg.norm(v[b])
                 if not norms[b] > 0:
-                    raise RuntimeError("drew a zero vector twice; RNG is broken")
-        yield v / norms[:, None]
+                    redraw = _numpy_rng(master_seed, (d1, d2, k, block + lo + b, 1))
+                    v[b] = redraw.standard_normal(n) + 1j * redraw.standard_normal(n)
+                    norms[b] = np.linalg.norm(v[b])
+                    if not norms[b] > 0:
+                        raise RuntimeError("drew a zero vector twice; RNG is broken")
+            yield v / norms[:, None]
 
 
 def sample_states(d1, d2, k, master_seed, start, stop):

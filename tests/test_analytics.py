@@ -35,6 +35,14 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([], CELL)
 
+    @pytest.mark.parametrize(
+        "eps, cell", [(math.nan, CELL), (-1.0, CELL), (1e-10, (2, 5, 99))],
+        ids=["eps-nan", "eps-negative", "rank-past-d1d2"],
+    )
+    def test_rejects_bad_eps_and_cell(self, eps, cell):
+        with pytest.raises(ValueError):
+            aggregate([all_detected(2.0)], cell, eps)
+
     def test_all_detected_fraction_one(self):
         stats = aggregate([all_detected(2.0), all_detected(4.0)], CELL)
         assert (stats.d1, stats.d2, stats.k) == CELL

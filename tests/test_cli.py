@@ -392,6 +392,17 @@ def test_out_under_a_file_is_one_line_error(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_failed_write_is_one_line_error(tmp_path, capsys):
+    # The sweep runs, then the CSV cannot replace the directory in its place.
+    out = str(tmp_path / "runs")
+    os.makedirs(os.path.join(out, "scan_rank_2x3.csv"))
+    with pytest.raises(SystemExit) as exc:
+        main(SCAN + ["--out", out])
+    message = exc.value.code
+    assert isinstance(message, str) and out in message and "\n" not in message
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # sha256 of whole CSV bodies: a change to sampling, the criteria,
 # aggregation or the CSV format, down to the last printed digit, shows here.
 GOLDEN = {

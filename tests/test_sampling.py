@@ -224,6 +224,9 @@ class TestStreams:
         states = sample_states(2, 5, 6, 42, 0, 256)
         with pytest.raises(RuntimeError, match="disagrees"):
             next(states)
+        # a lone trial is hashed and guarded too
+        with pytest.raises(RuntimeError, match="disagrees"):
+            sample_reduced_state(2, 5, 6, 42, 7)
 
     def test_rejects_bad_cell(self):
         with pytest.raises(ValueError):
@@ -286,8 +289,8 @@ def test_chunk_size_caps_entries():
 @pytest.mark.parametrize(
     "cell, start, stop",
     [
-        # chunks [240, 280) and [277, 317) straddle the stream blocks'
-        # edges at 256 and 293
+        # each run crosses a block edge (256 from start 0, 293 from start
+        # 37), and the block's last chunk is short
         ((2, 5, 6), 0, 300),
         ((2, 5, 6), 37, 421),
         ((3, 4, 12), 27, 60),
