@@ -68,13 +68,20 @@ def aggregate(records, cell, eps=EPS):
     return SweepStats(d1, d2, k, len(read), n_npt, per)
 
 
+def _page_entropy(a, b):
+    """Page's exact mean entropy (natural log) of either side of a
+    Haar-random pure state on a (x) b: sum_{j=n+1}^{mn} 1/j - (m-1)/(2n),
+    with m the smaller and n the larger dimension (Page 1993, Sen 1996)."""
+    m, n = sorted((a, b))
+    return math.fsum(1.0 / j for j in range(n + 1, m * n + 1)) - (m - 1) / (2.0 * n)
+
+
 def page_entropies(d1, d2, k):
-    """Haar-average subsystem entropies (natural log) for rank-k states."""
+    """Haar-average entropies (natural log) of rho_1, rho_2 and rho for
+    rank-k states: each is one side of the pure state on d1 (x) d2 (x) k,
+    cut between that system and the rest."""
     check_cell(d1, d2, k)
-    s1 = math.log(d1) - d1 / (2.0 * d2 * k)
-    s2 = math.log(d2) - d2 / (2.0 * d1 * k)
-    s12 = math.log(k) - k / (2.0 * d1 * d2)
-    return s1, s2, s12
+    return _page_entropy(d1, d2 * k), _page_entropy(d2, d1 * k), _page_entropy(d1 * d2, k)
 
 
 def average_purity(d1, d2, k):

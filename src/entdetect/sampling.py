@@ -7,9 +7,11 @@ amplitudes, normalized) and tracing out the k-dimensional third system.
 Every trial owns the stream ``default_rng(SeedSequence(master_seed,
 spawn_key=(d1, d2, k, trial_index, 0)))``, so every trial is
 reproducible independently of scheduling, worker count, and platform
-word size. Gaussians are drawn with a fixed transform: one
-``standard_normal`` call for all real parts followed by one for all
-imaginary parts.
+word size. Trial indices lie below 2**32, so each is one word of the
+spawn key. A trial's Gaussians are one ``standard_normal`` call of 2n
+numbers: the first n are the real parts, the last n the imaginary parts.
+A draw whose norm is not positive (an event of probability zero) raises
+RuntimeError.
 
 sample_states seeds those streams a block of BLOCK_SIZE trials at a time
 rather than building a SeedSequence per trial. It runs SeedSequence's
@@ -19,17 +21,15 @@ once in uint32 arrays; the words that depend only on the seed and the
 cell are mixed once per block. Each trial's PCG64 state then follows from
 PCG64's seeding step, two 128-bit LCG steps (O'Neill 2014). The block is
 drawn and built a chunk at a time: each trial's state is assigned to one
-reused PCG64 right before its draws fill one row of the chunk's array,
+reused PCG64 right before its draw fills one row of the chunk's array,
 and the chunk's unit vectors, its ``A A^dag`` products and their checks
 and symmetrization are each one stacked pass. A chunk holds as many
 density matrices as fit in CHUNK_ENTRIES complex entries, so its memory
-does not grow with the block. numpy's own SeedSequence seeds only the
-redraw sub-stream of a zero draw (spawn key ending in 1) and trial
-indices of 2**32 and above (whose keys are two words long). It is also
-the guard: the first hashed state of every block, a lone trial's
-included, is compared with numpy's, and a mismatch, as a numpy that
-changed these internals would give, raises RuntimeError before any state
-of the block is yielded.
+does not grow with the block. numpy's own SeedSequence is only the
+guard: the first hashed state of every block, a lone trial's included,
+is compared with numpy's, and a mismatch, as a numpy that changed these
+internals would give, raises RuntimeError before any state of the block
+is yielded.
 
 A trial is named by its plain arguments ``(d1, d2, k, master_seed,
 trial_index)``, checked by check_cell and check_seed, and
@@ -46,6 +46,8 @@ RANK_TOL = 1e-10
 # Trials seeded and guarded per pass of sample_states, and per block of a
 # sweep.
 BLOCK_SIZE = 256
+# Trial indices lie below this, so each is one word of the spawn key.
+MAX_TRIALS = 2 ** 32
 # Complex entries in one chunk's stack of density matrices (64 KB). It
 # bounds the chunk's temporaries: a 2x5 sweep's peak RSS grows by
 # ~0.15-0.5 MB at 2**12 and by ~2 MB at 2**14, for no more speed on small
@@ -80,9 +82,9 @@ def check_seed(master_seed):
 
 
 def check_samples(n):
-    """Reject a sample count below 1."""
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {n!r}")
+    """Reject a sample count below 1 or above MAX_TRIALS."""
+    if not 1 <= n <= MAX_TRIALS:
+        raise ValueError(f"sample count must lie in [1, 2**32], got {n!r}")
 
 
 def _words(x):
@@ -147,33 +149,21 @@ def _pcg64_state(seed_hi, seed_lo, inc_hi, inc_lo):
             "has_uint32": 0, "uinteger": 0}
 
 
-def _numpy_rng(master_seed, key):
-    """``default_rng(SeedSequence(master_seed, spawn_key=key))``, seeded by
-    numpy itself."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
-
-
 def _stream_states(d1, d2, k, master_seed, start, stop):
-    """PCG64 state dicts of trials ``start .. stop - 1`` (redraw 0).
-
-    Trials below 2**32 are hashed together, and the first hashed state is
-    checked against numpy's own seeding; the rest are seeded by numpy.
-    """
-    split = min(max(start, 2 ** 32), stop)
-    states = []
-    if start < split:
-        trials = np.arange(start, split, dtype=np.uint32)
-        seed_words = (_words(master_seed) + [0] * _POOL_SIZE)[:_POOL_SIZE]
-        pool = _mix_entropy(seed_words + _words(d1) + _words(d2) + _words(k) + [trials, 0])
-        words = [w.tolist() for w in _generate_state(pool)]
-        states = [_pcg64_state(*w) for w in zip(*words)]
-        if states[0] != _numpy_rng(master_seed, (d1, d2, k, start, 0)).bit_generator.state:
-            raise RuntimeError(
-                "vectorised SeedSequence seeding disagrees with numpy's own; "
-                "numpy's SeedSequence or PCG64 seeding has changed"
-            )
-    states += [_numpy_rng(master_seed, (d1, d2, k, t, 0)).bit_generator.state
-               for t in range(split, stop)]
+    """PCG64 state dicts of trials ``start .. stop - 1``, all below
+    MAX_TRIALS, hashed in one pass; the first is checked against numpy's
+    own seeding."""
+    trials = np.arange(start, stop, dtype=np.uint32)
+    seed_words = (_words(master_seed) + [0] * _POOL_SIZE)[:_POOL_SIZE]
+    pool = _mix_entropy(seed_words + _words(d1) + _words(d2) + _words(k) + [trials, 0])
+    words = [w.tolist() for w in _generate_state(pool)]
+    states = [_pcg64_state(*w) for w in zip(*words)]
+    reference = np.random.SeedSequence(master_seed, spawn_key=(d1, d2, k, start, 0))
+    if states[0] != np.random.PCG64(reference).state:
+        raise RuntimeError(
+            "vectorised SeedSequence seeding disagrees with numpy's own; "
+            "numpy's SeedSequence or PCG64 seeding has changed"
+        )
     return states
 
 
@@ -188,15 +178,13 @@ def _unit_vectors(d1, d2, k, master_seed, start, stop):
     ``start .. stop - 1``, in trial order, as the rows of one ``(B,
     d1*d2*k)`` array per chunk: each block of BLOCK_SIZE trials is cut
     into chunks of ``_chunk_size(d1, d2)`` trials, its last one short.
-
-    A numerically zero draw (probability zero) triggers exactly one
-    re-draw from the trial's sub-stream with spawn key ending in 1; a
-    second failure is an error.
     """
     check_cell(d1, d2, k)
     check_seed(master_seed)
     if start < 0:
         raise ValueError(f"trial index must be non-negative, got {start!r}")
+    if stop > MAX_TRIALS:
+        raise ValueError(f"trial indices must lie below 2**32, got stop={stop!r}")
     n = d1 * d2 * k
     size = _chunk_size(d1, d2)
     bitgen = np.random.PCG64(0)
@@ -205,22 +193,15 @@ def _unit_vectors(d1, d2, k, master_seed, start, stop):
         states = _stream_states(d1, d2, k, master_seed, block, min(block + BLOCK_SIZE, stop))
         for lo in range(0, len(states), size):
             chunk = states[lo:lo + size]
-            x = np.empty((len(chunk), 2, n))
+            x = np.empty((len(chunk), 2 * n))
             for row, state in zip(x, chunk):
                 bitgen.state = state
-                rng.standard_normal(out=row[0])
-                rng.standard_normal(out=row[1])
-            v = x[:, 0] + 1j * x[:, 1]
-            norms = np.empty(len(v))
-            for b in range(len(v)):
-                # one norm per row: the 1-D call gives the 1-D draw's bits
-                norms[b] = np.linalg.norm(v[b])
-                if not norms[b] > 0:
-                    redraw = _numpy_rng(master_seed, (d1, d2, k, block + lo + b, 1))
-                    v[b] = redraw.standard_normal(n) + 1j * redraw.standard_normal(n)
-                    norms[b] = np.linalg.norm(v[b])
-                    if not norms[b] > 0:
-                        raise RuntimeError("drew a zero vector twice; RNG is broken")
+                rng.standard_normal(out=row)
+            v = x[:, :n] + 1j * x[:, n:]
+            # one norm per row: the 1-D call gives the 1-D draw's bits
+            norms = np.array([np.linalg.norm(row) for row in v])
+            if not (norms > 0).all():
+                raise RuntimeError("drew a zero vector; the RNG is broken")
             yield v / norms[:, None]
 
 

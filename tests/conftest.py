@@ -60,26 +60,22 @@ def random_state(d1, d2, k, seed=0, trial=0):
     return sample_reduced_state(d1, d2, k, seed, trial)
 
 
-def reference_stream(d1, d2, k, master_seed, trial, redraw=0):
-    """numpy's own Generator for one trial's stream (or its redraw
-    sub-stream), the contract the sampler's seeding must reproduce."""
-    key = (d1, d2, k, trial, redraw)
+def reference_stream(d1, d2, k, master_seed, trial):
+    """numpy's own Generator for one trial's stream, the contract the
+    sampler's seeding must reproduce."""
+    key = (d1, d2, k, trial, 0)
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
 def reference_state(d1, d2, k, master_seed, trial):
     """Reference for the sampler: one trial drawn with SeedSequence and
-    default_rng directly, one re-draw from the redraw sub-stream after a
-    zero draw, then rho = A A^dag of the normalized vector."""
+    default_rng directly, its real parts then its imaginary parts, then
+    rho = A A^dag of the normalized vector."""
     n = d1 * d2 * k
-    for redraw in (0, 1):
-        rng = reference_stream(d1, d2, k, master_seed, trial, redraw)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        norm = np.linalg.norm(v)
-        if norm > 0:
-            a = (v / norm).reshape(d1 * d2, k)
-            return DensityMatrix(a @ a.conj().T, d1, d2)
-    raise RuntimeError("drew a zero vector twice; RNG is broken")
+    rng = reference_stream(d1, d2, k, master_seed, trial)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    a = (v / np.linalg.norm(v)).reshape(d1 * d2, k)
+    return DensityMatrix(a @ a.conj().T, d1, d2)
 
 
 def haar_unitary(d, rng):

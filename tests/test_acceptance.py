@@ -171,7 +171,7 @@ def test_criterion_3_entropy_fails_above_rank_threshold(sweep_2x5, sweep_3x4):
 def test_criterion_4_page_purity_calibration():
     lines = []
     ok = True
-    for k in (4, 10):
+    for k in (2, 4, 10):
         entropies, purities = [], []
         for rho in sample_states(2, 5, k, SEED, 0, N_FULL):
             entropies.append(von_neumann_entropy(spectrum(rho.mat)))
@@ -180,7 +180,8 @@ def test_criterion_4_page_purity_calibration():
         pur_pred = average_purity(2, 5, k)
         ds = abs(np.mean(entropies) - s12_pred)
         dp = abs(np.mean(purities) - pur_pred)
-        ok &= ds <= 0.02 and dp <= 0.01
+        # Page's mean is exact: 0.01 is ~16 standard errors of S12 here
+        ok &= ds <= 0.01 and dp <= 0.01
         lines.append(f"k={k}: |dS12|={ds:.4f}, |dpurity|={dp:.4f}")
     _report(4, ok, "Haar-average entropy/purity match the formulas (" + "; ".join(lines) + ")")
 

@@ -153,10 +153,16 @@ class TestAggregate:
 
 class TestPageFormulas:
     def test_examples(self):
+        # Page's mean H(mn) - H(n) - (m-1)/(2n) over the cut m x n, m <= n:
+        # 2 x 50 for rho_1, 5 x 20 for rho_2, 10 x 10 for rho.
         s1, s2, s12 = page_entropies(2, 5, 10)
-        assert s12 == pytest.approx(math.log(10) - 0.5)
-        assert s1 == pytest.approx(math.log(2) - 0.02)
-        assert s2 == pytest.approx(math.log(5) - 5 / 40)
+        assert (s1, s2, s12) == pytest.approx((0.678172179, 1.489637860, 1.808409264), abs=1e-9)
+
+    def test_pure_states(self):
+        # k = 1: rho is pure, and its marginals share one spectrum
+        s1, s2, s12 = page_entropies(2, 8, 1)
+        assert s12 == 0.0
+        assert s1 == s2 == pytest.approx(0.600372, abs=1e-6)
 
     def test_symmetric_dims(self):
         for k in range(1, 10):

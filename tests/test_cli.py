@@ -369,6 +369,8 @@ SCAN = ["scan-rank", "--d1", "2", "--d2", "3", "--k", "2", "--samples", "5"]
     ["verify", "--samples", "12", "--seed", "-1"],
     ["verify", "--samples", "0"],
     ["verify", "--samples", "-5"],
+    ["verify", "--samples", "99999999999999999999"],
+    SCAN[:-1] + ["99999999999999999999", "--workers", "2"],
     SCAN + ["--criteria", "pt,pt"],
     SCAN + ["--criteria", "pt,,entropy"],
 ], ids=" ".join)

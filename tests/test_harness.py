@@ -215,6 +215,15 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             run_cell(2, 3, 2, 0, 0)
 
+    def test_rejects_samples_past_2_32(self):
+        # trial indices lie below 2**32; a larger count fails before any
+        # block is listed
+        SweepConfig(cells=((2, 3, 2),), samples_per_cell=2 ** 32, master_seed=0)
+        with pytest.raises(ValueError, match="sample count"):
+            SweepConfig(cells=((2, 3, 2),), samples_per_cell=2 ** 32 + 1, master_seed=0)
+        with pytest.raises(ValueError, match="sample count"):
+            run_cell(2, 3, 2, 10 ** 20, 0)
+
     @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
     def test_rejects_bad_eps(self, eps):
         with pytest.raises(ValueError, match="eps"):

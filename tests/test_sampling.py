@@ -19,7 +19,7 @@ from entdetect.analytics import (
     realignment_rank_bound,
 )
 from entdetect.harness import SweepConfig, run_cell
-from entdetect.linalg import von_neumann_entropy
+from entdetect.linalg import partial_trace, von_neumann_entropy
 from conftest import (
     bell_state,
     haar_unitary,
@@ -55,6 +55,11 @@ class TestTrialIdentity:
     def test_rejects_seed_past_64_bits(self):
         self._rejects(2, 3, 2, 2 ** 64, 0)
         self._rejects(2, 3, 2, -1, 0)
+
+    def test_rejects_trials_past_2_32(self):
+        with pytest.raises(ValueError) as exc:
+            next(sample_states(2, 3, 2, 0, 2 ** 32 - 1, 2 ** 32 + 1))
+        assert "\n" not in str(exc.value)
 
 
 @pytest.mark.parametrize("cell", [(1, 5, 2), (5, 1, 2), (2, 5, 0), (2, 5, 11)])
@@ -140,8 +145,22 @@ class TestReducedState:
             von_neumann_entropy(spectrum(rho.mat)) for rho in sample_states(2, 5, 10, 23, 0, n)
         ]
         _, _, s12 = page_entropies(2, 5, 10)
-        assert s12 == pytest.approx(np.log(10) - 0.5)
+        # Page's exact mean, H(100) - H(10) - 9/20
+        assert s12 == pytest.approx(1.808409, abs=1e-6)
         assert np.mean(vals) == pytest.approx(s12, abs=0.02)
+
+    @pytest.mark.parametrize("cell", [(2, 8, 1), (2, 5, 2)])
+    def test_mean_marginal_entropies_match_page(self, cell):
+        # S1, S2 and S12 each within 4 standard errors of their Monte Carlo
+        # means; at k = 1 the marginals share one spectrum and S12 is 0.
+        n = 2000
+        vals = np.array([
+            [von_neumann_entropy(spectrum(m))
+             for m in (partial_trace(rho, 2), partial_trace(rho, 1), rho.mat)]
+            for rho in sample_states(*cell, 61, 0, n)
+        ])
+        se = vals.std(axis=0) / np.sqrt(n)
+        assert np.all(np.abs(vals.mean(axis=0) - page_entropies(*cell)) <= 4 * se + 1e-9)
 
     def test_local_unitary_invariance_of_ln_distribution(self):
         # Two-sample comparison: LN of raw samples vs rotated samples.
@@ -179,9 +198,9 @@ class TestIsNpt:
 
 STREAM_SEEDS = (0, 1, 42, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
 STREAM_CELLS = ((2, 2, 1), (2, 5, 6), (6, 6, 36))
-# Blocks covering trials 0, 1, 255, 256 (all hashed) and 2**32 - 1 (hashed),
-# 2**32, 2**32 + 1 (two-word keys, seeded by numpy) in one block spanning 2**32.
-STREAM_BLOCKS = ((0, 257), (2 ** 32 - 2, 2 ** 32 + 2))
+# Blocks covering trials 0, 1, 255, 256 and the last 257 trials below
+# 2**32, up to the last one, 2**32 - 1.
+STREAM_BLOCKS = ((0, 257), (2 ** 32 - 257, 2 ** 32))
 
 
 class TestStreams:
@@ -211,7 +230,7 @@ class TestStreams:
             np.int64(2), np.int64(5), np.int64(6), np.uint64(seed), 0, 4
         ) == sampling._stream_states(2, 5, 6, seed, 0, 4)
 
-    def test_block_spanning_two_word_trials_matches_reference(self):
+    def test_last_trials_below_2_32_match_reference(self):
         start, stop = STREAM_BLOCKS[1]
         for trial, rho in zip(range(start, stop), sample_states(2, 5, 6, 42, start, stop)):
             assert np.array_equal(rho.mat, reference_state(2, 5, 6, 42, trial).mat)
@@ -233,51 +252,20 @@ class TestStreams:
             next(sample_states(2, 5, 11, 42, 0, 3))
 
 
-class TestRedraw:
-    """A zero first draw is replaced by the trial's (d1, d2, k, t, 1)
-    sub-stream; a second zero is an error."""
-
-    CELL, SEED, TRIAL = (2, 5, 6), 42, 300
-
-    def _vector(self, redraw):
-        n = int(np.prod(self.CELL))
-        rng = reference_stream(*self.CELL, self.SEED, self.TRIAL, redraw)
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-    def _zero_norm_of(self, monkeypatch, *redraws):
-        """Make the norm the sampler takes read 0 for the trial's draws from
-        the listed sub-streams, and be exact elsewhere."""
-        zeros = [self._vector(r) for r in redraws]
-        norm = np.linalg.norm
-        monkeypatch.setattr(
-            np.linalg, "norm",
-            lambda v: 0.0 if any(np.array_equal(v, z) for z in zeros) else norm(v),
-        )
-        return norm
-
-    def test_block_redraws_only_that_trial(self, monkeypatch):
-        norm = self._zero_norm_of(monkeypatch, 0)
-        v = self._vector(1)
-        a = (v / norm(v)).reshape(10, 6)
-        redrawn = DensityMatrix(a @ a.conj().T, 2, 5)
-        start, stop = self.TRIAL - 2, self.TRIAL + 3
-        states = sample_states(*self.CELL, self.SEED, start, stop)
-        for trial, rho in zip(range(start, stop), states):
-            ref = redrawn if trial == self.TRIAL else reference_state(*self.CELL, self.SEED, trial)
-            assert np.array_equal(rho.mat, ref.mat)
-
-    def test_single_trial_redraws(self, monkeypatch):
-        norm = self._zero_norm_of(monkeypatch, 0)
-        v = self._vector(1)
-        psi = sample_tripartite_pure(*self.CELL, self.SEED, self.TRIAL)
-        assert np.array_equal(psi, v / norm(v))
-
-    def test_second_zero_raises(self, monkeypatch):
-        self._zero_norm_of(monkeypatch, 0, 1)
-        with pytest.raises(RuntimeError, match="twice"):
-            list(sample_states(*self.CELL, self.SEED, self.TRIAL - 2, self.TRIAL + 3))
-        with pytest.raises(RuntimeError, match="twice"):
-            sample_tripartite_pure(*self.CELL, self.SEED, self.TRIAL)
+def test_zero_draw_raises(monkeypatch):
+    """A draw whose norm is not positive (probability zero) is an error, in a
+    block and for a lone trial."""
+    cell, seed, trial = (2, 5, 6), 42, 300
+    rng = reference_stream(*cell, seed, trial)
+    zero = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    norm = np.linalg.norm
+    monkeypatch.setattr(
+        np.linalg, "norm", lambda v: 0.0 if np.array_equal(v, zero) else norm(v)
+    )
+    with pytest.raises(RuntimeError, match="zero vector"):
+        list(sample_states(*cell, seed, trial - 2, trial + 3))
+    with pytest.raises(RuntimeError, match="zero vector"):
+        sample_tripartite_pure(*cell, seed, trial)
 
 
 def test_chunk_size_caps_entries():

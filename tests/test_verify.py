@@ -64,6 +64,11 @@ def test_run_checks_rejects_a_sample_count_below_one(samples):
         run_checks(samples=samples)
 
 
+def test_run_checks_rejects_a_sample_count_past_2_32():
+    with pytest.raises(ValueError, match="sample count"):
+        run_checks(samples=2 ** 32 + 1)
+
+
 @pytest.mark.parametrize("samples", [5, 13])
 def test_run_checks_checks_exactly_the_sample_count(samples, monkeypatch):
     # 12 cells: 5 gives seven cells no state, 13 gives the first cell two
