@@ -21,7 +21,6 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .sampling import (
-    numerical_rank,
     sample_reduced_state,
     sample_states,
     sample_tripartite_pure,

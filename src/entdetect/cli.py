@@ -4,7 +4,8 @@ Flags can be pre-loaded from a JSON config file (--config); explicit
 flags always win. The worker count comes from --workers (or its --config
 entry) alone. Sweeps run through harness.run_sweep, and
 harness.write_results writes and harness.results_current checks their
-result files. verify takes --samples, --seed and --eps only.
+result files. verify takes --samples, --seed and --eps only. A reader
+that closes stdout early ends a command with status 1 and no traceback.
 """
 
 import argparse
@@ -58,8 +59,6 @@ def _require(args, *names):
 
 def _workers(args):
     value = args.workers
-    if value is None:
-        return 1
     if value == "auto":
         return usable_cpu_count()
     if not value.strip().isdecimal() or int(value) < 1:
@@ -80,9 +79,9 @@ def _criteria(args):
     return chosen
 
 
-def _run_and_write(name, cells, args, extra=None):
-    """Sweep ``cells`` and write <name>.csv; ``extra`` holds leading
-    columns with one value for every row."""
+def _run_and_write(name, cells, args, lead=()):
+    """Sweep ``cells`` and write <name>.csv; ``lead`` names columns of
+    harness.stats_row that go before the cell. Returns the exit status."""
     config = _checked(
         SweepConfig,
         cells=tuple(cells),
@@ -91,32 +90,30 @@ def _run_and_write(name, cells, args, extra=None):
         eps=args.eps,
         workers=_workers(args),
     )
-    columns = csv_columns(_criteria(args), extra=extra or ())
+    columns = [*lead, *csv_columns(_criteria(args))]
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise SystemExit(f"--out {args.out}: {exc.strerror}")
     if results_current(args.out, name, config, columns):
         print(f"{name}: results are current, skipping")
-        return os.path.join(args.out, name + ".csv")
+        return 0
 
     t0 = time.perf_counter()
     stats = run_sweep(config)
+    wall_s = time.perf_counter() - t0
     try:
-        path = write_results(
-            args.out, name, stats, config, columns, extra, wall_s=time.perf_counter() - t0
-        )
+        path = write_results(args.out, name, stats, config, columns, wall_s=wall_s)
     except OSError as exc:
         raise SystemExit(f"--out {args.out}: {exc.strerror}")
     print(f"{name}: wrote {path}")
-    return path
+    return 0
 
 
 def cmd_scan_rank(args):
     _require(args, "d1", "d2", "k")
     cells = [(args.d1, args.d2, k) for k in _parse_range(args.k)]
-    _run_and_write(f"scan_rank_{args.d1}x{args.d2}", cells, args)
-    return 0
+    return _run_and_write(f"scan_rank_{args.d1}x{args.d2}", cells, args)
 
 
 def cmd_scan_dim(args):
@@ -125,8 +122,7 @@ def cmd_scan_dim(args):
     if len(ks) != 1:
         raise SystemExit("scan-dim expects a single rank --k")
     cells = [(args.d1, d2, ks[0]) for d2 in _parse_range(args.d2)]
-    _run_and_write(f"scan_dim_d1{args.d1}_k{ks[0]}", cells, args)
-    return 0
+    return _run_and_write(f"scan_dim_d1{args.d1}_k{ks[0]}", cells, args)
 
 
 def cmd_asymmetry(args):
@@ -140,8 +136,7 @@ def cmd_asymmetry(args):
             f"d12={d12} does not admit two factorizations with both factors >= 2"
         )
     cells = [(d1, d2, k) for d1, d2 in factorizations for k in (2, d12)]
-    _run_and_write(f"asymmetry_{d12}", cells, args, extra={"d12": d12})
-    return 0
+    return _run_and_write(f"asymmetry_{d12}", cells, args, lead=("d12",))
 
 
 def cmd_bounds(args):
@@ -187,7 +182,7 @@ def _add_sweep_flags(sub):
     """The flags of scan-rank, scan-dim and asymmetry."""
     _add_run_flags(sub, samples_default=10000)
     sub.add_argument("--out", default="runs")
-    sub.add_argument("--workers", default=None, help="worker count or 'auto'")
+    sub.add_argument("--workers", default="1", help="worker count or 'auto'")
     sub.add_argument("--criteria", default=None,
                      help="comma-separated subset of criteria columns to emit")
 
@@ -265,7 +260,15 @@ def main(argv=None):
         # Parse again with the file's flags as defaults, so explicit
         # flags still override them.
         args = build_parser(_load_config(args.config, args)).parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (as `| head` does): stdout goes to
+        # devnull, so the interpreter's flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

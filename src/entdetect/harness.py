@@ -47,14 +47,15 @@ from .sampling import sample_reduced_state  # noqa: F401
 
 # The cell and its counts: the CSV columns that the manifest's cells repeat.
 CELL_FIELDS = ("d1", "d2", "k", "n", "n_npt")
+# Each criterion's CSV columns, <criterion>_<suffix>: suffix -> CriterionStats field.
+CRITERION_FIELDS = {
+    "F": "fraction", "F_stderr": "fraction_stderr", "M": "mean_ln", "m": "min_ln",
+}
 
 
-def csv_columns(criteria=CRITERIA, extra=()):
-    """CSV header: extra columns, the cell and counts, then per criterion
-    F, its stderr, M and m."""
-    return list(extra) + list(CELL_FIELDS) + [
-        f"{c}_{f}" for c in criteria for f in ("F", "F_stderr", "M", "m")
-    ]
+def csv_columns(criteria=CRITERIA):
+    """CSV header: the cell and counts, then each criterion's CRITERION_FIELDS."""
+    return [*CELL_FIELDS, *(f"{c}_{suffix}" for c in criteria for suffix in CRITERION_FIELDS)]
 
 
 CSV_COLUMNS = csv_columns()
@@ -181,17 +182,13 @@ def _fmt(x):
     return f"{x:.6g}"
 
 
-def stats_row(stats, extra=None):
-    row = {} if extra is None else dict(extra)
-    row.update(
-        d1=stats.d1, d2=stats.d2, k=stats.k, n=stats.n_total, n_npt=stats.n_npt
-    )
+def stats_row(stats):
+    """A cell's SweepStats by column: csv_columns() and d12 = d1 * d2."""
+    row = dict(d12=stats.d1 * stats.d2, d1=stats.d1, d2=stats.d2, k=stats.k,
+               n=stats.n_total, n_npt=stats.n_npt)
     for c in CRITERIA:
-        cs = stats.per_criterion[c]
-        row[f"{c}_F"] = cs.fraction
-        row[f"{c}_F_stderr"] = cs.fraction_stderr
-        row[f"{c}_M"] = cs.mean_ln
-        row[f"{c}_m"] = cs.min_ln
+        for suffix, field in CRITERION_FIELDS.items():
+            row[f"{c}_{suffix}"] = getattr(stats.per_criterion[c], field)
     return row
 
 
@@ -220,11 +217,10 @@ def _utc(seconds):
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(seconds))
 
 
-def write_results(out_dir, name, stats, config, columns=CSV_COLUMNS, extra=None, *,
-                  wall_s):
-    """Write the SweepStats ``stats`` as <name>.csv, one row per cell with
-    ``extra``'s values leading, and its manifest <name>.manifest.json,
-    each atomically.
+def write_results(out_dir, name, stats, config, columns=CSV_COLUMNS, *, wall_s):
+    """Write the SweepStats ``stats`` as <name>.csv, one stats_row per
+    cell restricted to ``columns``, and its manifest
+    <name>.manifest.json, each atomically.
 
     ``wall_s`` is the sweep's wall time: the manifest reports states/s
     from it and dates the start that long before the finish. Returns the
@@ -233,7 +229,7 @@ def write_results(out_dir, name, stats, config, columns=CSV_COLUMNS, extra=None,
     """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, name + ".csv")
-    rows = [stats_row(s, extra) for s in stats]
+    rows = [stats_row(s) for s in stats]
     body = render_csv(rows, columns).encode()
     finished = time.time()
     manifest = {

@@ -41,8 +41,6 @@ import numpy as np
 
 from .linalg import DensityMatrix, check_dims
 
-RANK_TOL = 1e-10
-
 # Trials seeded and guarded per pass of sample_states, and per block of a
 # sweep.
 BLOCK_SIZE = 256
@@ -223,8 +221,3 @@ def sample_tripartite_pure(d1, d2, k, master_seed, trial_index=0):
 def sample_reduced_state(d1, d2, k, master_seed, trial_index=0):
     """Rank-k bipartite mixed state of one trial."""
     return next(sample_states(d1, d2, k, master_seed, trial_index, trial_index + 1))
-
-
-def numerical_rank(rho):
-    """Number of eigenvalues above RANK_TOL."""
-    return int((np.linalg.eigvalsh(rho.mat) > RANK_TOL).sum())

@@ -17,9 +17,10 @@ import numpy as np
 
 from .criteria import CRITERIA, EPS, check_eps, evaluate_state
 from .linalg import partial_trace, partial_transpose, purity, realign
-from .sampling import check_samples, check_seed, numerical_rank, sample_states
+from .sampling import check_samples, check_seed, sample_states
 
 DEFAULT_GRID = ((2, 4), (2, 5), (3, 3), (3, 5))
+RANK_TOL = 1e-10
 
 PT, REDUCTION, REALIGNMENT = map(CRITERIA.index, ("pt", "reduction", "realignment"))
 
@@ -72,6 +73,11 @@ def _realign_frobenius_preserved(cell, rho, rec, eps):
     return 1e-12 - abs(np.linalg.norm(realign(rho)) - np.linalg.norm(rho.mat))
 
 
+def numerical_rank(rho):
+    """Number of eigenvalues above RANK_TOL."""
+    return int((np.linalg.eigvalsh(rho.mat) > RANK_TOL).sum())
+
+
 def _rank_ceiling(cell, rho, rec, eps):
     return cell[2] - numerical_rank(rho)
 
@@ -96,6 +102,7 @@ def _prop3_spectral_match(cell, rho, rec, eps):
 INVARIANTS = {
     "entropy_implies_majorization": _implies("entropy", "majorization"),
     "reduction_implies_pt": _implies("reduction", "pt"),
+    "majorization_implies_reduction": _implies("majorization", "reduction"),
     "ln_iff_pt": _ln_iff_pt,
     "realign_trace_norm_purity_bound": _realign_trace_norm_purity_bound,
     "pt_involution": _pt_involution,
@@ -107,7 +114,7 @@ INVARIANTS = {
 }
 
 
-def run_checks(samples=1000, master_seed=2024, eps=EPS):
+def run_checks(samples, master_seed, eps=EPS):
     """Fold INVARIANTS over ``samples`` states, split over ranks 2,
     ceil(n/2) and n of each DEFAULT_GRID cell, the first ``samples % 12``
     cells taking one state more; one CheckResult per invariant with its

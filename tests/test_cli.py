@@ -183,6 +183,22 @@ class TestBounds:
         main(["bounds", "--d1", "3", "--d2", "3"])
         assert "vacuous (equal dimensions)" in capsys.readouterr().out
 
+    def test_reader_closing_early_is_quiet(self):
+        # Unbuffered, every line is its own write, so the first write after
+        # the reader has gone fails: the 144 rank lines that follow the
+        # first line need the Page sums, which outlast closing the pipe.
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "entdetect.cli", "bounds", "--d1", "12", "--d2", "12"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"bounds for 12x12\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
+
 
 class TestVerify:
     def test_passes_on_default_run(self, capsys):

@@ -229,7 +229,7 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="eps"):
             SweepConfig(cells=((2, 3, 2),), samples_per_cell=1, master_seed=0, eps=eps)
         with pytest.raises(ValueError, match="eps"):
-            run_checks(samples=1, eps=eps)
+            run_checks(samples=1, master_seed=2024, eps=eps)
 
 
 class TestCsvRendering:
@@ -257,6 +257,12 @@ class TestCsvRendering:
     def test_rendering_deterministic(self):
         stats = self._stats()
         assert render_csv([stats_row(stats)]) == render_csv([stats_row(stats)])
+
+    def test_row_derives_d12_from_the_cell(self):
+        stats = aggregate(run_cell(3, 4, 2, 20, master_seed=9), (3, 4, 2))
+        row = stats_row(stats)
+        assert row["d12"] == stats.d1 * stats.d2 == 12
+        assert set(CSV_COLUMNS) <= set(row) and "d12" not in CSV_COLUMNS
 
 
 class TestPersistence:

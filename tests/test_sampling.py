@@ -4,7 +4,6 @@ import pytest
 from entdetect import (
     DensityMatrix,
     evaluate_state,
-    numerical_rank,
     purity,
     sample_reduced_state,
     sample_states,
@@ -20,6 +19,7 @@ from entdetect.analytics import (
 )
 from entdetect.harness import SweepConfig, run_cell
 from entdetect.linalg import partial_trace, von_neumann_entropy
+from entdetect.verify import numerical_rank
 from conftest import (
     bell_state,
     haar_unitary,

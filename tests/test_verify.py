@@ -36,6 +36,8 @@ def record(ln, *detected):
     ("prop3_verdict_agreement", record(0.0, "reduction"), False),
     ("prop3_verdict_agreement", record(0.5, "pt", "reduction"), True),
     ("prop3_verdict_agreement", record(0.0), True),
+    ("majorization_implies_reduction", record(0.5, "pt", "majorization"), False),
+    ("majorization_implies_reduction", record(0.5, "pt", "reduction", "majorization"), True),
 ])
 def test_verdict_invariant_margin_sign(name, rec, holds):
     margin = INVARIANTS[name](CELL, maximally_mixed(2, 3), rec, EPS)
@@ -61,12 +63,12 @@ def test_prop3_does_not_apply_beyond_qubit_qudit():
 @pytest.mark.parametrize("samples", [0, -5])
 def test_run_checks_rejects_a_sample_count_below_one(samples):
     with pytest.raises(ValueError, match="sample count"):
-        run_checks(samples=samples)
+        run_checks(samples=samples, master_seed=2024)
 
 
 def test_run_checks_rejects_a_sample_count_past_2_32():
     with pytest.raises(ValueError, match="sample count"):
-        run_checks(samples=2 ** 32 + 1)
+        run_checks(samples=2 ** 32 + 1, master_seed=2024)
 
 
 @pytest.mark.parametrize("samples", [5, 13])
@@ -79,6 +81,6 @@ def test_run_checks_checks_exactly_the_sample_count(samples, monkeypatch):
         return evaluate_state(rho)
 
     monkeypatch.setattr(verify, "evaluate_state", counted)
-    for result in run_checks(samples=samples):
+    for result in run_checks(samples=samples, master_seed=2024):
         assert result.detail.endswith(f"over {samples} states"), result
     assert len(evaluated) == samples
