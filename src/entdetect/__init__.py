@@ -21,6 +21,7 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .sampling import (
+    sample_chunks,
     sample_reduced_state,
     sample_states,
     sample_tripartite_pure,

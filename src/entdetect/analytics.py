@@ -13,6 +13,10 @@ from .criteria import CRITERIA, EPS, check_eps
 from .linalg import check_dims
 from .sampling import check_cell
 
+EULER_GAMMA = 0.5772156649015329
+# Harmonic numbers from this on come from their asymptotic series.
+HARMONIC_SERIES_FROM = 32
+
 
 @dataclass(frozen=True)
 class CriterionStats:
@@ -68,12 +72,24 @@ def aggregate(records, cell, eps=EPS):
     return SweepStats(d1, d2, k, len(read), n_npt, per)
 
 
+def _harmonic(n):
+    """The harmonic number H(n) = sum_{j=1}^n 1/j: an exact fsum below
+    HARMONIC_SERIES_FROM, else the Euler-Maclaurin series through 1/n^8,
+    whose first omitted term, 1/(132 n^10), is below 1e-17 there."""
+    if n < HARMONIC_SERIES_FROM:
+        return math.fsum(1.0 / j for j in range(1, n + 1))
+    x = 1.0 / (n * n)
+    return (math.log(n) + EULER_GAMMA + 0.5 / n
+            - x * (1 / 12 - x * (1 / 120 - x * (1 / 252 - x / 240))))
+
+
 def _page_entropy(a, b):
     """Page's exact mean entropy (natural log) of either side of a
-    Haar-random pure state on a (x) b: sum_{j=n+1}^{mn} 1/j - (m-1)/(2n),
-    with m the smaller and n the larger dimension (Page 1993, Sen 1996)."""
+    Haar-random pure state on a (x) b: sum_{j=n+1}^{mn} 1/j - (m-1)/(2n)
+    = H(mn) - H(n) - (m-1)/(2n), with m the smaller and n the larger
+    dimension (Page 1993, Sen 1996)."""
     m, n = sorted((a, b))
-    return math.fsum(1.0 / j for j in range(n + 1, m * n + 1)) - (m - 1) / (2.0 * n)
+    return _harmonic(m * n) - _harmonic(n) - (m - 1) / (2.0 * n)
 
 
 def page_entropies(d1, d2, k):

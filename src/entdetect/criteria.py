@@ -2,7 +2,9 @@
 
 evaluate_state is the one place a criterion's witness is computed: it
 returns a StateRecord of plain numbers, the unclipped trace norm of the
-partial transpose and the five witnesses in CRITERIA order. The record's
+partial transpose and the five witnesses in CRITERIA order, for one
+state, or one such record per state of a stacked DensityMatrix, in stack
+order, from one stacked pass whose numbers are each state's own bits. The record's
 ln and detected methods are the one place the thresholds are applied, so
 a record can be read at any eps. Thresholds are strict with a shared
 epsilon (default 1e-10): boundary states are classified as not detected,
@@ -26,8 +28,6 @@ that norm is within 2*eps of 1 (a PPT state).
 
 import functools
 import math
-from itertools import accumulate
-from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -77,17 +77,17 @@ def check_eps(eps):
 
 def _majorization_witness(global_eigs, eigs1, eigs2):
     # The descending prefix sums of the global spectrum against each
-    # marginal's, as Python floats: a spectrum holds at most d1*d2 entries,
-    # too few to pay numpy's per-call overhead. accumulate adds left to
-    # right as np.cumsum does, so the sums are the same bits. Only the
-    # prefixes shorter than the marginal are compared: from its own length
-    # on, a marginal's sum is its whole trace, 1, which no global sum
-    # exceeds, so those tests cannot fail and their difference is only
-    # the roundoff of 1 - 1.
-    total = list(accumulate(global_eigs.tolist()))
-    return max(
-        max(map(sub, total, accumulate(eigs[:-1].tolist()))) for eigs in (eigs1, eigs2)
-    )
+    # marginal's, along the last axis. cumsum adds left to right, one
+    # spectrum at a time. Only the prefixes shorter than the marginal are
+    # compared: from its own length on, a marginal's sum is its whole
+    # trace, 1, which no global sum exceeds, so those tests cannot fail
+    # and their difference is only the roundoff of 1 - 1.
+    shorter = [eigs.shape[-1] - 1 for eigs in (eigs1, eigs2)]
+    total = np.cumsum(global_eigs[..., :max(shorter)], axis=-1)
+    return np.maximum(*(
+        (total[..., :j] - np.cumsum(eigs[..., :j], axis=-1)).max(axis=-1)
+        for eigs, j in zip((eigs1, eigs2), shorter)
+    ))
 
 
 @functools.cache
@@ -100,14 +100,18 @@ def _identity(d):
 
 
 def evaluate_state(rho):
-    """The five witnesses and the partial-transpose trace norm of one state.
+    """The five witnesses and the partial-transpose trace norm of a state,
+    or of each state of a stacked DensityMatrix.
 
-    Shares the expensive eigendecompositions between the criteria; the
-    partial-transpose spectrum is independent of which side is transposed,
-    so the PT witness and the trace norm come from a single solve.
+    Returns one StateRecord for a single state, and a list of them, in
+    stack order, for a stack. Either way the work is one pass over the
+    whole stack: six stacked eigvalsh and one stacked svd, whatever its
+    length. The expensive eigendecompositions are shared between the
+    criteria; the partial-transpose spectrum is independent of which side
+    is transposed, so the PT witness and the trace norm come from a single
+    solve.
     """
     pt_eigs = np.linalg.eigvalsh(partial_transpose(rho, 1))
-    pt_min = float(pt_eigs[0])
 
     rho1 = partial_trace(rho, 2)
     rho2 = partial_trace(rho, 1)
@@ -119,19 +123,22 @@ def evaluate_state(rho):
     # each Kronecker product formed by broadcasting on the (i, mu, j, nu)
     # index view against a shared identity: the same products as np.kron,
     # without its overhead.
-    n = len(rho.mat)
-    kron1 = rho1[:, None, :, None] * _identity(rho.d2)[None, :, None, :]
-    kron2 = _identity(rho.d1)[:, None, :, None] * rho2[None, :, None, :]
-    op1 = kron1.reshape(n, n) - rho.mat
-    op2 = kron2.reshape(n, n) - rho.mat
-    red_min = float(min(np.linalg.eigvalsh(op1)[0], np.linalg.eigvalsh(op2)[0]))
+    shape = rho.mat.shape
+    kron1 = rho1[..., :, None, :, None] * _identity(rho.d2)[:, None, :]
+    kron2 = _identity(rho.d1)[:, None, :, None] * rho2[..., None, :, None, :]
+    op1 = kron1.reshape(shape) - rho.mat
+    op2 = kron2.reshape(shape) - rho.mat
+    red_min = np.minimum(np.linalg.eigvalsh(op1)[..., 0], np.linalg.eigvalsh(op2)[..., 0])
 
     maj = _majorization_witness(eigs12, eigs1, eigs2)
 
     s12 = von_neumann_entropy(eigs12)
-    ent = min(s12 - von_neumann_entropy(eigs1), s12 - von_neumann_entropy(eigs2))
+    ent = np.minimum(s12 - von_neumann_entropy(eigs1), s12 - von_neumann_entropy(eigs2))
 
     rl = trace_norm(realign(rho)) - 1.0
 
-    tn = float(np.add.reduce(np.abs(pt_eigs)))
-    return StateRecord(tn, (pt_min, red_min, maj, ent, rl))
+    tn = np.add.reduce(np.abs(pt_eigs), axis=-1)
+    tn, *witness = (np.reshape(c, -1).tolist()
+                    for c in (tn, pt_eigs[..., 0], red_min, maj, ent, rl))
+    records = list(map(StateRecord, tn, zip(*witness)))
+    return records if rho.mat.ndim == 3 else records[0]

@@ -11,9 +11,10 @@ in trial order; a record holds no eps and no cell, so its caller passes
 both to aggregate. Trial indices are assigned globally from the
 configuration, and every trial owns its own RNG stream, so the emitted
 numbers are identical for any worker count. A block draws its states
-through sampling.sample_states, whose one seeding pass covers the whole
-block, and which builds the states a chunk at a time as one stack; each
-state is still evaluated on its own, by one evaluate_state call.
+through sampling.sample_chunks, whose one seeding pass covers the whole
+block, and which builds the states a chunk at a time as one stacked
+DensityMatrix; each chunk is evaluated by one evaluate_state call, whose
+records are the chunk's states' own, in order.
 
 This module alone defines the result files. write_results turns a
 sweep's SweepStats into a CSV, one row per cell, and writes it next to a
@@ -41,7 +42,7 @@ import numpy as np
 from . import __version__
 from .criteria import CRITERIA, EPS, check_eps, evaluate_state
 from .analytics import aggregate
-from .sampling import BLOCK_SIZE, check_cell, check_samples, check_seed, sample_states
+from .sampling import BLOCK_SIZE, check_cell, check_samples, check_seed, sample_chunks
 # Unused here, but benchmarks/layers.py traces this name on this module.
 from .sampling import sample_reduced_state  # noqa: F401
 
@@ -88,7 +89,7 @@ class SweepConfig:
 
 
 def _run_block(args):
-    return [evaluate_state(rho) for rho in sample_states(*args)]
+    return [rec for chunk in sample_chunks(*args) for rec in evaluate_state(chunk)]
 
 
 def _start_pool(workers):

@@ -13,7 +13,7 @@ numbers: the first n are the real parts, the last n the imaginary parts.
 A draw whose norm is not positive (an event of probability zero) raises
 RuntimeError.
 
-sample_states seeds those streams a block of BLOCK_SIZE trials at a time
+sample_chunks seeds those streams a block of BLOCK_SIZE trials at a time
 rather than building a SeedSequence per trial. It runs SeedSequence's
 entropy assembly, ``mix_entropy`` hash and ``generate_state(4, uint64)``
 (numpy's ``bit_generator.pyx``) over all of the block's trial indices at
@@ -23,9 +23,10 @@ PCG64's seeding step, two 128-bit LCG steps (O'Neill 2014). The block is
 drawn and built a chunk at a time: each trial's state is assigned to one
 reused PCG64 right before its draw fills one row of the chunk's array,
 and the chunk's unit vectors, its ``A A^dag`` products and their checks
-and symmetrization are each one stacked pass. A chunk holds as many
-density matrices as fit in CHUNK_ENTRIES complex entries, so its memory
-does not grow with the block. numpy's own SeedSequence is only the
+and symmetrization are each one stacked pass, yielded as one stacked
+DensityMatrix for the kernel to evaluate in one call. A chunk holds as
+many density matrices as fit in CHUNK_ENTRIES complex entries, so its
+memory does not grow with the block. numpy's own SeedSequence is only the
 guard: the first hashed state of every block, a lone trial's included,
 is compared with numpy's, and a mismatch, as a numpy that changed these
 internals would give, raises RuntimeError before any state of the block
@@ -33,15 +34,16 @@ is yielded.
 
 A trial is named by its plain arguments ``(d1, d2, k, master_seed,
 trial_index)``, checked by check_cell and check_seed, and
-sample_states is the one path that draws it; sample_reduced_state and
-sample_tripartite_pure are its one-trial views.
+sample_chunks is the one path that draws it; sample_states is its
+per-trial view, and sample_reduced_state and sample_tripartite_pure its
+one-trial views.
 """
 
 import numpy as np
 
 from .linalg import DensityMatrix, check_dims
 
-# Trials seeded and guarded per pass of sample_states, and per block of a
+# Trials seeded and guarded per pass of sample_chunks, and per block of a
 # sweep.
 BLOCK_SIZE = 256
 # Trial indices lie below this, so each is one word of the spawn key.
@@ -203,13 +205,22 @@ def _unit_vectors(d1, d2, k, master_seed, start, stop):
             yield v / norms[:, None]
 
 
-def sample_states(d1, d2, k, master_seed, start, stop):
-    """Yield the rank-k state of each trial ``start .. stop - 1`` of cell
-    (d1, d2, k), in trial order, each as its own DensityMatrix."""
+def sample_chunks(d1, d2, k, master_seed, start, stop):
+    """Yield the rank-k states of trials ``start .. stop - 1`` of cell
+    (d1, d2, k), in trial order, as one stacked DensityMatrix per chunk
+    of ``_unit_vectors``."""
     for psi in _unit_vectors(d1, d2, k, master_seed, start, stop):
         a = psi.reshape(len(psi), d1 * d2, k)
         # A A^dag is PSD with unit trace by construction; no eig check.
-        yield from DensityMatrix.stack(a @ a.conj().transpose(0, 2, 1), d1, d2)
+        yield DensityMatrix.stack(a @ a.conj().transpose(0, 2, 1), d1, d2)
+
+
+def sample_states(d1, d2, k, master_seed, start, stop):
+    """Yield the rank-k state of each trial ``start .. stop - 1`` of cell
+    (d1, d2, k), in trial order, each as its own DensityMatrix: the states
+    of sample_chunks' stacks, one at a time."""
+    for chunk in sample_chunks(d1, d2, k, master_seed, start, stop):
+        yield from chunk
 
 
 def sample_tripartite_pure(d1, d2, k, master_seed, trial_index=0):

@@ -7,7 +7,8 @@ evaluated state from the property's boundary; ``cell`` is the (d1, d2, k)
 non-negative margin means the property held; a check that does not apply
 to the state returns +inf. The verdict-level checks read the record at
 ``eps``; the spectral checks solve their own partial transposes, as
-references independent of the kernel.
+references independent of the kernel. run_checks evaluates each sampled
+chunk with one evaluate_state call and checks its states one by one.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 
 from .criteria import CRITERIA, EPS, check_eps, evaluate_state
 from .linalg import partial_trace, partial_transpose, purity, realign
-from .sampling import check_samples, check_seed, sample_states
+from .sampling import check_samples, check_seed, sample_chunks
 
 DEFAULT_GRID = ((2, 4), (2, 5), (3, 3), (3, 5))
 RANK_TOL = 1e-10
@@ -129,12 +130,12 @@ def run_checks(samples, master_seed, eps=EPS):
     violations = dict.fromkeys(INVARIANTS, 0)
     share, extra = divmod(samples, len(cells))
     for i, cell in enumerate(cells):
-        for rho in sample_states(*cell, master_seed, 0, share + (i < extra)):
-            rec = evaluate_state(rho)
-            for name, margin in INVARIANTS.items():
-                m = float(margin(cell, rho, rec, eps))
-                worst[name] = min(worst[name], m)
-                violations[name] += not m >= 0
+        for chunk in sample_chunks(*cell, master_seed, 0, share + (i < extra)):
+            for rho, rec in zip(chunk, evaluate_state(chunk)):
+                for name, margin in INVARIANTS.items():
+                    m = float(margin(cell, rho, rec, eps))
+                    worst[name] = min(worst[name], m)
+                    violations[name] += not m >= 0
     return [
         CheckResult(name, violations[name] == 0, worst[name],
                     f"{violations[name]} violation(s) over {samples} states")

@@ -14,6 +14,7 @@ from entdetect import (
     realignment_rank_bound,
     run_cell,
 )
+from entdetect import analytics
 from entdetect.criteria import SIGNS
 
 CELL = (2, 3, 2)
@@ -187,6 +188,17 @@ class TestPageFormulas:
                 for k in range(2, d1 * d2 + 1)
             ]
             assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+    def test_harmonic_form_equals_the_term_by_term_sum(self):
+        # H(mn) - H(n) - (m-1)/(2n), each H an fsum below
+        # HARMONIC_SERIES_FROM and the Euler-Maclaurin series from it on,
+        # against Page's sum written out term by term: every cut up to
+        # 40 x 40, across the switch, and the largest cuts of bounds 20x20.
+        cuts = [(m, n) for m in range(1, 41) for n in range(m, 41)] + [(20, 8000), (400, 400)]
+        for m, n in cuts:
+            page = math.fsum(1.0 / j for j in range(n + 1, m * n + 1)) - (m - 1) / (2.0 * n)
+            assert abs(analytics._page_entropy(m, n) - page) <= 1e-12, (m, n)
+            assert analytics._page_entropy(n, m) == analytics._page_entropy(m, n)
 
     def test_invalid_cells(self):
         with pytest.raises(ValueError):

@@ -179,21 +179,34 @@ class TestBounds:
         assert "entropy_rank_threshold   5" in out
         assert "realignment_rank_bound   6.5" in out
 
+    @pytest.mark.parametrize("d1, d2, digest", [
+        (2, 5, "8c3bbb58662cdebd33f1add437b709be88e4ad934c678da07f3642b562a7e32f"),
+        (2, 8, "469d166b1fcaf1740450a4a1ccdfe50064d291b481e33fbd224bba4e52a7da57"),
+        (12, 12, "44a7b09a8ae0054ac82e0fa689a00573d8dd7ec75b35fbe21d5a6ad5aa7b97d3"),
+        (20, 20, "5ced06b1b33a9bff68ded43f059d54a26ab533113327eeec03ece7c0b29ed9b2"),
+    ])
+    def test_report_bytes(self, capsys, d1, d2, digest):
+        # sha256 of the report as printed when the Page entropies were
+        # summed term by term: the harmonic form changes no printed digit.
+        assert main(["bounds", "--d1", str(d1), "--d2", str(d2)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_equal_dims_vacuous(self, capsys):
         main(["bounds", "--d1", "3", "--d2", "3"])
         assert "vacuous (equal dimensions)" in capsys.readouterr().out
 
     def test_reader_closing_early_is_quiet(self):
         # Unbuffered, every line is its own write, so the first write after
-        # the reader has gone fails: the 144 rank lines that follow the
-        # first line need the Page sums, which outlast closing the pipe.
+        # the reader has gone fails. The 3600 rank lines of 60x60 (~180 KB)
+        # overfill the pipe's buffer, so bounds is still printing when the
+        # pipe closes, however fast it computes them.
         env = dict(os.environ, PYTHONUNBUFFERED="1")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "entdetect.cli", "bounds", "--d1", "12", "--d2", "12"],
+            [sys.executable, "-m", "entdetect.cli", "bounds", "--d1", "60", "--d2", "60"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
-        assert proc.stdout.readline() == b"bounds for 12x12\n"
+        assert proc.stdout.readline() == b"bounds for 60x60\n"
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 1

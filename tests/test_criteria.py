@@ -12,8 +12,11 @@ from entdetect import (
     purity,
     sample_reduced_state,
     sample_states,
+    spectrum,
 )
 from entdetect.criteria import EPS
+from entdetect.linalg import ENTROPY_FLOOR
+from entdetect.sampling import sample_chunks
 from entdetect.verify import INVARIANTS
 from conftest import (
     bell_state,
@@ -204,9 +207,9 @@ class TestEvaluateState:
     def test_reduction_and_majorization_witnesses_exact(self, cell):
         # The kernel forms the reduction operators by broadcasting, the
         # reference with np.kron; the kernel takes the majorization prefix
-        # sums as Python floats, the reference with np.cumsum. Same
-        # arithmetic, so the witnesses must agree to the last bit, also on
-        # sides of 9 and more.
+        # sums along a stack's last axis, the reference one spectrum at a
+        # time. Same arithmetic, so the witnesses must agree to the last
+        # bit, also on sides of 9 and more.
         d1, d2, k = cell
         for trial, rho in enumerate(sample_states(d1, d2, k, 97, 0, 100)):
             rec = evaluate_state(rho)
@@ -216,10 +219,11 @@ class TestEvaluateState:
 
     @pytest.mark.parametrize("cell", EXACT_CELLS)
     def test_all_witnesses_and_trace_norm_exact(self, cell):
-        # The kernel sums the majorization prefixes as Python floats and
-        # the entropies and trace norms with np.add.reduce; the reference
-        # writes out np.cumsum and .sum(). Same additions in the same
-        # order, so every number must agree to the last bit.
+        # The kernel sums the majorization prefixes with a stacked
+        # np.cumsum and the entropies and trace norms with a stacked
+        # np.add.reduce; the reference writes out np.cumsum and .sum() per
+        # state. Same additions in the same order, so every number must
+        # agree to the last bit.
         d1, d2, k = cell
         for trial, rho in enumerate(sample_states(d1, d2, k, 97, 0, 100)):
             rec = evaluate_state(rho)
@@ -241,6 +245,56 @@ class TestEvaluateState:
     def test_witnesses_finite(self):
         rec = evaluate_state(random_state(2, 6, 12, seed=73))
         assert all(math.isfinite(w) for w in rec.witness)
+
+
+def _bits(rec):
+    """A record's numbers as their IEEE bit patterns, so -0.0 != 0.0."""
+    return np.array([rec.tn, *rec.witness]).view(np.uint64).tolist()
+
+
+# (cell, trials): each run spans more than one chunk of sample_chunks
+# where a chunk is shorter than the run.
+STACK_CELLS = [((2, 2, 1), 40)] + [((2, 5, k), 50) for k in range(1, 11)] + [
+    ((3, 4, 12), 40), ((3, 5, 2), 40), ((6, 6, 2), 8), ((2, 18, 36), 7),
+]
+
+
+class TestStackedKernel:
+    """evaluate_state on a stack is B one-matrix calls, bit for bit."""
+
+    @pytest.mark.parametrize("cell, trials", STACK_CELLS)
+    def test_stack_equals_one_matrix_calls_and_reference(self, cell, trials):
+        chunks = list(sample_chunks(*cell, 97, 0, trials))
+        assert sum(map(len, chunks)) == trials and (len(chunks) > 1 or cell == (2, 2, 1))
+        for chunk in chunks:
+            recs = evaluate_state(chunk)
+            assert len(recs) == len(chunk)
+            for trial, (rho, rec) in enumerate(zip(chunk, recs)):
+                assert type(rec.tn) is float and all(type(w) is float for w in rec.witness)
+                assert _bits(rec) == _bits(evaluate_state(rho)), trial
+                assert _bits(rec) == _bits(reference_record(rho)), trial
+
+    def test_one_matrix_gives_one_record(self):
+        rho = random_state(2, 5, 6, seed=3)
+        rec = evaluate_state(rho)
+        assert isinstance(rec, StateRecord)
+        [from_stack] = evaluate_state(DensityMatrix.stack(rho.mat[None], 2, 5))
+        assert _bits(from_stack) == _bits(rec)
+
+    def test_mixed_ranks_in_one_stack(self):
+        # Ranks 1 and 10 side by side: the spectra keep different numbers
+        # of terms above the entropy floor, so one call sums the entropies
+        # of several groups.
+        mats = [random_state(2, 5, k, seed=5, trial=t).mat
+                for t in range(6) for k in (1, 10, 1, 3)]
+        stack = DensityMatrix(np.stack(mats), 2, 5)
+        kept = {int((spectrum(rho.mat) > ENTROPY_FLOOR).sum()) for rho in stack}
+        assert {1, 3, 10} <= kept
+        recs = evaluate_state(stack)
+        assert len(recs) == len(mats)
+        for trial, (rho, rec) in enumerate(zip(stack, recs)):
+            assert _bits(rec) == _bits(evaluate_state(rho)), trial
+            assert _bits(rec) == _bits(reference_record(rho)), trial
 
 
 class TestImplications:

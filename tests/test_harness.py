@@ -53,10 +53,16 @@ class TestRunCell:
             rho = sample_reduced_state(2, 3, 4, 77, t)
             assert rec == evaluate_state(rho), t
 
+    # run_cell(2, 5, 6, 300, 42) draws two blocks, of 256 and 44 trials,
+    # in chunks of 40 (sampling._chunk_size(2, 5)): 6 x 40 + 16, then 40 + 4.
+    CHUNKS_2X5_300 = [40] * 6 + [16, 40, 4]
+
     def test_per_state_calls_the_benchmark_tracer_counts(self, monkeypatch):
         # benchmarks/layers.py counts evaluated states as calls to
         # harness.evaluate_state, pins 6 eigvalsh and 1 svd per such call,
-        # and wraps harness.sample_reduced_state.
+        # and wraps harness.sample_reduced_state. run_cell makes one such
+        # call per sampler chunk, and its records are those calls' records
+        # in order.
         assert callable(harness.sample_reduced_state)
         lapack = Counter()
         for name in ("eigvalsh", "svd"):
@@ -67,19 +73,23 @@ class TestRunCell:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        per_state = []
+        per_call, returned = [], []
         evaluate = harness.evaluate_state
 
         def traced(rho):
             before = lapack.copy()
-            rec = evaluate(rho)
-            per_state.append((lapack["eigvalsh"] - before["eigvalsh"],
-                              lapack["svd"] - before["svd"]))
-            return rec
+            recs = evaluate(rho)
+            per_call.append((len(rho), lapack["eigvalsh"] - before["eigvalsh"],
+                             lapack["svd"] - before["svd"]))
+            returned.extend(recs)
+            return recs
 
         monkeypatch.setattr(harness, "evaluate_state", traced)
-        assert len(run_cell(2, 5, 6, 300, 42)) == 300
-        assert per_state == [(6, 1)] * 300
+        recs = run_cell(2, 5, 6, 300, 42)
+        assert per_call == [(b, 6, 1) for b in self.CHUNKS_2X5_300]
+        assert len(recs) == 300 and recs == returned
+        assert recs == [evaluate_state(sample_reduced_state(2, 5, 6, 42, t))
+                        for t in range(300)]
 
     def test_per_state_calls_every_helper_the_benchmark_tracer_wraps(self, monkeypatch):
         # benchmarks/layers.py times each of these helpers as it is looked
@@ -96,19 +106,19 @@ class TestRunCell:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(criteria, name, counted)
-        per_state = []
+        per_call = []
         evaluate = harness.evaluate_state
 
         def traced(rho):
             calls.clear()
-            rec = evaluate(rho)
-            per_state.append(min(calls[name] for name in helpers))
-            return rec
+            recs = evaluate(rho)
+            per_call.append((len(rho), len(recs), min(calls[name] for name in helpers)))
+            return recs
 
         monkeypatch.setattr(harness, "evaluate_state", traced)
         assert len(run_cell(2, 5, 6, 300, 42)) == 300
-        assert len(per_state) == 300
-        assert min(per_state) >= 1
+        assert [(b, n) for b, n, _ in per_call] == [(b, b) for b in self.CHUNKS_2X5_300]
+        assert min(c for _, _, c in per_call) >= 1
 
 
 _RUN_BLOCK = harness._run_block

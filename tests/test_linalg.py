@@ -134,6 +134,68 @@ class TestStack:
             DensityMatrix.stack(np.stack([np.eye(4) / 4] * 2), 2, 3)
 
 
+class TestStackedHelpers:
+    """Each helper on a (B, n, n) stack is B one-matrix calls, bit for bit."""
+
+    @pytest.mark.parametrize("cell", [(2, 5, 6), (3, 4, 12), (6, 6, 2)])
+    def test_helpers_equal_one_matrix_calls(self, cell):
+        stack = DensityMatrix.stack(np.stack([random_state(*cell, seed=9, trial=t).mat
+                                              for t in range(5)]), *cell[:2])
+        per_state = {
+            "partial_transpose 1": lambda rho: partial_transpose(rho, 1),
+            "partial_transpose 2": lambda rho: partial_transpose(rho, 2),
+            "partial_trace 1": lambda rho: partial_trace(rho, 1),
+            "partial_trace 2": lambda rho: partial_trace(rho, 2),
+            "realign": realign,
+            "trace_norm": lambda rho: trace_norm(realign(rho)),
+            "spectrum": lambda rho: spectrum(rho.mat),
+            "entropy": lambda rho: von_neumann_entropy(spectrum(rho.mat)),
+        }
+        for name, fn in per_state.items():
+            stacked = fn(stack)
+            assert len(stacked) == len(stack), name
+            for rho, got in zip(stack, stacked):
+                want = np.asarray(fn(rho))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    def test_stack_len_and_states(self):
+        mats = _wishart_stack(4, 2, 3, 2)
+        stack = DensityMatrix(mats, 2, 3)
+        assert len(stack) == 4 and stack.mat.shape == (4, 6, 6)
+        for m, rho in zip(mats, stack):
+            assert np.array_equal(rho.mat, DensityMatrix(m, 2, 3).mat)
+        one = DensityMatrix(mats[0], 2, 3)
+        assert len(one) == 1 and [rho.mat.shape for rho in one] == [(6, 6)]
+
+    def test_constructor_checks_positivity_of_every_matrix(self):
+        mats = _wishart_stack(3, 2, 2, 2)
+        mats[1] = np.diag([0.6, 0.5, 0.0, -0.1])
+        with pytest.raises(ValueError, match="PSD"):
+            DensityMatrix(mats, 2, 2)
+        DensityMatrix.stack(mats, 2, 2)  # the by-construction path does not check
+
+    def test_entropy_of_rows_equals_row_by_row(self):
+        # Unsorted rows, rows whose kept terms are not a prefix, and rows
+        # with no entry above the floor (entropy 0), long enough (n >= 8)
+        # that numpy's pairwise sum would regroup a zero-padded row.
+        rng = np.random.default_rng(12)
+        for n in (2, 5, 10, 36):
+            rows = rng.random((300, n)) * rng.choice([1e-16, 1e-13, 1.0, 1.5], (300, n))
+            rows[::7] *= 1e-15
+            rows -= rng.choice([0.0, 1e-15], (300, n))
+            rng.shuffle(rows, axis=1)
+            stacked = von_neumann_entropy(rows)
+            assert stacked.shape == (300,)
+            one_by_one = np.array([von_neumann_entropy(row) for row in rows])
+            assert stacked.tobytes() == one_by_one.tobytes(), n
+            # and each equals the clip-then-filter sum of its row alone
+            kept = [np.minimum(row[row > ENTROPY_FLOOR], 1.0) for row in rows]
+            reference = np.array([max(float(-(p * np.log(p)).sum()), 0.0) for p in kept])
+            assert stacked.tobytes() == reference.tobytes(), n
+            assert (stacked[::7] == 0.0).all()
+            assert len({int((row > ENTROPY_FLOOR).sum()) for row in rows}) > 2
+
+
 class TestPartialTranspose:
     def test_product_projector_fixed(self):
         rho = DensityMatrix(np.diag([1.0, 0, 0, 0]).astype(complex), 2, 2)

@@ -73,11 +73,12 @@ def test_run_checks_rejects_a_sample_count_past_2_32():
 
 @pytest.mark.parametrize("samples", [5, 13])
 def test_run_checks_checks_exactly_the_sample_count(samples, monkeypatch):
-    # 12 cells: 5 gives seven cells no state, 13 gives the first cell two
+    # 12 cells: 5 gives seven cells no state, 13 gives the first cell two;
+    # each call evaluates one sampler chunk, a stack of states
     evaluated = []
 
     def counted(rho):
-        evaluated.append(rho)
+        evaluated.extend(rho)
         return evaluate_state(rho)
 
     monkeypatch.setattr(verify, "evaluate_state", counted)
