@@ -26,7 +26,7 @@ from .sampling import (
     sample_states,
     sample_tripartite_pure,
 )
-from .criteria import CRITERIA, StateRecord, evaluate_state
+from .criteria import CRITERIA, Records, StateRecord, evaluate_state
 from .analytics import (
     CriterionStats,
     SweepStats,

@@ -1,6 +1,8 @@
 """Aggregation into the hierarchy's figures of merit, plus the closed-form
 Haar-average predictors (Page entropies, purity, rank thresholds).
 
+aggregate reads a cell's evaluated states as columns (criteria.Records).
+
 Aggregate fields that are undefined (no detections, or an empty
 denominator) carry None, never 0: "no detection" and "zero entanglement"
 are different statements.
@@ -9,7 +11,9 @@ are different statements.
 import math
 from dataclasses import dataclass, field
 
-from .criteria import CRITERIA, EPS, check_eps
+import numpy as np
+
+from .criteria import CRITERIA, EPS, Records, check_eps
 from .linalg import check_dims
 from .sampling import check_cell
 
@@ -38,24 +42,31 @@ class SweepStats:
 
 
 def aggregate(records, cell, eps=EPS):
-    """Reduce the StateRecords of the (d1, d2, k) ``cell`` to SweepStats.
+    """Reduce the evaluated states of the (d1, d2, k) ``cell``, as Records
+    or as an iterable of StateRecords, to SweepStats.
 
-    Only records with LN above 0 at ``eps`` enter the fraction
-    denominator; means use exact (fsum) accumulation so the result is
-    independent of record order and of shard merging.
+    The columns are read at ``eps`` once: each state's LN and whether each
+    criterion fires, as StateRecord.ln and .detected give them. Only
+    states with LN above 0 enter the fraction denominator; means use exact
+    (fsum) accumulation so the result is independent of record order and
+    of shard merging. Counts are Python ints.
     """
     check_eps(eps)
     check_cell(*cell)
-    read = [(r.ln(eps), r.detected(eps)) for r in records]
-    if not read:
+    if not isinstance(records, Records):
+        records = Records.from_records(records)
+    if not len(records):
         raise ValueError("cannot aggregate an empty record list")
-    population = [(ln, detected) for ln, detected in read if ln > 0.0]
-    n_pos = len(population)
-    n_npt = sum(detected[0] for _, detected in read)  # CRITERIA[0] is pt
+    ln = records.ln(eps)
+    detected = records.detected(eps)
+    population = ln > 0.0
+    ln_pos, detected_pos = ln[population], detected[population]
+    n_pos = len(ln_pos)
+    n_npt = int(np.count_nonzero(detected[:, 0]))  # CRITERIA[0] is pt
 
     per = {}
     for i, name in enumerate(CRITERIA):
-        detected_ln = [ln for ln, detected in population if detected[i]]
+        detected_ln = ln_pos[detected_pos[:, i]].tolist()
         n_det = len(detected_ln)
         if n_pos == 0:
             per[name] = CriterionStats(n_det, None, None, None, None)
@@ -69,7 +80,7 @@ def aggregate(records, cell, eps=EPS):
                 n_det, f, stderr, math.fsum(detected_ln) / n_det, min(detected_ln)
             )
     d1, d2, k = cell
-    return SweepStats(d1, d2, k, len(read), n_npt, per)
+    return SweepStats(d1, d2, k, len(records), n_npt, per)
 
 
 def _harmonic(n):

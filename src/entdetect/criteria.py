@@ -1,15 +1,17 @@
 """The five entanglement detection criteria and logarithmic negativity.
 
-evaluate_state is the one place a criterion's witness is computed: it
-returns a StateRecord of plain numbers, the unclipped trace norm of the
-partial transpose and the five witnesses in CRITERIA order, for one
-state, or one such record per state of a stacked DensityMatrix, in stack
-order, from one stacked pass whose numbers are each state's own bits. The record's
-ln and detected methods are the one place the thresholds are applied, so
-a record can be read at any eps. Thresholds are strict with a shared
-epsilon (default 1e-10): boundary states are classified as not detected,
-since a one-sided separability test at its boundary carries no
-certificate.
+evaluate_state is the one place a criterion's witness is computed. On a
+stacked DensityMatrix it returns Records, the batch's numbers as two
+columns in stack order: the unclipped trace norm of each state's partial
+transpose and its five witnesses in CRITERIA order, from one stacked pass
+whose numbers are each state's own bits. On one state it returns that
+state's StateRecord, the same numbers as Python floats; Records index
+and iterate as StateRecords. The thresholds are applied only when
+numbers are read, at any eps, and _ln and _detected are their one
+statement, for a StateRecord and for a column alike. Thresholds are
+strict with a shared epsilon (default 1e-10): boundary states are
+classified as not detected, since a one-sided separability test at its
+boundary carries no certificate.
 
 Witness conventions:
 
@@ -53,6 +55,17 @@ CRITERIA = ("pt", "reduction", "majorization", "entropy", "realignment")
 SIGNS = (-1, -1, +1, -1, +1)
 
 
+def _ln(tn, eps):
+    """LN of one trace norm: log2, or 0 within 2*eps of PPT."""
+    return math.log2(tn) if tn > 1.0 + 2.0 * eps else 0.0
+
+
+def _detected(witness, eps):
+    """Whether each criterion fires at ``eps``: a bool array along the
+    last axis of ``witness``, in CRITERIA order."""
+    return np.multiply(witness, SIGNS) > eps
+
+
 class StateRecord(NamedTuple):
     """One evaluated state: ``tn``, the trace norm of its partial
     transpose, and ``witness``, the five witnesses in CRITERIA order."""
@@ -62,11 +75,60 @@ class StateRecord(NamedTuple):
 
     def ln(self, eps=EPS):
         """Log-negativity, 0 for a state within 2*eps of PPT."""
-        return math.log2(self.tn) if self.tn > 1.0 + 2.0 * eps else 0.0
+        return _ln(self.tn, eps)
 
     def detected(self, eps=EPS):
         """Whether each criterion fires at ``eps``, in CRITERIA order."""
-        return tuple(s * w > eps for s, w in zip(SIGNS, self.witness))
+        return tuple(_detected(self.witness, eps).tolist())
+
+
+class Records:
+    """Evaluated states as columns, in stack or trial order: ``tn``, a
+    float64 ``(n,)`` array of partial-transpose trace norms, and
+    ``witness``, a float64 ``(n, 5)`` array of witnesses in CRITERIA
+    order. Indexing and iteration give each state's StateRecord, of
+    Python floats; ``==`` compares both columns exactly."""
+
+    __slots__ = ("tn", "witness")
+
+    def __init__(self, tn, witness):
+        self.tn = tn
+        self.witness = witness
+
+    @classmethod
+    def from_records(cls, records):
+        """The columns of an iterable of StateRecords, in order."""
+        records = list(records)
+        return cls(np.array([r.tn for r in records], dtype=float),
+                   np.array([r.witness for r in records], dtype=float))
+
+    @classmethod
+    def concat(cls, parts):
+        """One batch of the states of ``parts``, in order."""
+        return cls(np.concatenate([p.tn for p in parts]),
+                   np.concatenate([p.witness for p in parts]))
+
+    def __len__(self):
+        return len(self.tn)
+
+    def __getitem__(self, i):
+        return StateRecord(self.tn[i].item(), tuple(self.witness[i].tolist()))
+
+    def __iter__(self):
+        return map(StateRecord, self.tn.tolist(), map(tuple, self.witness.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, Records):
+            return NotImplemented
+        return np.array_equal(self.tn, other.tn) and np.array_equal(self.witness, other.witness)
+
+    def ln(self, eps=EPS):
+        """Each state's StateRecord.ln, as a float64 array."""
+        return np.array([_ln(tn, eps) for tn in self.tn.tolist()])
+
+    def detected(self, eps=EPS):
+        """Each state's StateRecord.detected, as an ``(n, 5)`` bool array."""
+        return _detected(self.witness, eps)
 
 
 def check_eps(eps):
@@ -103,12 +165,12 @@ def evaluate_state(rho):
     """The five witnesses and the partial-transpose trace norm of a state,
     or of each state of a stacked DensityMatrix.
 
-    Returns one StateRecord for a single state, and a list of them, in
-    stack order, for a stack. Either way the work is one pass over the
-    whole stack: six stacked eigvalsh and one stacked svd, whatever its
-    length. The expensive eigendecompositions are shared between the
-    criteria; the partial-transpose spectrum is independent of which side
-    is transposed, so the PT witness and the trace norm come from a single
+    Returns Records, in stack order, for a stack, and one StateRecord for
+    a single state. Either way the work is one pass over the whole stack:
+    six stacked eigvalsh and one stacked svd, whatever its length. The
+    expensive eigendecompositions are shared between the criteria; the
+    partial-transpose spectrum is independent of which side is
+    transposed, so the PT witness and the trace norm come from a single
     solve.
     """
     pt_eigs = np.linalg.eigvalsh(partial_transpose(rho, 1))
@@ -138,7 +200,6 @@ def evaluate_state(rho):
     rl = trace_norm(realign(rho)) - 1.0
 
     tn = np.add.reduce(np.abs(pt_eigs), axis=-1)
-    tn, *witness = (np.reshape(c, -1).tolist()
-                    for c in (tn, pt_eigs[..., 0], red_min, maj, ent, rl))
-    records = list(map(StateRecord, tn, zip(*witness)))
+    witness = np.stack((pt_eigs[..., 0], red_min, maj, ent, rl), axis=-1)
+    records = Records(np.reshape(tn, -1), witness.reshape(-1, len(CRITERIA)))
     return records if rho.mat.ndim == 3 else records[0]

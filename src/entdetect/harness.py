@@ -3,18 +3,20 @@
 run_sweep is the one sweep loop. Each (d1, d2, k) cell is split into
 blocks of sampling.BLOCK_SIZE trials; with more than one worker, every
 block of every cell is submitted, in cell order and block order, to one
-process pool per sweep. A cell's records are concatenated in block order
-and aggregated at the configuration's eps as soon as its last block is
-back, then dropped, so a sweep holds about one cell's records at a time.
-run_cell is the one-cell case: it returns evaluate_state's own records,
-in trial order; a record holds no eps and no cell, so its caller passes
-both to aggregate. Trial indices are assigned globally from the
-configuration, and every trial owns its own RNG stream, so the emitted
-numbers are identical for any worker count. A block draws its states
-through sampling.sample_chunks, whose one seeding pass covers the whole
-block, and which builds the states a chunk at a time as one stacked
+process pool per sweep. A block draws its states through
+sampling.sample_chunks, whose one seeding pass covers the whole block,
+and which builds the states a chunk at a time as one stacked
 DensityMatrix; each chunk is evaluated by one evaluate_state call, whose
-records are the chunk's states' own, in order.
+Records are the chunk's states' own columns, in order. A block's result
+is the concatenation of its chunks' Records, and a pool worker sends back
+just those two arrays. A cell's blocks are concatenated in block order
+and aggregated, as columns, at the configuration's eps as soon as its
+last block is back, then dropped, so a sweep holds about one cell's
+columns at a time. run_cell is the one-cell case: it returns the cell's
+Records in trial order; they hold no eps and no cell, so its caller
+passes both to aggregate. Trial indices are assigned globally from the
+configuration, and every trial owns its own RNG stream, so the emitted
+numbers are identical for any worker count.
 
 This module alone defines the result files. write_results turns a
 sweep's SweepStats into a CSV, one row per cell, and writes it next to a
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .criteria import CRITERIA, EPS, check_eps, evaluate_state
+from .criteria import CRITERIA, EPS, Records, check_eps, evaluate_state
 from .analytics import aggregate
 from .sampling import BLOCK_SIZE, check_cell, check_samples, check_seed, sample_chunks
 # Unused here, but benchmarks/layers.py traces this name on this module.
@@ -89,7 +91,7 @@ class SweepConfig:
 
 
 def _run_block(args):
-    return [rec for chunk in sample_chunks(*args) for rec in evaluate_state(chunk)]
+    return Records.concat([evaluate_state(chunk) for chunk in sample_chunks(*args)])
 
 
 def _start_pool(workers):
@@ -101,7 +103,7 @@ def _start_pool(workers):
 
 
 def _cell_records(cells, n, master_seed, workers):
-    """Yield the records of each cell of ``cells`` in turn, ``n`` trials
+    """Yield the Records of each cell of ``cells`` in turn, ``n`` trials
     each, in trial order.
 
     With more than one worker and more than one block in all, every block
@@ -116,14 +118,14 @@ def _cell_records(cells, n, master_seed, workers):
     ]
     if workers <= 1 or sum(map(len, blocks)) <= 1:
         for cell in blocks:
-            yield [rec for block in cell for rec in _run_block(block)]
+            yield Records.concat([_run_block(block) for block in cell])
         return
     pool = _start_pool(workers)
     try:
         pending = deque([pool.submit(_run_block, b) for b in cell] for cell in blocks)
         while pending:
             # popleft, so a cell's block results are freed once yielded
-            yield [rec for future in pending.popleft() for rec in future.result()]
+            yield Records.concat([future.result() for future in pending.popleft()])
     except BaseException:  # GeneratorExit included: the caller stopped early
         pool.shutdown(cancel_futures=True)
         raise
@@ -131,8 +133,8 @@ def _cell_records(cells, n, master_seed, workers):
 
 
 def run_cell(d1, d2, k, n, master_seed, workers=1):
-    """Evaluate ``n`` trials of one cell; returns evaluate_state's records
-    in trial order."""
+    """Evaluate ``n`` trials of one cell; returns their Records, the
+    kernel's own columns, in trial order."""
     check_samples(n)
     [records] = _cell_records([(d1, d2, k)], n, master_seed, workers)
     return records

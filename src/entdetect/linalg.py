@@ -176,5 +176,8 @@ def von_neumann_entropy(eigenvalues):
 
 
 def purity(rho):
-    """Tr rho^2 of one state; equals the squared Frobenius norm for Hermitian rho."""
-    return float(np.vdot(rho.mat, rho.mat).real)
+    """Tr rho^2 of one state, the squared Frobenius norm of a Hermitian
+    matrix, as a float; of a stack, an array of each state's own, each
+    from its own vdot, so a state's value does not depend on the stack."""
+    values = [float(np.vdot(mat, mat).real) for mat in rho.mat.reshape(-1, *rho.mat.shape[-2:])]
+    return np.array(values) if rho.mat.ndim == 3 else values[0]

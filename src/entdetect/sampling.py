@@ -22,11 +22,12 @@ cell are mixed once per block. Each trial's PCG64 state then follows from
 PCG64's seeding step, two 128-bit LCG steps (O'Neill 2014). The block is
 drawn and built a chunk at a time: each trial's state is assigned to one
 reused PCG64 right before its draw fills one row of the chunk's array,
-and the chunk's unit vectors, its ``A A^dag`` products and their checks
-and symmetrization are each one stacked pass, yielded as one stacked
-DensityMatrix for the kernel to evaluate in one call. A chunk holds as
-many density matrices as fit in CHUNK_ENTRIES complex entries, so its
-memory does not grow with the block. numpy's own SeedSequence is only the
+and the chunk's norms, its ``A A^dag`` products and their checks and
+symmetrization are each one stacked pass, yielded as one stacked
+DensityMatrix for the kernel to evaluate in one call. The stacked norm
+gives each row the bits of ``np.linalg.norm`` of that row alone. A chunk
+holds as many density matrices as fit in CHUNK_ENTRIES complex entries,
+so its memory does not grow with the block. numpy's own SeedSequence is only the
 guard: the first hashed state of every block, a lone trial's included,
 is compared with numpy's, and a mismatch, as a numpy that changed these
 internals would give, raises RuntimeError before any state of the block
@@ -173,6 +174,20 @@ def _chunk_size(d1, d2):
     return max(1, CHUNK_ENTRIES // (d1 * d2) ** 2)
 
 
+def _norms(v):
+    """The norm of each row of a complex ``(B, n)`` array, each with the
+    bits of ``np.linalg.norm`` of that row alone: the square root of
+    ``x.real . x.real + x.imag . x.imag``. Each ``(1, n) @ (n, 1)``
+    product of a row's stride-2 real or imaginary view is the same
+    stride-2 ddot that ``norm`` makes; the rows' unit-stride halves of the
+    draw would give other bits. A norm that is not positive raises."""
+    re, im = v.real[:, None, :], v.imag[:, None, :]
+    norms = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).reshape(-1)
+    if not (norms > 0).all():
+        raise RuntimeError("drew a zero vector; the RNG is broken")
+    return norms
+
+
 def _unit_vectors(d1, d2, k, master_seed, start, stop):
     """Yield the Haar-uniform unit vectors on C^(d1*d2*k) of trials
     ``start .. stop - 1``, in trial order, as the rows of one ``(B,
@@ -198,11 +213,7 @@ def _unit_vectors(d1, d2, k, master_seed, start, stop):
                 bitgen.state = state
                 rng.standard_normal(out=row)
             v = x[:, :n] + 1j * x[:, n:]
-            # one norm per row: the 1-D call gives the 1-D draw's bits
-            norms = np.array([np.linalg.norm(row) for row in v])
-            if not (norms > 0).all():
-                raise RuntimeError("drew a zero vector; the RNG is broken")
-            yield v / norms[:, None]
+            yield v / _norms(v)[:, None]
 
 
 def sample_chunks(d1, d2, k, master_seed, start, stop):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,6 +7,8 @@ import pytest
 
 from entdetect import (
     CRITERIA,
+    CriterionStats,
+    Records,
     StateRecord,
     aggregate,
     average_purity,
@@ -150,6 +153,33 @@ class TestAggregate:
         assert stats.per_criterion["majorization"].n_detected == (
             self.MAJORIZATION_DETECTED[eps]
         )
+
+    @pytest.mark.parametrize("eps", sorted(MAJORIZATION_DETECTED))
+    def test_columns_equal_record_list(self, records_2x5_k8, eps):
+        # aggregate reads Records as columns and a StateRecord list through
+        # the same columns; both give the same statistics, field by field
+        assert isinstance(records_2x5_k8, Records)
+        columns = aggregate(records_2x5_k8, (2, 5, 8), eps)
+        listed = aggregate(list(records_2x5_k8), (2, 5, 8), eps)
+        for name in ("d1", "d2", "k", "n_total", "n_npt"):
+            assert getattr(columns, name) == getattr(listed, name), name
+        assert list(columns.per_criterion) == list(listed.per_criterion) == list(CRITERIA)
+        for c in CRITERIA:
+            for f in dataclasses.fields(CriterionStats):
+                a = getattr(columns.per_criterion[c], f.name)
+                b = getattr(listed.per_criterion[c], f.name)
+                assert type(a) is type(b) and a == b, (c, f.name)
+
+    def test_counts_are_python_ints(self, records_2x5_k8):
+        # harness._fmt prints ints with str and everything else through
+        # .6g, so a numpy count of 10**6 would print as 1e+06
+        stats = aggregate(records_2x5_k8, (2, 5, 8))
+        assert type(stats.n_total) is int and type(stats.n_npt) is int
+        for c in CRITERIA:
+            cs = stats.per_criterion[c]
+            assert type(cs.n_detected) is int, c
+            assert all(x is None or type(x) is float for x in (
+                cs.fraction, cs.fraction_stderr, cs.mean_ln, cs.min_ln)), c
 
 
 class TestPageFormulas:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from entdetect import (
     CRITERIA,
     DensityMatrix,
+    Records,
     StateRecord,
     evaluate_state,
     partial_transpose,
@@ -295,6 +297,67 @@ class TestStackedKernel:
         for trial, (rho, rec) in enumerate(zip(stack, recs)):
             assert _bits(rec) == _bits(evaluate_state(rho)), trial
             assert _bits(rec) == _bits(reference_record(rho)), trial
+
+
+def _column_bits(records):
+    """Both columns of Records as their IEEE bit patterns."""
+    return records.tn.view(np.uint64).tolist(), records.witness.view(np.uint64).tolist()
+
+
+class TestRecords:
+    """A stack's Records are its states' one-matrix records as columns."""
+
+    @pytest.mark.parametrize("cell, trials", STACK_CELLS)
+    def test_columns_equal_one_matrix_calls_and_reference(self, cell, trials):
+        for chunk in sample_chunks(*cell, 97, 0, trials):
+            recs = evaluate_state(chunk)
+            assert isinstance(recs, Records)
+            assert recs.tn.dtype == recs.witness.dtype == np.float64
+            assert recs.tn.shape == (len(chunk),)
+            assert recs.witness.shape == (len(chunk), len(CRITERIA))
+            one = Records.from_records(evaluate_state(rho) for rho in chunk)
+            ref = Records.from_records(reference_record(rho) for rho in chunk)
+            assert _column_bits(recs) == _column_bits(one) == _column_bits(ref)
+
+    def test_states_are_python_float_records_of_the_columns(self):
+        chunk = next(sample_chunks(2, 5, 6, 97, 0, 40))
+        recs = evaluate_state(chunk)
+        as_list = list(recs)
+        assert len(recs) == len(as_list) == 40
+        for i, rec in enumerate(as_list):
+            assert isinstance(rec, StateRecord) and rec == recs[i] == recs[i - 40]
+            assert type(rec.tn) is float and all(type(w) is float for w in rec.witness)
+            assert rec.tn == recs.tn.tolist()[i]
+            assert rec.witness == tuple(recs.witness[i].tolist())
+        assert Records.from_records(as_list) == recs
+        assert recs.ln().tolist() == [rec.ln() for rec in as_list]
+        assert recs.detected().tolist() == [list(rec.detected()) for rec in as_list]
+
+    def test_equality_is_exact_on_both_columns(self):
+        recs = evaluate_state(next(sample_chunks(2, 5, 6, 97, 0, 40)))
+        for column in ("tn", "witness"):
+            changed = Records(recs.tn.copy(), recs.witness.copy())
+            assert changed == recs
+            values = getattr(changed, column).reshape(-1)
+            values[-1] = np.nextafter(values[-1], np.inf)
+            assert changed != recs, column
+        assert recs != list(recs)
+
+    def test_concat_keeps_order(self):
+        chunks = list(sample_chunks(3, 4, 12, 97, 0, 60))
+        parts = [evaluate_state(chunk) for chunk in chunks]
+        assert len(parts) > 1
+        joined = Records.concat(parts)
+        assert list(joined) == [rec for part in parts for rec in part]
+        assert joined == Records.from_records(
+            evaluate_state(rho) for chunk in chunks for rho in chunk
+        )
+
+    def test_pickle_round_trip(self):
+        recs = evaluate_state(next(sample_chunks(2, 5, 6, 97, 0, 40)))
+        back = pickle.loads(pickle.dumps(recs))
+        assert isinstance(back, Records) and back == recs
+        assert _column_bits(back) == _column_bits(recs)
 
 
 class TestImplications:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from entdetect import (
+    Records,
     SweepConfig,
     __version__,
     aggregate,
@@ -32,10 +33,13 @@ from entdetect.verify import run_checks
 
 class TestRunCell:
     def test_serial_parallel_identical(self):
+        # the pool's blocks come back as arrays: both columns, exactly
         serial = run_cell(2, 4, 3, 600, master_seed=21, workers=1)
         parallel = run_cell(2, 4, 3, 600, master_seed=21, workers=4)
         assert len(serial) == len(parallel) == 600
-        assert serial == parallel  # tn and every witness, exactly
+        assert np.array_equal(serial.tn, parallel.tn)
+        assert np.array_equal(serial.witness, parallel.witness)
+        assert serial == parallel
 
     def test_trials_are_globally_indexed(self):
         # 300 trials in two blocks through a pool: the second block starts
@@ -61,7 +65,7 @@ class TestRunCell:
         # benchmarks/layers.py counts evaluated states as calls to
         # harness.evaluate_state, pins 6 eigvalsh and 1 svd per such call,
         # and wraps harness.sample_reduced_state. run_cell makes one such
-        # call per sampler chunk, and its records are those calls' records
+        # call per sampler chunk, and its Records are those calls' Records
         # in order.
         assert callable(harness.sample_reduced_state)
         lapack = Counter()
@@ -81,15 +85,15 @@ class TestRunCell:
             recs = evaluate(rho)
             per_call.append((len(rho), lapack["eigvalsh"] - before["eigvalsh"],
                              lapack["svd"] - before["svd"]))
-            returned.extend(recs)
+            returned.append(recs)
             return recs
 
         monkeypatch.setattr(harness, "evaluate_state", traced)
         recs = run_cell(2, 5, 6, 300, 42)
         assert per_call == [(b, 6, 1) for b in self.CHUNKS_2X5_300]
-        assert len(recs) == 300 and recs == returned
-        assert recs == [evaluate_state(sample_reduced_state(2, 5, 6, 42, t))
-                        for t in range(300)]
+        assert len(recs) == 300 and recs == Records.concat(returned)
+        assert list(recs) == [evaluate_state(sample_reduced_state(2, 5, 6, 42, t))
+                              for t in range(300)]
 
     def test_per_state_calls_every_helper_the_benchmark_tracer_wraps(self, monkeypatch):
         # benchmarks/layers.py times each of these helpers as it is looked

@@ -7,6 +7,7 @@ from entdetect import (
     partial_transpose,
     purity,
     realign,
+    sample_chunks,
     sample_states,
     spectrum,
     trace_norm,
@@ -371,6 +372,14 @@ class TestEntropyAndPurity:
         assert purity(maximally_mixed(2, 2)) == pytest.approx(0.25, abs=1e-14)
         rho = DensityMatrix(np.diag([0.5, 0.5, 0, 0]).astype(complex), 2, 2)
         assert purity(rho) == pytest.approx(0.5, abs=1e-14)
+
+    def test_purity_of_a_stack_is_per_state(self):
+        chunk = next(sample_chunks(2, 5, 6, 42, 0, 40))
+        assert len(chunk) == 40
+        stacked = purity(chunk)
+        assert stacked.shape == (40,)
+        assert stacked.tolist() == [purity(rho) for rho in chunk]
+        assert all(type(purity(rho)) is float for rho in chunk)
 
     def test_purity_equals_eigenvalue_square_sum(self):
         rho = random_state(3, 3, 4, seed=6)

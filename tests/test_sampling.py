@@ -254,14 +254,23 @@ class TestStreams:
 
 def test_zero_draw_raises(monkeypatch):
     """A draw whose norm is not positive (probability zero) is an error, in a
-    block and for a lone trial."""
+    block and for a lone trial. One trial's Gaussians are zeroed as they are
+    drawn: the draw that starts from that trial's stream state."""
     cell, seed, trial = (2, 5, 6), 42, 300
-    rng = reference_stream(*cell, seed, trial)
-    zero = rng.standard_normal(60) + 1j * rng.standard_normal(60)
-    norm = np.linalg.norm
-    monkeypatch.setattr(
-        np.linalg, "norm", lambda v: 0.0 if np.array_equal(v, zero) else norm(v)
-    )
+    zeroed = reference_stream(*cell, seed, trial).bit_generator.state
+    generator = np.random.Generator
+
+    class ZeroingGenerator:
+        def __init__(self, bitgen):
+            self.bitgen, self.rng = bitgen, generator(bitgen)
+
+        def standard_normal(self, *, out):
+            hit = self.bitgen.state == zeroed
+            self.rng.standard_normal(out=out)
+            if hit:
+                out[:] = 0.0
+
+    monkeypatch.setattr(np.random, "Generator", ZeroingGenerator)
     with pytest.raises(RuntimeError, match="zero vector"):
         list(sample_states(*cell, seed, trial - 2, trial + 3))
     with pytest.raises(RuntimeError, match="zero vector"):
@@ -291,6 +300,18 @@ def test_chunk_edges_equal_reference_sampler(cell, start, stop):
     assert len(states) == stop - start
     for trial, rho in zip(range(start, stop), states):
         assert np.array_equal(rho.mat, reference_state(*cell, 42, trial).mat), trial
+
+
+@pytest.mark.parametrize("cell", [(2, 5, 6), (3, 5, 2), (3, 4, 12), (6, 6, 2), (2, 18, 36)])
+def test_stacked_norms_equal_per_row_norms(cell):
+    """The sampler's one stacked norm per chunk gives each row the bits of
+    np.linalg.norm of that row alone, on the draws of every cell the
+    reference-sampler tests cover."""
+    n = cell[0] * cell[1] * cell[2]
+    x = np.array([reference_stream(*cell, 42, t).standard_normal(2 * n) for t in range(64)])
+    v = x[:, :n] + 1j * x[:, n:]
+    per_row = np.array([np.linalg.norm(row) for row in v])
+    assert sampling._norms(v).tobytes() == per_row.tobytes()
 
 
 @pytest.mark.parametrize("cell", [(2, 5, 6), (3, 5, 2), (3, 4, 12), (6, 6, 2)])
