@@ -209,6 +209,7 @@ class TestBounds:
         assert proc.stdout.readline() == b"bounds for 60x60\n"
         proc.stdout.close()
         err = proc.stderr.read()
+        proc.stderr.close()
         assert proc.wait(timeout=120) == 1
         assert err == b""
 

@@ -363,11 +363,16 @@ class TestRecords:
 class TestImplications:
     @pytest.mark.parametrize("cell", [(2, 4, 5), (2, 5, 6), (3, 3, 5), (3, 5, 8)])
     def test_entropy_implies_majorization_and_reduction_implies_pt(self, cell):
-        # Every invariant of the table, these two among them.
-        for trial, rho in enumerate(sample_states(*cell, 83, 0, 50)):
-            rec = evaluate_state(rho)
+        # Every invariant of the table, these two among them, on every
+        # state; a failure names the trials it failed on.
+        start = 0
+        for chunk in sample_chunks(*cell, 83, 0, 50):
+            recs = evaluate_state(chunk)
             for name, margin in INVARIANTS.items():
-                assert margin(cell, rho, rec, EPS) >= 0, (name, trial)
+                m = np.broadcast_to(margin(cell, chunk, recs, EPS), len(recs))
+                assert (m >= 0).all(), (name, (start + np.flatnonzero(~(m >= 0))).tolist())
+            start += len(chunk)
+        assert start == 50
 
     @pytest.mark.parametrize("trial", range(20))
     def test_prop3_spectral_form(self, trial):

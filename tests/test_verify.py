@@ -1,14 +1,17 @@
 """The invariant table can fail: each verdict-level invariant, applied to
 hand-built records that violate and that satisfy it, has a margin of the
-matching sign."""
+matching sign. Each margin is a column function, one value per state of
+a stack, and run_checks folds one call per invariant per chunk."""
 
 import math
 
+import numpy as np
 import pytest
 
-from entdetect import CRITERIA, StateRecord, evaluate_state, verify
+from entdetect import CRITERIA, Records, StateRecord, evaluate_state, verify
 from entdetect.criteria import EPS, SIGNS
-from entdetect.verify import INVARIANTS, REALIGNMENT, run_checks
+from entdetect.sampling import sample_chunks
+from entdetect.verify import INVARIANTS, REALIGNMENT, CheckResult, numerical_rank, run_checks
 from conftest import maximally_mixed, random_state
 
 CELL = (2, 3, 6)
@@ -40,18 +43,20 @@ def record(ln, *detected):
     ("majorization_implies_reduction", record(0.5, "pt", "reduction", "majorization"), True),
 ])
 def test_verdict_invariant_margin_sign(name, rec, holds):
-    margin = INVARIANTS[name](CELL, maximally_mixed(2, 3), rec, EPS)
-    assert (margin >= 0) is holds
+    [margin] = INVARIANTS[name](CELL, maximally_mixed(2, 3), Records.from_records([rec]), EPS)
+    assert bool(margin >= 0) is holds
 
 
 def test_purity_bound_reads_the_records_realignment_witness():
     rho = random_state(2, 3, 2, seed=5)
-    rec = evaluate_state(rho)
+    recs = Records.from_records([evaluate_state(rho)])
     margin = INVARIANTS["realign_trace_norm_purity_bound"]
-    assert margin(CELL, rho, rec, EPS) >= 0
-    witness = list(rec.witness)
-    witness[REALIGNMENT] += 2 * margin(CELL, rho, rec, EPS) + 1e-6
-    assert margin(CELL, rho, rec._replace(witness=tuple(witness)), EPS) < 0
+    [held] = margin(CELL, rho, recs, EPS)
+    assert held >= 0
+    witness = recs.witness.copy()
+    witness[:, REALIGNMENT] += 2 * held + 1e-6
+    [broken] = margin(CELL, rho, Records(recs.tn, witness), EPS)
+    assert broken < 0
 
 
 def test_prop3_does_not_apply_beyond_qubit_qudit():
@@ -85,3 +90,81 @@ def test_run_checks_checks_exactly_the_sample_count(samples, monkeypatch):
     for result in run_checks(samples=samples, master_seed=2024):
         assert result.detail.endswith(f"over {samples} states"), result
     assert len(evaluated) == samples
+
+
+# The worst margins of run_checks(1200, 42), the same at eps 1e-10 and 0,
+# as the per-state fold computed them before the margins took columns.
+WORST_1200_42 = {
+    "entropy_implies_majorization": "0x0.0p+0",
+    "reduction_implies_pt": "0x0.0p+0",
+    "majorization_implies_reduction": "0x0.0p+0",
+    "ln_iff_pt": "0x0.0p+0",
+    "realign_trace_norm_purity_bound": "0x1.de8867a30e000p-8",
+    "pt_involution": "0x1.6849b86a12b9bp-47",
+    "pt_side_spectra_match": "0x1.b7cdfd9d7bdbbp-34",
+    "realign_frobenius_preserved": "0x1.19699812dea11p-40",
+    "rank_ceiling": "0x0.0p+0",
+    "prop3_verdict_agreement": "0x0.0p+0",
+    "prop3_spectral_match": "0x1.12e0ae826d695p-30",
+}
+
+
+@pytest.mark.parametrize("eps", [EPS, 0.0])
+def test_run_checks_worst_margins_are_pinned(eps):
+    results = run_checks(samples=1200, master_seed=42, eps=eps)
+    assert {r.name: r.margin.hex() for r in results} == WORST_1200_42
+    assert all(r.passed for r in results)
+
+
+def _column(margin, cell, rho, recs):
+    """A margin's values on the states of ``recs``, a scalar broadcast."""
+    return np.broadcast_to(margin(cell, rho, recs, EPS), len(recs)).astype(float)
+
+
+@pytest.mark.parametrize("cell", [(2, 5, 3), (3, 3, 5), (3, 5, 15)])
+def test_chunk_margins_are_each_states_margins_alone(cell):
+    chunk = next(sample_chunks(*cell, 11, 0, 24))
+    recs = evaluate_state(chunk)
+    alone = [next(sample_chunks(*cell, 11, i, i + 1)) for i in range(len(chunk))]
+    assert [a.mat[0].tobytes() for a in alone] == [rho.mat.tobytes() for rho in chunk]
+    for name, margin in INVARIANTS.items():
+        each = [_column(margin, cell, a, evaluate_state(a)) for a in alone]
+        assert _column(margin, cell, chunk, recs).tobytes() == np.concatenate(each).tobytes(), name
+    assert numerical_rank(chunk).tolist() == [numerical_rank(a).item() for a in alone]
+
+
+def test_run_checks_calls_each_margin_once_per_chunk(monkeypatch):
+    # 25 states per cell: one chunk in the 2 x d cells, two in 3 x 5
+    chunks, calls = [], {name: [] for name in INVARIANTS}
+
+    def evaluated(rho):
+        chunks.append(len(rho))
+        return evaluate_state(rho)
+
+    def counted(name, margin):
+        def counting(cell, rho, recs, eps):
+            calls[name].append(len(recs))
+            return margin(cell, rho, recs, eps)
+        return counting
+
+    monkeypatch.setattr(verify, "evaluate_state", evaluated)
+    monkeypatch.setattr(verify, "INVARIANTS", {n: counted(n, m) for n, m in INVARIANTS.items()})
+    assert all(r.passed for r in run_checks(samples=300, master_seed=2024))
+    assert sum(chunks) == 300 and len(chunks) > 12
+    assert calls == {name: chunks for name in INVARIANTS}
+
+
+def test_a_nan_margin_is_a_violation_and_never_the_worst(monkeypatch):
+    calls = []
+
+    def one_nan(cell, rho, recs, eps):
+        m = np.full(len(recs), 0.25)
+        if not calls:
+            m[len(m) // 2] = np.nan
+        calls.append(len(recs))
+        return m
+
+    monkeypatch.setattr(verify, "INVARIANTS", {"one_nan": one_nan})
+    [result] = run_checks(samples=50, master_seed=2024)
+    assert result == CheckResult("one_nan", False, 0.25, "1 violation(s) over 50 states")
+    assert sum(calls) == 50
