@@ -21,11 +21,12 @@ def werner(p):
 
 
 def show(label, rho):
-    rec = evaluate_state(rho)
+    """Print the LN and verdicts of ``rho``, a stack of one state."""
+    recs = evaluate_state(rho)
     flags = "  ".join(
-        f"{c}={'Y' if detected else '.'}" for c, detected in zip(CRITERIA, rec.detected())
+        f"{c}={'Y' if detected else '.'}" for c, detected in zip(CRITERIA, recs.detected()[0])
     )
-    print(f"{label:<22} LN={rec.ln():.4f}   {flags}")
+    print(f"{label:<22} LN={recs.ln()[0]:.4f}   {flags}")
 
 
 def main():

@@ -12,7 +12,7 @@ from entdetect import (
     page_entropies,
     purity,
     realignment_rank_bound,
-    sample_states,
+    sample_chunks,
     spectrum,
 )
 from entdetect.linalg import von_neumann_entropy
@@ -22,9 +22,9 @@ def main():
     d1, d2, k, n = 2, 5, 8, 2000
     ent = []
     pur = []
-    for rho in sample_states(d1, d2, k, 11, 0, n):
-        ent.append(von_neumann_entropy(spectrum(rho.mat)))
-        pur.append(purity(rho))
+    for chunk in sample_chunks(d1, d2, k, 11, 0, n):
+        ent.extend(von_neumann_entropy(spectrum(chunk.mat)))
+        pur.extend(purity(chunk))
     s12 = page_entropies(d1, d2, k)[2]
     print(f"rank-{k} states on {d1}x{d2}, {n} samples:")
     print(f"  mean entropy  {np.mean(ent):.4f}   formula {s12:.4f}")

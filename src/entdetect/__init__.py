@@ -20,13 +20,8 @@ from .linalg import (
     trace_norm,
     von_neumann_entropy,
 )
-from .sampling import (
-    sample_chunks,
-    sample_reduced_state,
-    sample_states,
-    sample_tripartite_pure,
-)
-from .criteria import CRITERIA, Records, StateRecord, evaluate_state
+from .sampling import sample_chunks, sample_reduced_state, sample_tripartite_pure
+from .criteria import CRITERIA, Records, evaluate_state
 from .analytics import (
     CriterionStats,
     SweepStats,

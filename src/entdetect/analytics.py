@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import CRITERIA, EPS, Records, check_eps
+from .criteria import CRITERIA, EPS, check_eps
 from .linalg import check_dims
 from .sampling import check_cell
 
@@ -42,19 +42,17 @@ class SweepStats:
 
 
 def aggregate(records, cell, eps=EPS):
-    """Reduce the evaluated states of the (d1, d2, k) ``cell``, as Records
-    or as an iterable of StateRecords, to SweepStats.
+    """Reduce the Records of the evaluated states of the (d1, d2, k)
+    ``cell`` to SweepStats.
 
     The columns are read at ``eps`` once: each state's LN and whether each
-    criterion fires, as StateRecord.ln and .detected give them. Only
+    criterion fires, by Records.ln and Records.detected. Only
     states with LN above 0 enter the fraction denominator; means use exact
     (fsum) accumulation so the result is independent of record order and
     of shard merging. Counts are Python ints.
     """
     check_eps(eps)
     check_cell(*cell)
-    if not isinstance(records, Records):
-        records = Records.from_records(records)
     if not len(records):
         raise ValueError("cannot aggregate an empty record list")
     ln = records.ln(eps)

@@ -1,17 +1,15 @@
 """The five entanglement detection criteria and logarithmic negativity.
 
-evaluate_state is the one place a criterion's witness is computed. On a
-stacked DensityMatrix it returns Records, the batch's numbers as two
-columns in stack order: the unclipped trace norm of each state's partial
-transpose and its five witnesses in CRITERIA order, from one stacked pass
-whose numbers are each state's own bits. On one state it returns that
-state's StateRecord, the same numbers as Python floats; Records index
-and iterate as StateRecords. The thresholds are applied only when
-numbers are read, at any eps, and _ln and _detected are their one
-statement, for a StateRecord and for a column alike. Thresholds are
-strict with a shared epsilon (default 1e-10): boundary states are
-classified as not detected, since a one-sided separability test at its
-boundary carries no certificate.
+evaluate_state is the one place a criterion's witness is computed. It
+takes a stacked DensityMatrix and returns Records, the stack's numbers
+as two columns in stack order: the unclipped trace norm of each state's
+partial transpose and its five witnesses in CRITERIA order, from one
+stacked pass whose numbers are each state's own bits. The thresholds are
+applied only when the columns are read, at any eps, and Records.ln and
+Records.detected are their one statement. Thresholds are strict with a
+shared epsilon (default 1e-10): boundary states are classified as not
+detected, since a one-sided separability test at its boundary carries no
+certificate.
 
 Witness conventions:
 
@@ -30,7 +28,6 @@ that norm is within 2*eps of 1 (a PPT state).
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -55,52 +52,17 @@ CRITERIA = ("pt", "reduction", "majorization", "entropy", "realignment")
 SIGNS = (-1, -1, +1, -1, +1)
 
 
-def _ln(tn, eps):
-    """LN of one trace norm: log2, or 0 within 2*eps of PPT."""
-    return math.log2(tn) if tn > 1.0 + 2.0 * eps else 0.0
-
-
-def _detected(witness, eps):
-    """Whether each criterion fires at ``eps``: a bool array along the
-    last axis of ``witness``, in CRITERIA order."""
-    return np.multiply(witness, SIGNS) > eps
-
-
-class StateRecord(NamedTuple):
-    """One evaluated state: ``tn``, the trace norm of its partial
-    transpose, and ``witness``, the five witnesses in CRITERIA order."""
-
-    tn: float
-    witness: tuple
-
-    def ln(self, eps=EPS):
-        """Log-negativity, 0 for a state within 2*eps of PPT."""
-        return _ln(self.tn, eps)
-
-    def detected(self, eps=EPS):
-        """Whether each criterion fires at ``eps``, in CRITERIA order."""
-        return tuple(_detected(self.witness, eps).tolist())
-
-
 class Records:
     """Evaluated states as columns, in stack or trial order: ``tn``, a
     float64 ``(n,)`` array of partial-transpose trace norms, and
     ``witness``, a float64 ``(n, 5)`` array of witnesses in CRITERIA
-    order. Indexing and iteration give each state's StateRecord, of
-    Python floats; ``==`` compares both columns exactly."""
+    order; ``==`` compares both columns exactly."""
 
     __slots__ = ("tn", "witness")
 
     def __init__(self, tn, witness):
         self.tn = tn
         self.witness = witness
-
-    @classmethod
-    def from_records(cls, records):
-        """The columns of an iterable of StateRecords, in order."""
-        records = list(records)
-        return cls(np.array([r.tn for r in records], dtype=float),
-                   np.array([r.witness for r in records], dtype=float))
 
     @classmethod
     def concat(cls, parts):
@@ -111,24 +73,22 @@ class Records:
     def __len__(self):
         return len(self.tn)
 
-    def __getitem__(self, i):
-        return StateRecord(self.tn[i].item(), tuple(self.witness[i].tolist()))
-
-    def __iter__(self):
-        return map(StateRecord, self.tn.tolist(), map(tuple, self.witness.tolist()))
-
     def __eq__(self, other):
         if not isinstance(other, Records):
             return NotImplemented
         return np.array_equal(self.tn, other.tn) and np.array_equal(self.witness, other.witness)
 
     def ln(self, eps=EPS):
-        """Each state's StateRecord.ln, as a float64 array."""
-        return np.array([_ln(tn, eps) for tn in self.tn.tolist()])
+        """Each state's log-negativity, as a float64 array: log2 of its
+        trace norm, or 0 within 2*eps of PPT. Each is ``math.log2`` of a
+        Python float, whose bits can differ from ``np.log2``'s by an ulp."""
+        return np.array([math.log2(tn) if tn > 1.0 + 2.0 * eps else 0.0
+                         for tn in self.tn.tolist()])
 
     def detected(self, eps=EPS):
-        """Each state's StateRecord.detected, as an ``(n, 5)`` bool array."""
-        return _detected(self.witness, eps)
+        """Whether each criterion fires on each state at ``eps``, as an
+        ``(n, 5)`` bool array in CRITERIA order."""
+        return np.multiply(self.witness, SIGNS) > eps
 
 
 def check_eps(eps):
@@ -162,13 +122,12 @@ def _identity(d):
 
 
 def evaluate_state(rho):
-    """The five witnesses and the partial-transpose trace norm of a state,
-    or of each state of a stacked DensityMatrix.
+    """The five witnesses and the partial-transpose trace norm of each
+    state of a stacked DensityMatrix, as Records in stack order.
 
-    Returns Records, in stack order, for a stack, and one StateRecord for
-    a single state. Either way the work is one pass over the whole stack:
-    six stacked eigvalsh and one stacked svd, whatever its length. The
-    expensive eigendecompositions are shared between the criteria; the
+    The work is one pass over the whole stack: six stacked eigvalsh and
+    one stacked svd, whatever its length. The expensive
+    eigendecompositions are shared between the criteria; the
     partial-transpose spectrum is independent of which side is
     transposed, so the PT witness and the trace norm come from a single
     solve.
@@ -186,11 +145,11 @@ def evaluate_state(rho):
     # index view against a shared identity: the same products as np.kron,
     # without its overhead.
     shape = rho.mat.shape
-    kron1 = rho1[..., :, None, :, None] * _identity(rho.d2)[:, None, :]
-    kron2 = _identity(rho.d1)[:, None, :, None] * rho2[..., None, :, None, :]
+    kron1 = rho1[:, :, None, :, None] * _identity(rho.d2)[:, None, :]
+    kron2 = _identity(rho.d1)[:, None, :, None] * rho2[:, None, :, None, :]
     op1 = kron1.reshape(shape) - rho.mat
     op2 = kron2.reshape(shape) - rho.mat
-    red_min = np.minimum(np.linalg.eigvalsh(op1)[..., 0], np.linalg.eigvalsh(op2)[..., 0])
+    red_min = np.minimum(np.linalg.eigvalsh(op1)[:, 0], np.linalg.eigvalsh(op2)[:, 0])
 
     maj = _majorization_witness(eigs12, eigs1, eigs2)
 
@@ -200,6 +159,4 @@ def evaluate_state(rho):
     rl = trace_norm(realign(rho)) - 1.0
 
     tn = np.add.reduce(np.abs(pt_eigs), axis=-1)
-    witness = np.stack((pt_eigs[..., 0], red_min, maj, ent, rl), axis=-1)
-    records = Records(np.reshape(tn, -1), witness.reshape(-1, len(CRITERIA)))
-    return records if rho.mat.ndim == 3 else records[0]
+    return Records(tn, np.stack((pt_eigs[:, 0], red_min, maj, ent, rl), axis=-1))

@@ -3,9 +3,10 @@
 Everything here is a pure function of its inputs. The fixed basis
 convention is ``|i mu>`` with the subsystem-1 index major, i.e. the
 composite row index of an entry ``<i mu| rho |j nu>`` is ``i*d2 + mu``.
-The helpers work on the last two axes (the last one for spectra), with
-any leading stack axes, and give each matrix of a stack the same bits as
-a call on that matrix alone.
+A DensityMatrix is a stack of states; the helpers work on each of its
+states, and on the last two axes of an array (the last one for spectra),
+and give each matrix of a stack the same bits as a stack of that matrix
+alone.
 """
 
 import numpy as np
@@ -24,24 +25,24 @@ def check_dims(d1, d2):
 
 
 class DensityMatrix:
-    """A Hermitian, unit-trace, PSD matrix on C^d1 (x) C^d2, or a
-    ``(B, n, n)`` stack of them.
+    """A ``(B, n, n)`` stack of B >= 1 Hermitian, unit-trace, PSD matrices
+    on C^d1 (x) C^d2, n = d1*d2: every state is a stack, and one ``(n,
+    n)`` matrix enters as a stack of one, B = 1.
 
     The input is validated against the Hermiticity/trace/positivity
     invariants and then symmetrized once, ``(M + M^dag)/2``; no operation
     downstream ever re-symmetrizes silently. Only ``DensityMatrix.stack``
     skips the positivity check, for stacks that are PSD by construction.
-    A stack iterates as its states, in order, each viewing its matrix; a
-    single state is a stack of one.
     """
 
     __slots__ = ("d1", "d2", "mat")
 
     def __init__(self, mat, d1, d2):
-        self.mat = _symmetrized(np.asarray(mat, dtype=complex), d1, d2)
+        mats = np.asarray(mat, dtype=complex)
+        self.mat = _symmetrized(mats[None] if mats.ndim == 2 else mats, d1, d2)
         self.d1 = d1
         self.d2 = d2
-        lmin = np.linalg.eigvalsh(self.mat)[..., 0].min()
+        lmin = np.linalg.eigvalsh(self.mat)[:, 0].min()
         if lmin < -PSD_ATOL:
             raise ValueError(f"matrix is not PSD (min eigenvalue {lmin:g})")
 
@@ -51,38 +52,33 @@ class DensityMatrix:
         (the sampler's ``A A^dag``) as one stacked DensityMatrix. Every
         check of ``DensityMatrix`` but positivity is made on the whole
         stack in one pass."""
-        return cls._checked(_symmetrized(np.asarray(mats, dtype=complex), d1, d2), d1, d2)
-
-    @classmethod
-    def _checked(cls, mat, d1, d2):
-        """A DensityMatrix holding ``mat`` as is: checked already."""
         rho = cls.__new__(cls)
-        rho.d1, rho.d2, rho.mat = d1, d2, mat
+        rho.d1, rho.d2 = d1, d2
+        rho.mat = _symmetrized(np.asarray(mats, dtype=complex), d1, d2)
         return rho
 
     def __len__(self):
-        return len(self.mat) if self.mat.ndim == 3 else 1
-
-    def __iter__(self):
-        for mat in self.mat.reshape(-1, *self.mat.shape[-2:]):
-            yield self._checked(mat, self.d1, self.d2)
+        return len(self.mat)
 
     def _blocks(self):
-        """View the matrix, or each matrix of the stack, with indices
-        (i, mu, j, nu)."""
-        return self.mat.reshape(*self.mat.shape[:-2], self.d1, self.d2, self.d1, self.d2)
+        """View each matrix of the stack with indices (i, mu, j, nu)."""
+        return self.mat.reshape(-1, self.d1, self.d2, self.d1, self.d2)
 
 
 def _symmetrized(mats, d1, d2):
-    """``(M + M^dag)/2`` of an ``(n, n)`` complex matrix or of each matrix
-    of a ``(B, n, n)`` stack, after checking the dimensions (check_dims)
-    and that every matrix is finite, Hermitian to within HERMITICITY_RTOL
-    of its largest entry, and, once symmetrized, of unit trace to within
+    """``(M + M^dag)/2`` of each matrix of a ``(B, n, n)`` complex stack,
+    after checking the dimensions (check_dims), that B >= 1, and that
+    every matrix is finite, Hermitian to within HERMITICITY_RTOL of its
+    largest entry, and, once symmetrized, of unit trace to within
     TRACE_ATOL. The first failed check raises."""
     check_dims(d1, d2)
     n = d1 * d2
-    if mats.ndim not in (2, 3) or mats.shape[-2:] != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix, got shape {mats.shape}")
+    if mats.ndim != 3 or mats.shape[1:] != (n, n):
+        raise ValueError(
+            f"expected a (B, {n}, {n}) stack of {n}x{n} matrices, got shape {mats.shape}"
+        )
+    if not len(mats):
+        raise ValueError("expected at least one matrix, got an empty stack")
     if not np.isfinite(mats).all():
         raise ValueError("matrix has non-finite entries")
     adj = mats.conj().swapaxes(-2, -1)
@@ -96,8 +92,7 @@ def _symmetrized(mats, d1, d2):
 
 
 def partial_transpose(rho, subsystem=1):
-    """Transpose the indices of one subsystem of ``rho``, or of each state
-    of a stack.
+    """Transpose the indices of one subsystem of each state of ``rho``.
 
     Returns a plain ndarray: the result is Hermitian with unit trace but
     in general not PSD.
@@ -113,9 +108,9 @@ def partial_transpose(rho, subsystem=1):
 
 
 def partial_trace(rho, traced_subsystem=2):
-    """Trace out one subsystem of ``rho``, or of each state of a stack; the
-    marginal is a plain ndarray, exactly Hermitian with unit trace because
-    ``rho`` was symmetrized when built."""
+    """Trace out one subsystem of each state of ``rho``; the marginals are
+    a plain ``(B, d, d)`` ndarray, each exactly Hermitian with unit trace
+    because ``rho`` was symmetrized when built."""
     t = rho._blocks()
     if traced_subsystem == 2:
         return t.trace(axis1=-3, axis2=-1)
@@ -125,15 +120,15 @@ def partial_trace(rho, traced_subsystem=2):
 
 
 def realign(rho):
-    """Reshuffle ``rho``, or each state of a stack, into the d1^2 x d2^2
-    realignment matrix.
+    """Reshuffle each state of ``rho`` into the d1^2 x d2^2 realignment
+    matrix.
 
     Row index is the pair (i, j), column index the pair (mu, nu), so entry
     ((i,j),(mu,nu)) equals <i mu| rho |j nu>. The output has the same entry
     multiset as the input (equal Frobenius norms).
     """
     t = rho._blocks().swapaxes(-3, -2)
-    return np.ascontiguousarray(t.reshape(*t.shape[:-4], rho.d1 ** 2, rho.d2 ** 2))
+    return np.ascontiguousarray(t.reshape(len(t), rho.d1 ** 2, rho.d2 ** 2))
 
 
 def trace_norm(m):
@@ -176,8 +171,7 @@ def von_neumann_entropy(eigenvalues):
 
 
 def purity(rho):
-    """Tr rho^2 of one state, the squared Frobenius norm of a Hermitian
-    matrix, as a float; of a stack, an array of each state's own, each
-    from its own vdot, so a state's value does not depend on the stack."""
-    values = [float(np.vdot(mat, mat).real) for mat in rho.mat.reshape(-1, *rho.mat.shape[-2:])]
-    return np.array(values) if rho.mat.ndim == 3 else values[0]
+    """Tr rho^2 of each state of ``rho``, the squared Frobenius norm of a
+    Hermitian matrix, as a float64 array; each from its own vdot, so a
+    state's value does not depend on the stack."""
+    return np.array([np.vdot(mat, mat).real for mat in rho.mat])

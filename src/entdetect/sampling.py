@@ -35,9 +35,8 @@ is yielded.
 
 A trial is named by its plain arguments ``(d1, d2, k, master_seed,
 trial_index)``, checked by check_cell and check_seed, and
-sample_chunks is the one path that draws it; sample_states is its
-per-trial view, and sample_reduced_state and sample_tripartite_pure its
-one-trial views.
+sample_chunks is the one path that draws it; sample_reduced_state and
+sample_tripartite_pure are its one-trial views.
 """
 
 import numpy as np
@@ -226,14 +225,6 @@ def sample_chunks(d1, d2, k, master_seed, start, stop):
         yield DensityMatrix.stack(a @ a.conj().transpose(0, 2, 1), d1, d2)
 
 
-def sample_states(d1, d2, k, master_seed, start, stop):
-    """Yield the rank-k state of each trial ``start .. stop - 1`` of cell
-    (d1, d2, k), in trial order, each as its own DensityMatrix: the states
-    of sample_chunks' stacks, one at a time."""
-    for chunk in sample_chunks(d1, d2, k, master_seed, start, stop):
-        yield from chunk
-
-
 def sample_tripartite_pure(d1, d2, k, master_seed, trial_index=0):
     """Haar-uniform unit vector on C^(d1*d2*k) of one trial."""
     [psi] = next(_unit_vectors(d1, d2, k, master_seed, trial_index, trial_index + 1))
@@ -241,5 +232,5 @@ def sample_tripartite_pure(d1, d2, k, master_seed, trial_index=0):
 
 
 def sample_reduced_state(d1, d2, k, master_seed, trial_index=0):
-    """Rank-k bipartite mixed state of one trial."""
-    return next(sample_states(d1, d2, k, master_seed, trial_index, trial_index + 1))
+    """Rank-k bipartite mixed state of one trial, a stack of one."""
+    return next(sample_chunks(d1, d2, k, master_seed, trial_index, trial_index + 1))

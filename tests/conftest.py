@@ -4,7 +4,7 @@ import pytest
 from entdetect import (
     CRITERIA,
     DensityMatrix,
-    StateRecord,
+    Records,
     partial_transpose,
     realign,
     run_cell,
@@ -60,6 +60,23 @@ def random_state(d1, d2, k, seed=0, trial=0):
     return sample_reduced_state(d1, d2, k, seed, trial)
 
 
+def states_of(rho):
+    """Each state of the stack ``rho`` as its own stack of one, B = 1."""
+    return [DensityMatrix.stack(rho.mat[i:i + 1], rho.d1, rho.d2) for i in range(len(rho))]
+
+
+def as_records(rows):
+    """Records of ``(tn, witness)`` rows, in order."""
+    rows = list(rows)
+    return Records(np.array([tn for tn, _ in rows], dtype=float),
+                   np.array([w for _, w in rows], dtype=float).reshape(-1, len(CRITERIA)))
+
+
+def row_of(recs, i):
+    """State ``i`` of Records, as Records of that one state."""
+    return Records(recs.tn[i:i + 1], recs.witness[i:i + 1])
+
+
 def reference_stream(d1, d2, k, master_seed, trial):
     """numpy's own Generator for one trial's stream, the contract the
     sampler's seeding must reproduce."""
@@ -99,44 +116,47 @@ def _entropy(eigs):
 
 
 def reference_marginal(rho, traced_subsystem):
-    """Reference for partial_trace: the einsum over the (i, mu, j, nu)
-    view, which partial_trace must match bit for bit."""
+    """Reference for partial_trace of a stack of one: the einsum over the
+    (i, mu, j, nu) view, which partial_trace must match bit for bit."""
     t = rho.mat.reshape(rho.d1, rho.d2, rho.d1, rho.d2)
     return np.einsum("imjm->ij" if traced_subsystem == 2 else "imin->mn", t)
 
 
-def verdict(rec, criterion, eps=EPS):
-    """(detected, witness) of one criterion of a StateRecord."""
+def verdict(recs, criterion, eps=EPS):
+    """(detected, witness) of one criterion on the first state of Records,
+    as a Python bool and float."""
     i = CRITERIA.index(criterion)
-    return rec.detected(eps)[i], rec.witness[i]
+    return bool(recs.detected(eps)[0, i]), float(recs.witness[0, i])
 
 
 def reference_record(rho):
-    """Reference for evaluate_state: every witness computed on its own,
-    with its own eigendecompositions and sums, and the trace norm from the
-    side-2 partial transpose (evaluate_state uses side 1). It returns raw
-    numbers; test_criteria's boundary table pins the thresholds."""
+    """Reference for evaluate_state on a stack of one: every witness
+    computed on its own, with its own eigendecompositions and sums, and
+    the trace norm from the side-2 partial transpose (evaluate_state uses
+    side 1). It returns plain numbers, ``(tn, (pt, red, maj, ent, rl))``;
+    test_criteria's boundary table pins the thresholds."""
+    [mat] = rho.mat
     rho1, rho2 = reference_marginal(rho, 2), reference_marginal(rho, 1)
 
-    pt = float(np.linalg.eigvalsh(partial_transpose(rho, 1))[0])
+    pt = float(np.linalg.eigvalsh(partial_transpose(rho, 1)[0])[0])
 
-    op1 = np.kron(rho1, np.eye(rho.d2)) - rho.mat
-    op2 = np.kron(np.eye(rho.d1), rho2) - rho.mat
+    op1 = np.kron(rho1, np.eye(rho.d2)) - mat
+    op2 = np.kron(np.eye(rho.d1), rho2) - mat
     red = float(min(np.linalg.eigvalsh(op1)[0], np.linalg.eigvalsh(op2)[0]))
 
-    eigs = spectrum(rho.mat)
+    eigs = spectrum(mat)
     maj = max(
         _majorization_excess(eigs, spectrum(rho1)),
         _majorization_excess(eigs, spectrum(rho2)),
     )
 
-    s12 = _entropy(spectrum(rho.mat))
+    s12 = _entropy(spectrum(mat))
     ent = min(s12 - _entropy(spectrum(rho1)), s12 - _entropy(spectrum(rho2)))
 
-    rl = float(np.linalg.svd(realign(rho), compute_uv=False).sum()) - 1.0
+    rl = float(np.linalg.svd(realign(rho)[0], compute_uv=False).sum()) - 1.0
 
-    tn = float(np.abs(np.linalg.eigvalsh(partial_transpose(rho, 2))).sum())
-    return StateRecord(tn, (pt, red, maj, ent, rl))
+    tn = float(np.abs(np.linalg.eigvalsh(partial_transpose(rho, 2)[0])).sum())
+    return tn, (pt, red, maj, ent, rl)
 
 
 @pytest.fixture

@@ -1,15 +1,10 @@
-import dataclasses
 import math
 import random
 
-import numpy as np
 import pytest
 
 from entdetect import (
     CRITERIA,
-    CriterionStats,
-    Records,
-    StateRecord,
     aggregate,
     average_purity,
     entropy_rank_threshold,
@@ -19,15 +14,16 @@ from entdetect import (
 )
 from entdetect import analytics
 from entdetect.criteria import SIGNS
+from conftest import as_records
 
 CELL = (2, 3, 2)
 
 
 def make_record(tn, detected):
-    """A record with PT trace norm ``tn`` on which the criteria marked True
-    in ``detected`` fire: their witness is a unit past the threshold."""
-    witness = tuple(s if detected.get(c) else 0.0 for c, s in zip(CRITERIA, SIGNS))
-    return StateRecord(tn, witness)
+    """``(tn, witness)`` of a state with PT trace norm ``tn`` on which the
+    criteria marked True in ``detected`` fire: their witness is a unit
+    past the threshold."""
+    return tn, tuple(s if detected.get(c) else 0.0 for c, s in zip(CRITERIA, SIGNS))
 
 
 def all_detected(tn):
@@ -37,7 +33,7 @@ def all_detected(tn):
 class TestAggregate:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            aggregate([], CELL)
+            aggregate(as_records([]), CELL)
 
     @pytest.mark.parametrize(
         "eps, cell", [(math.nan, CELL), (-1.0, CELL), (1e-10, (2, 5, 99))],
@@ -45,10 +41,10 @@ class TestAggregate:
     )
     def test_rejects_bad_eps_and_cell(self, eps, cell):
         with pytest.raises(ValueError):
-            aggregate([all_detected(2.0)], cell, eps)
+            aggregate(as_records([all_detected(2.0)]), cell, eps)
 
     def test_all_detected_fraction_one(self):
-        stats = aggregate([all_detected(2.0), all_detected(4.0)], CELL)
+        stats = aggregate(as_records([all_detected(2.0), all_detected(4.0)]), CELL)
         assert (stats.d1, stats.d2, stats.k) == CELL
         for c in CRITERIA:
             cs = stats.per_criterion[c]
@@ -58,7 +54,7 @@ class TestAggregate:
 
     def test_no_detection_gives_nulls_not_zero(self):
         recs = [make_record(2.0, {"pt": True}), make_record(1.5, {"pt": True})]
-        stats = aggregate(recs, CELL)
+        stats = aggregate(as_records(recs), CELL)
         cs = stats.per_criterion["entropy"]
         assert cs.fraction == 0.0
         assert cs.mean_ln is None and cs.min_ln is None
@@ -68,19 +64,19 @@ class TestAggregate:
             all_detected(2.0),
             make_record(1.0, {}),  # PPT-like sample: not in the population
         ]
-        stats = aggregate(recs, CELL)
+        stats = aggregate(as_records(recs), CELL)
         assert stats.n_total == 2
         assert stats.n_npt == 1
         assert stats.per_criterion["pt"].fraction == 1.0
 
     def test_all_ppt_population_undefined(self):
-        stats = aggregate([make_record(1.0, {}), make_record(1.0, {})], CELL)
+        stats = aggregate(as_records([make_record(1.0, {}), make_record(1.0, {})]), CELL)
         for c in CRITERIA:
             assert stats.per_criterion[c].fraction is None
 
     def test_stderr_is_bernoulli(self):
         recs = [all_detected(2.0)] * 3 + [make_record(1.5, {"pt": True})]
-        stats = aggregate(recs, CELL)
+        stats = aggregate(as_records(recs), CELL)
         cs = stats.per_criterion["majorization"]
         assert cs.fraction == 0.75
         assert cs.fraction_stderr == pytest.approx(math.sqrt(0.75 * 0.25 / 4))
@@ -91,10 +87,10 @@ class TestAggregate:
             make_record(rng.uniform(1.01, 2.0), {c: rng.random() < 0.5 for c in CRITERIA} | {"pt": True})
             for _ in range(300)
         ]
-        a = aggregate(recs, CELL)
+        a = aggregate(as_records(recs), CELL)
         shuffled = recs[:]
         rng.shuffle(shuffled)
-        b = aggregate(shuffled, CELL)
+        b = aggregate(as_records(shuffled), CELL)
         for c in CRITERIA:
             ca, cb = a.per_criterion[c], b.per_criterion[c]
             assert ca == cb  # exact equality, fsum accumulation
@@ -102,8 +98,9 @@ class TestAggregate:
     def test_min_matches_brute_force_rescan(self):
         recs = run_cell(2, 4, 4, 300, master_seed=3)
         stats = aggregate(recs, (2, 4, 4))
+        lns, fired = recs.ln().tolist(), recs.detected().tolist()
         for i, c in enumerate(CRITERIA):
-            detected = [r.ln() for r in recs if r.ln() > 0 and r.detected()[i]]
+            detected = [ln for ln, f in zip(lns, fired) if ln > 0 and f[i]]
             cs = stats.per_criterion[c]
             if detected:
                 assert cs.min_ln == min(detected)
@@ -128,7 +125,7 @@ class TestAggregate:
     def test_eps_applied_once(self, records_2x5_k8, eps):
         stats = aggregate(records_2x5_k8, (2, 5, 8), eps)
         # The criteria docstring's comparisons, written out per criterion.
-        pt, red, maj, ent, rl = zip(*(r.witness for r in records_2x5_k8))
+        pt, red, maj, ent, rl = zip(*records_2x5_k8.witness.tolist())
         fires = {
             "pt": [w < -eps for w in pt],
             "reduction": [w < -eps for w in red],
@@ -136,13 +133,14 @@ class TestAggregate:
             "entropy": [w < -eps for w in ent],
             "realignment": [w > eps for w in rl],
         }
-        npt = [r.tn > 1.0 + 2.0 * eps for r in records_2x5_k8]
+        tns = records_2x5_k8.tn.tolist()
+        npt = [tn > 1.0 + 2.0 * eps for tn in tns]
         assert stats.n_total == len(records_2x5_k8)
         assert stats.n_npt == sum(fires["pt"])
         for c in CRITERIA:
             lns = [
-                math.log2(r.tn)
-                for r, in_population, fired in zip(records_2x5_k8, npt, fires[c])
+                math.log2(tn)
+                for tn, in_population, fired in zip(tns, npt, fires[c])
                 if in_population and fired
             ]
             cs = stats.per_criterion[c]
@@ -153,22 +151,6 @@ class TestAggregate:
         assert stats.per_criterion["majorization"].n_detected == (
             self.MAJORIZATION_DETECTED[eps]
         )
-
-    @pytest.mark.parametrize("eps", sorted(MAJORIZATION_DETECTED))
-    def test_columns_equal_record_list(self, records_2x5_k8, eps):
-        # aggregate reads Records as columns and a StateRecord list through
-        # the same columns; both give the same statistics, field by field
-        assert isinstance(records_2x5_k8, Records)
-        columns = aggregate(records_2x5_k8, (2, 5, 8), eps)
-        listed = aggregate(list(records_2x5_k8), (2, 5, 8), eps)
-        for name in ("d1", "d2", "k", "n_total", "n_npt"):
-            assert getattr(columns, name) == getattr(listed, name), name
-        assert list(columns.per_criterion) == list(listed.per_criterion) == list(CRITERIA)
-        for c in CRITERIA:
-            for f in dataclasses.fields(CriterionStats):
-                a = getattr(columns.per_criterion[c], f.name)
-                b = getattr(listed.per_criterion[c], f.name)
-                assert type(a) is type(b) and a == b, (c, f.name)
 
     def test_counts_are_python_ints(self, records_2x5_k8):
         # harness._fmt prints ints with str and everything else through

@@ -8,12 +8,10 @@ from entdetect import (
     CRITERIA,
     DensityMatrix,
     Records,
-    StateRecord,
     evaluate_state,
     partial_transpose,
     purity,
     sample_reduced_state,
-    sample_states,
     spectrum,
 )
 from entdetect.criteria import EPS
@@ -21,12 +19,15 @@ from entdetect.linalg import ENTROPY_FLOOR
 from entdetect.sampling import sample_chunks
 from entdetect.verify import INVARIANTS
 from conftest import (
+    as_records,
     bell_state,
     haar_unitary,
     maximally_mixed,
     product_pure,
     random_state,
     reference_record,
+    row_of,
+    states_of,
     verdict,
     werner_state,
 )
@@ -120,21 +121,21 @@ class TestRealignment:
         assert detected
         assert witness == pytest.approx(sv.sum() - 1.0, abs=1e-12)
         assert witness >= 0.01
-        assert purity(rho) > 1 / 2 ** 2
+        assert purity(rho)[0] > 1 / 2 ** 2
 
 
 class TestLogNegativity:
     def test_bell(self):
-        assert evaluate_state(bell_state()).ln() == pytest.approx(1.0, abs=1e-12)
+        assert evaluate_state(bell_state()).ln()[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_separable_zero(self):
-        assert evaluate_state(product_pure(2, 4, seed=4)).ln() == 0.0
-        assert evaluate_state(maximally_mixed(3, 3)).ln() == 0.0
+        assert evaluate_state(product_pure(2, 4, seed=4)).ln()[0] == 0.0
+        assert evaluate_state(maximally_mixed(3, 3)).ln()[0] == 0.0
 
     def test_werner_half(self):
         # ||rho^T2||_1 = 1 + 2 |lambda_min| with a single negative eigenvalue
         expected = math.log2(1 + 2 * 0.125)
-        assert evaluate_state(werner_state(0.5)).ln() == pytest.approx(expected, abs=1e-12)
+        assert evaluate_state(werner_state(0.5)).ln()[0] == pytest.approx(expected, abs=1e-12)
 
 
 # Each criterion's threshold direction, written out as the criteria
@@ -161,15 +162,15 @@ class TestThresholds:
         for w, fires in ((threshold, False), (past, True), (-past, False)):
             witness = tuple(w if j == i else 0.0 for j in range(len(CRITERIA)))
             expected = tuple(fires and j == i for j in range(len(CRITERIA)))
-            assert StateRecord(1.0, witness).detected(eps) == expected, w
+            assert as_records([(1.0, witness)]).detected(eps)[0].tolist() == list(expected), w
 
     @pytest.mark.parametrize("eps", EPS_VALUES)
     def test_ln_clips_at_one_plus_two_eps(self, eps):
         witness = (0.0,) * len(CRITERIA)
         edge = 1.0 + 2.0 * eps
-        assert StateRecord(edge, witness).ln(eps) == 0.0
+        assert as_records([(edge, witness)]).ln(eps)[0] == 0.0
         above = math.nextafter(edge, math.inf)
-        ln = StateRecord(above, witness).ln(eps)
+        ln = as_records([(above, witness)]).ln(eps)[0]
         assert ln == math.log2(above) and ln > 0.0
 
 
@@ -179,31 +180,43 @@ EXACT_CELLS = [(2, 5, 6), (5, 2, 6), (3, 4, 7), (4, 3, 5), (3, 3, 9), (6, 6, 2),
                (2, 18, 36), (9, 4, 3)]
 
 
+def _rows(cell, seed, stop):
+    """(trial, its own stack of one, its row of its chunk's Records) for
+    each trial below ``stop`` of ``cell``: one evaluate_state call per
+    sampler chunk, as a sweep makes them."""
+    trial = 0
+    for chunk in sample_chunks(*cell, seed, 0, stop):
+        recs = evaluate_state(chunk)
+        for i, one in enumerate(states_of(chunk)):
+            yield trial, one, row_of(recs, i)
+            trial += 1
+
+
 class TestEvaluateState:
     def test_bell_all_detected(self):
         rec = evaluate_state(bell_state())
-        assert all(rec.detected())
-        assert rec.ln() == pytest.approx(1.0, abs=1e-12)
+        assert rec.detected()[0].all()
+        assert rec.ln()[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_none(self):
         rec = evaluate_state(maximally_mixed(2, 3))
-        assert not any(rec.detected())
-        assert rec.ln() == 0.0
+        assert not rec.detected()[0].any()
+        assert rec.ln()[0] == 0.0
 
     def test_product_pure_none(self):
         rec = evaluate_state(product_pure(2, 5, seed=5))
-        assert not any(rec.detected())
-        assert rec.ln() == 0.0
+        assert not rec.detected()[0].any()
+        assert rec.ln()[0] == 0.0
 
     @pytest.mark.parametrize("trial", range(10))
     def test_matches_individual_detectors(self, trial):
         rho = random_state(3, 4, 7, seed=71, trial=trial)
         rec = evaluate_state(rho)
-        ref = reference_record(rho)
-        assert rec.detected() == ref.detected()
-        assert rec.witness == pytest.approx(ref.witness, abs=1e-10)
-        assert rec.tn == pytest.approx(ref.tn, abs=1e-10)
-        assert rec.ln() == pytest.approx(ref.ln(), abs=1e-10)
+        ref = as_records([reference_record(rho)])
+        assert rec.detected()[0].tolist() == ref.detected()[0].tolist()
+        assert rec.witness[0].tolist() == pytest.approx(ref.witness[0].tolist(), abs=1e-10)
+        assert rec.tn[0] == pytest.approx(ref.tn[0], abs=1e-10)
+        assert rec.ln()[0] == pytest.approx(ref.ln()[0], abs=1e-10)
 
     @pytest.mark.parametrize("cell", EXACT_CELLS)
     def test_reduction_and_majorization_witnesses_exact(self, cell):
@@ -212,12 +225,10 @@ class TestEvaluateState:
         # sums along a stack's last axis, the reference one spectrum at a
         # time. Same arithmetic, so the witnesses must agree to the last
         # bit, also on sides of 9 and more.
-        d1, d2, k = cell
-        for trial, rho in enumerate(sample_states(d1, d2, k, 97, 0, 100)):
-            rec = evaluate_state(rho)
-            ref = reference_record(rho)
+        for trial, one, rec in _rows(cell, 97, 100):
+            _, ref_witness = reference_record(one)
             for i in map(CRITERIA.index, ("reduction", "majorization")):
-                assert rec.witness[i] == ref.witness[i], (CRITERIA[i], trial)
+                assert rec.witness[0, i] == ref_witness[i], (CRITERIA[i], trial)
 
     @pytest.mark.parametrize("cell", EXACT_CELLS)
     def test_all_witnesses_and_trace_norm_exact(self, cell):
@@ -226,12 +237,10 @@ class TestEvaluateState:
         # np.add.reduce; the reference writes out np.cumsum and .sum() per
         # state. Same additions in the same order, so every number must
         # agree to the last bit.
-        d1, d2, k = cell
-        for trial, rho in enumerate(sample_states(d1, d2, k, 97, 0, 100)):
-            rec = evaluate_state(rho)
-            assert rec.witness == reference_record(rho).witness, trial
-            pt_eigs = np.linalg.eigvalsh(partial_transpose(rho, 1))
-            assert rec.tn == float(np.abs(pt_eigs).sum()), trial
+        for trial, one, rec in _rows(cell, 97, 100):
+            assert tuple(rec.witness[0].tolist()) == reference_record(one)[1], trial
+            pt_eigs = np.linalg.eigvalsh(partial_transpose(one, 1)[0])
+            assert rec.tn[0] == float(np.abs(pt_eigs).sum()), trial
 
     @pytest.mark.parametrize("cell", EXACT_CELLS)
     def test_majorization_witness_sign_is_its_verdict(self, cell):
@@ -239,19 +248,24 @@ class TestEvaluateState:
         # is the roundoff of 1 - 1: an undetected state's witness is
         # negative, and eps decides no verdict.
         i = CRITERIA.index("majorization")
-        for trial, rho in enumerate(sample_states(*cell, 97, 0, 100)):
-            rec = evaluate_state(rho)
-            assert not 0 <= rec.witness[i] <= EPS, trial
-            assert rec.detected(0.0)[i] == rec.detected(EPS)[i], trial
+        for trial, _, rec in _rows(cell, 97, 100):
+            assert not 0 <= rec.witness[0, i] <= EPS, trial
+            assert rec.detected(0.0)[0, i] == rec.detected(EPS)[0, i], trial
 
     def test_witnesses_finite(self):
         rec = evaluate_state(random_state(2, 6, 12, seed=73))
-        assert all(math.isfinite(w) for w in rec.witness)
+        assert rec.witness.shape == (1, len(CRITERIA))
+        assert all(math.isfinite(w) for w in rec.witness[0].tolist())
 
 
-def _bits(rec):
-    """A record's numbers as their IEEE bit patterns, so -0.0 != 0.0."""
-    return np.array([rec.tn, *rec.witness]).view(np.uint64).tolist()
+def _bits(tn, witness):
+    """A state's numbers as their IEEE bit patterns, so -0.0 != 0.0."""
+    return np.array([tn, *witness]).view(np.uint64).tolist()
+
+
+def _row_bits(recs, i=0):
+    """The bit patterns of state ``i`` of Records."""
+    return _bits(recs.tn[i], recs.witness[i])
 
 
 # (cell, trials): each run spans more than one chunk of sample_chunks
@@ -262,7 +276,7 @@ STACK_CELLS = [((2, 2, 1), 40)] + [((2, 5, k), 50) for k in range(1, 11)] + [
 
 
 class TestStackedKernel:
-    """evaluate_state on a stack is B one-matrix calls, bit for bit."""
+    """evaluate_state on a stack is B calls on stacks of one, bit for bit."""
 
     @pytest.mark.parametrize("cell, trials", STACK_CELLS)
     def test_stack_equals_one_matrix_calls_and_reference(self, cell, trials):
@@ -271,32 +285,33 @@ class TestStackedKernel:
         for chunk in chunks:
             recs = evaluate_state(chunk)
             assert len(recs) == len(chunk)
-            for trial, (rho, rec) in enumerate(zip(chunk, recs)):
-                assert type(rec.tn) is float and all(type(w) is float for w in rec.witness)
-                assert _bits(rec) == _bits(evaluate_state(rho)), trial
-                assert _bits(rec) == _bits(reference_record(rho)), trial
+            for trial, one in enumerate(states_of(chunk)):
+                assert _row_bits(recs, trial) == _row_bits(evaluate_state(one)), trial
+                assert _row_bits(recs, trial) == _bits(*reference_record(one)), trial
 
     def test_one_matrix_gives_one_record(self):
-        rho = random_state(2, 5, 6, seed=3)
-        rec = evaluate_state(rho)
-        assert isinstance(rec, StateRecord)
-        [from_stack] = evaluate_state(DensityMatrix.stack(rho.mat[None], 2, 5))
-        assert _bits(from_stack) == _bits(rec)
+        mat = random_state(2, 5, 6, seed=3).mat[0]
+        one = DensityMatrix(mat, 2, 5)
+        assert len(one) == 1 and one.mat.shape == (1, 10, 10)
+        recs = evaluate_state(one)
+        assert isinstance(recs, Records) and len(recs) == 1
+        from_stack = evaluate_state(DensityMatrix.stack(mat[None], 2, 5))
+        assert _row_bits(from_stack) == _row_bits(recs)
 
     def test_mixed_ranks_in_one_stack(self):
         # Ranks 1 and 10 side by side: the spectra keep different numbers
         # of terms above the entropy floor, so one call sums the entropies
         # of several groups.
-        mats = [random_state(2, 5, k, seed=5, trial=t).mat
+        mats = [random_state(2, 5, k, seed=5, trial=t).mat[0]
                 for t in range(6) for k in (1, 10, 1, 3)]
         stack = DensityMatrix(np.stack(mats), 2, 5)
-        kept = {int((spectrum(rho.mat) > ENTROPY_FLOOR).sum()) for rho in stack}
+        kept = set((spectrum(stack.mat) > ENTROPY_FLOOR).sum(axis=1).tolist())
         assert {1, 3, 10} <= kept
         recs = evaluate_state(stack)
         assert len(recs) == len(mats)
-        for trial, (rho, rec) in enumerate(zip(stack, recs)):
-            assert _bits(rec) == _bits(evaluate_state(rho)), trial
-            assert _bits(rec) == _bits(reference_record(rho)), trial
+        for trial, one in enumerate(states_of(stack)):
+            assert _row_bits(recs, trial) == _row_bits(evaluate_state(one)), trial
+            assert _row_bits(recs, trial) == _bits(*reference_record(one)), trial
 
 
 def _column_bits(records):
@@ -305,7 +320,7 @@ def _column_bits(records):
 
 
 class TestRecords:
-    """A stack's Records are its states' one-matrix records as columns."""
+    """A stack's Records are the columns of its states' stacks of one."""
 
     @pytest.mark.parametrize("cell, trials", STACK_CELLS)
     def test_columns_equal_one_matrix_calls_and_reference(self, cell, trials):
@@ -315,23 +330,20 @@ class TestRecords:
             assert recs.tn.dtype == recs.witness.dtype == np.float64
             assert recs.tn.shape == (len(chunk),)
             assert recs.witness.shape == (len(chunk), len(CRITERIA))
-            one = Records.from_records(evaluate_state(rho) for rho in chunk)
-            ref = Records.from_records(reference_record(rho) for rho in chunk)
+            one = Records.concat([evaluate_state(s) for s in states_of(chunk)])
+            refs = [reference_record(s) for s in states_of(chunk)]
+            ref = as_records(refs)
             assert _column_bits(recs) == _column_bits(one) == _column_bits(ref)
 
-    def test_states_are_python_float_records_of_the_columns(self):
-        chunk = next(sample_chunks(2, 5, 6, 97, 0, 40))
-        recs = evaluate_state(chunk)
-        as_list = list(recs)
-        assert len(recs) == len(as_list) == 40
-        for i, rec in enumerate(as_list):
-            assert isinstance(rec, StateRecord) and rec == recs[i] == recs[i - 40]
-            assert type(rec.tn) is float and all(type(w) is float for w in rec.witness)
-            assert rec.tn == recs.tn.tolist()[i]
-            assert rec.witness == tuple(recs.witness[i].tolist())
-        assert Records.from_records(as_list) == recs
-        assert recs.ln().tolist() == [rec.ln() for rec in as_list]
-        assert recs.detected().tolist() == [list(rec.detected()) for rec in as_list]
+    @pytest.mark.parametrize("eps", EPS_VALUES)
+    def test_ln_is_math_log2_of_each_trace_norm(self, eps):
+        # math.log2 of each Python float, not np.log2, whose bits can
+        # differ by an ulp: the CSV's M and m are pinned to these bits.
+        recs = evaluate_state(next(sample_chunks(2, 5, 6, 97, 0, 40)))
+        ln = recs.ln(eps)
+        assert ln.dtype == np.float64 and ln.shape == (40,)
+        assert ln.tolist() == [math.log2(t) if t > 1.0 + 2.0 * eps else 0.0
+                               for t in recs.tn.tolist()]
 
     def test_equality_is_exact_on_both_columns(self):
         recs = evaluate_state(next(sample_chunks(2, 5, 6, 97, 0, 40)))
@@ -341,16 +353,19 @@ class TestRecords:
             values = getattr(changed, column).reshape(-1)
             values[-1] = np.nextafter(values[-1], np.inf)
             assert changed != recs, column
-        assert recs != list(recs)
+        assert recs != (recs.tn, recs.witness)
 
     def test_concat_keeps_order(self):
         chunks = list(sample_chunks(3, 4, 12, 97, 0, 60))
         parts = [evaluate_state(chunk) for chunk in chunks]
         assert len(parts) > 1
         joined = Records.concat(parts)
-        assert list(joined) == [rec for part in parts for rec in part]
-        assert joined == Records.from_records(
-            evaluate_state(rho) for chunk in chunks for rho in chunk
+        assert _column_bits(joined) == (
+            [t for part in parts for t in _column_bits(part)[0]],
+            [w for part in parts for w in _column_bits(part)[1]],
+        )
+        assert joined == Records.concat(
+            [evaluate_state(one) for chunk in chunks for one in states_of(chunk)]
         )
 
     def test_pickle_round_trip(self):
@@ -395,6 +410,6 @@ class TestLocalUnitaryInvariance:
         u = np.kron(haar_unitary(3, rng), haar_unitary(4, rng))
         rotated = DensityMatrix(u @ rho.mat @ u.conj().T, 3, 4)
         a, b = evaluate_state(rho), evaluate_state(rotated)
-        assert abs(a.ln() - b.ln()) <= 1e-9
-        assert a.detected() == b.detected()
-        assert a.witness == pytest.approx(b.witness, abs=1e-9)
+        assert abs(a.ln()[0] - b.ln()[0]) <= 1e-9
+        assert a.detected().tolist() == b.detected().tolist()
+        assert a.witness[0].tolist() == pytest.approx(b.witness[0].tolist(), abs=1e-9)

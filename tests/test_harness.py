@@ -29,6 +29,7 @@ from entdetect.harness import (
     write_results,
 )
 from entdetect.verify import run_checks
+from conftest import row_of
 
 
 class TestRunCell:
@@ -48,14 +49,15 @@ class TestRunCell:
         assert len(recs) == 300
         for t in (0, 1, 255, 256, 299):
             rho = sample_reduced_state(2, 3, 4, 77, t)
-            assert recs[t] == evaluate_state(rho), t
+            assert row_of(recs, t) == evaluate_state(rho), t
 
     def test_evaluate_trial_matches_cell_records(self):
         # record t of a cell is the evaluation of trial t on its own
         recs = run_cell(2, 3, 4, 5, master_seed=77)
-        for t, rec in enumerate(recs):
+        assert len(recs) == 5
+        for t in range(5):
             rho = sample_reduced_state(2, 3, 4, 77, t)
-            assert rec == evaluate_state(rho), t
+            assert row_of(recs, t) == evaluate_state(rho), t
 
     # run_cell(2, 5, 6, 300, 42) draws two blocks, of 256 and 44 trials,
     # in chunks of 40 (sampling._chunk_size(2, 5)): 6 x 40 + 16, then 40 + 4.
@@ -92,8 +94,8 @@ class TestRunCell:
         recs = run_cell(2, 5, 6, 300, 42)
         assert per_call == [(b, 6, 1) for b in self.CHUNKS_2X5_300]
         assert len(recs) == 300 and recs == Records.concat(returned)
-        assert list(recs) == [evaluate_state(sample_reduced_state(2, 5, 6, 42, t))
-                              for t in range(300)]
+        assert recs == Records.concat([evaluate_state(sample_reduced_state(2, 5, 6, 42, t))
+                                       for t in range(300)])
 
     def test_per_state_calls_every_helper_the_benchmark_tracer_wraps(self, monkeypatch):
         # benchmarks/layers.py times each of these helpers as it is looked

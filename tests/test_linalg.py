@@ -8,7 +8,6 @@ from entdetect import (
     purity,
     realign,
     sample_chunks,
-    sample_states,
     spectrum,
     trace_norm,
     von_neumann_entropy,
@@ -21,6 +20,7 @@ from conftest import (
     product_pure,
     random_state,
     reference_marginal,
+    states_of,
 )
 
 
@@ -67,8 +67,19 @@ class TestDensityMatrix:
             DensityMatrix(np.eye(4) / 4, 2, 3)
 
     def test_symmetrized_once_at_construction(self):
-        rho = random_state(2, 3, 4, seed=5)
-        assert np.abs(rho.mat - rho.mat.conj().T).max() == 0
+        [mat] = random_state(2, 3, 4, seed=5).mat
+        assert np.abs(mat - mat.conj().T).max() == 0
+
+    def test_one_matrix_is_a_stack_of_one(self):
+        rho = DensityMatrix(np.eye(6) / 6, 2, 3)
+        assert len(rho) == 1 and rho.mat.shape == (1, 6, 6)
+        assert np.array_equal(rho.mat, DensityMatrix.stack(np.eye(6)[None] / 6, 2, 3).mat)
+
+    @pytest.mark.parametrize("build", [DensityMatrix, DensityMatrix.stack])
+    def test_rejects_an_empty_stack(self, build):
+        with pytest.raises(ValueError) as exc:
+            build(np.zeros((0, 4, 4), dtype=complex), 2, 2)
+        assert str(exc.value) == "expected at least one matrix, got an empty stack"
 
 
 def _wishart_stack(b, d1, d2, k, seed=0):
@@ -102,10 +113,9 @@ class TestStack:
     def test_equals_one_matrix_at_a_time(self):
         mats = _wishart_stack(7, self.D1, self.D2, 4)
         states = DensityMatrix.stack(mats, self.D1, self.D2)
-        assert len(states) == 7
-        for m, rho in zip(mats, states):
-            assert (rho.d1, rho.d2) == (self.D1, self.D2)
-            assert np.array_equal(rho.mat, DensityMatrix(m, self.D1, self.D2).mat)
+        assert len(states) == 7 and (states.d1, states.d2) == (self.D1, self.D2)
+        for m, mat in zip(mats, states.mat):
+            assert np.array_equal(mat, DensityMatrix(m, self.D1, self.D2).mat[0])
 
     @pytest.mark.parametrize("spoil", [_non_finite, _non_hermitian, _off_trace])
     @pytest.mark.parametrize("where", [0, -1])
@@ -136,12 +146,13 @@ class TestStack:
 
 
 class TestStackedHelpers:
-    """Each helper on a (B, n, n) stack is B one-matrix calls, bit for bit."""
+    """Each helper on a (B, n, n) stack is B calls on stacks of one, bit
+    for bit."""
 
     @pytest.mark.parametrize("cell", [(2, 5, 6), (3, 4, 12), (6, 6, 2)])
     def test_helpers_equal_one_matrix_calls(self, cell):
-        stack = DensityMatrix.stack(np.stack([random_state(*cell, seed=9, trial=t).mat
-                                              for t in range(5)]), *cell[:2])
+        stack = DensityMatrix.stack(np.concatenate([random_state(*cell, seed=9, trial=t).mat
+                                                    for t in range(5)]), *cell[:2])
         per_state = {
             "partial_transpose 1": lambda rho: partial_transpose(rho, 1),
             "partial_transpose 2": lambda rho: partial_transpose(rho, 2),
@@ -155,18 +166,20 @@ class TestStackedHelpers:
         for name, fn in per_state.items():
             stacked = fn(stack)
             assert len(stacked) == len(stack), name
-            for rho, got in zip(stack, stacked):
-                want = np.asarray(fn(rho))
+            for one, got in zip(states_of(stack), stacked):
+                want = np.asarray(fn(one))
+                assert len(want) == 1, name
+                got, want = np.asarray(got), want[0]
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_stack_len_and_states(self):
         mats = _wishart_stack(4, 2, 3, 2)
         stack = DensityMatrix(mats, 2, 3)
         assert len(stack) == 4 and stack.mat.shape == (4, 6, 6)
-        for m, rho in zip(mats, stack):
-            assert np.array_equal(rho.mat, DensityMatrix(m, 2, 3).mat)
+        for m, one in zip(mats, states_of(stack)):
+            assert np.array_equal(one.mat, DensityMatrix(m, 2, 3).mat)
         one = DensityMatrix(mats[0], 2, 3)
-        assert len(one) == 1 and [rho.mat.shape for rho in one] == [(6, 6)]
+        assert len(one) == 1 and one.mat.shape == (1, 6, 6)
 
     def test_constructor_checks_positivity_of_every_matrix(self):
         mats = _wishart_stack(3, 2, 2, 2)
@@ -214,17 +227,17 @@ class TestPartialTranspose:
         pt_manual[1, 2] = pt_manual[2, 1] = 0.5
         expected = np.sort(np.linalg.eigvalsh(pt_manual))[::-1]
         np.testing.assert_allclose(expected, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
-        got = np.linalg.eigvalsh(partial_transpose(bell_state(), 1))[::-1]
+        got = np.linalg.eigvalsh(partial_transpose(bell_state(), 1)[0])[::-1]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_involution_and_side_relation(self, seed):
         rho = random_state(3, 4, 6, seed=seed)
-        pt1 = partial_transpose(rho, 1)
+        [pt1] = partial_transpose(rho, 1)
         # transposing the same subsystem again reconstructs the input
         t = pt1.reshape(3, 4, 3, 4).transpose(2, 1, 0, 3).reshape(12, 12)
-        assert np.abs(t - rho.mat).max() <= 1e-14
-        pt2 = partial_transpose(rho, 2)
+        assert np.abs(t - rho.mat[0]).max() <= 1e-14
+        [pt2] = partial_transpose(rho, 2)
         np.testing.assert_allclose(pt2, pt1.T, atol=1e-14)
         np.testing.assert_allclose(
             np.linalg.eigvalsh(pt1), np.linalg.eigvalsh(pt2), atol=1e-10
@@ -241,22 +254,22 @@ class TestPartialTrace:
         blocks = rho.mat.reshape(2, 3, 2, 3)
         rho_a = np.einsum("imjm->ij", blocks)
         rho_b = np.einsum("imin->mn", blocks)
-        got_a = partial_trace(rho, 2)
-        got_b = partial_trace(rho, 1)
+        [got_a] = partial_trace(rho, 2)
+        [got_b] = partial_trace(rho, 1)
         np.testing.assert_allclose(got_a, rho_a, atol=1e-14)
         np.testing.assert_allclose(got_b, rho_b, atol=1e-14)
         # product structure: rho = rho_a (x) rho_b recomposes exactly
-        np.testing.assert_allclose(np.kron(got_a, got_b), rho.mat, atol=1e-12)
+        np.testing.assert_allclose(np.kron(got_a, got_b), rho.mat[0], atol=1e-12)
 
     def test_bell_marginals_maximally_mixed(self):
         for side in (1, 2):
-            m = partial_trace(bell_state(), side)
+            [m] = partial_trace(bell_state(), side)
             np.testing.assert_allclose(m, np.eye(2) / 2, atol=1e-14)
 
     def test_identity_factorizes(self):
         rho = maximally_mixed(3, 4)
-        np.testing.assert_allclose(partial_trace(rho, 2), np.eye(3) / 3, atol=1e-14)
-        np.testing.assert_allclose(partial_trace(rho, 1), np.eye(4) / 4, atol=1e-14)
+        np.testing.assert_allclose(partial_trace(rho, 2)[0], np.eye(3) / 3, atol=1e-14)
+        np.testing.assert_allclose(partial_trace(rho, 1)[0], np.eye(4) / 4, atol=1e-14)
 
     @pytest.mark.parametrize(
         "cell", [(2, 18, 4), (18, 2, 4), (3, 12, 5), (4, 9, 3), (9, 4, 3), (6, 6, 2)]
@@ -264,13 +277,17 @@ class TestPartialTrace:
     def test_matches_einsum_reference_bit_for_bit(self, cell):
         # Every witness starts from these marginals, so they must be the
         # einsum's to the last bit, on sides up to 18 wide.
-        d1, d2, k = cell
-        for trial, rho in enumerate(sample_states(d1, d2, k, 61, 0, 20)):
-            for side in (1, 2):
-                got = partial_trace(rho, side)
-                want = reference_marginal(rho, side)
-                assert got.shape == want.shape and got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes(), (side, trial)
+        trial = 0
+        for chunk in sample_chunks(*cell, 61, 0, 20):
+            marginals = {side: partial_trace(chunk, side) for side in (1, 2)}
+            for i, one in enumerate(states_of(chunk)):
+                for side in (1, 2):
+                    got = marginals[side][i]
+                    want = reference_marginal(one, side)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (side, trial)
+                trial += 1
+        assert trial == 20
 
     @pytest.mark.parametrize("seed", range(4))
     def test_marginal_spectrum_sums_to_one(self, seed):
@@ -300,13 +317,13 @@ class TestRealign:
         assert abs(trace_norm(realign(bell_state())) - 2.0) <= 1e-12
 
     def test_entry_map(self):
-        rho = random_state(2, 3, 3, seed=3)
-        g = realign(rho)
+        [mat] = random_state(2, 3, 3, seed=3).mat
+        [g] = realign(random_state(2, 3, 3, seed=3))
         for i in range(2):
             for j in range(2):
                 for mu in range(3):
                     for nu in range(3):
-                        assert g[i * 2 + j, mu * 3 + nu] == rho.mat[i * 3 + mu, j * 3 + nu]
+                        assert g[i * 2 + j, mu * 3 + nu] == mat[i * 3 + mu, j * 3 + nu]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_frobenius_preserved(self, seed):
@@ -368,19 +385,20 @@ class TestEntropyAndPurity:
         assert abs(s_ab - s_a - s_b) <= 1e-9
 
     def test_purity_examples(self):
-        assert purity(product_pure(2, 2, seed=4)) == pytest.approx(1.0, abs=1e-12)
-        assert purity(maximally_mixed(2, 2)) == pytest.approx(0.25, abs=1e-14)
+        assert purity(product_pure(2, 2, seed=4))[0] == pytest.approx(1.0, abs=1e-12)
+        assert purity(maximally_mixed(2, 2))[0] == pytest.approx(0.25, abs=1e-14)
         rho = DensityMatrix(np.diag([0.5, 0.5, 0, 0]).astype(complex), 2, 2)
-        assert purity(rho) == pytest.approx(0.5, abs=1e-14)
+        assert purity(rho)[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_purity_of_a_stack_is_per_state(self):
         chunk = next(sample_chunks(2, 5, 6, 42, 0, 40))
         assert len(chunk) == 40
         stacked = purity(chunk)
-        assert stacked.shape == (40,)
-        assert stacked.tolist() == [purity(rho) for rho in chunk]
-        assert all(type(purity(rho)) is float for rho in chunk)
+        assert stacked.shape == (40,) and stacked.dtype == np.float64
+        alone = [purity(one) for one in states_of(chunk)]
+        assert all(p.shape == (1,) and p.dtype == np.float64 for p in alone)
+        assert stacked.tobytes() == np.concatenate(alone).tobytes()
 
     def test_purity_equals_eigenvalue_square_sum(self):
         rho = random_state(3, 3, 4, seed=6)
-        assert purity(rho) == pytest.approx(float((spectrum(rho.mat) ** 2).sum()), abs=1e-12)
+        assert purity(rho)[0] == pytest.approx(float((spectrum(rho.mat[0]) ** 2).sum()), abs=1e-12)

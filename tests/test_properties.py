@@ -39,7 +39,7 @@ def test_marginals_exactly_hermitian_unit_trace(trial):
     # evaluate_state relies on this instead of re-checking each marginal.
     rho = sample_reduced_state(*trial)
     for side, d in ((2, rho.d1), (1, rho.d2)):
-        m = partial_trace(rho, side)
+        [m] = partial_trace(rho, side)
         assert isinstance(m, np.ndarray) and m.shape == (d, d)
         assert np.array_equal(m, m.conj().T)
         assert abs(np.trace(m).real - 1.0) <= 1e-12

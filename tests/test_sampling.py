@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from entdetect import (
+    CRITERIA,
     DensityMatrix,
     evaluate_state,
     purity,
+    sample_chunks,
     sample_reduced_state,
-    sample_states,
     sample_tripartite_pure,
     sampling,
     spectrum,
@@ -31,6 +32,17 @@ from conftest import (
 )
 
 
+def sampled_mats(d1, d2, k, master_seed, start, stop):
+    """The matrices of trials ``start .. stop - 1``, sample_chunks' stacks
+    joined in trial order, as they were yielded."""
+    return np.concatenate([c.mat for c in sample_chunks(d1, d2, k, master_seed, start, stop)])
+
+
+def stacked(d1, d2, k, master_seed, start, stop):
+    """The states of trials ``start .. stop - 1`` as one stack."""
+    return DensityMatrix.stack(sampled_mats(d1, d2, k, master_seed, start, stop), d1, d2)
+
+
 class TestTrialIdentity:
     """A trial is named by (d1, d2, k, master_seed, trial_index); the sampler
     rejects a bad one with a one-line ValueError before drawing."""
@@ -38,7 +50,7 @@ class TestTrialIdentity:
     @staticmethod
     def _rejects(d1, d2, k, master_seed, start):
         with pytest.raises(ValueError) as exc:
-            next(sample_states(d1, d2, k, master_seed, start, start + 3))
+            next(sample_chunks(d1, d2, k, master_seed, start, start + 3))
         assert "\n" not in str(exc.value)
 
     def test_rejects_small_dims(self):
@@ -58,7 +70,7 @@ class TestTrialIdentity:
 
     def test_rejects_trials_past_2_32(self):
         with pytest.raises(ValueError) as exc:
-            next(sample_states(2, 3, 2, 0, 2 ** 32 - 1, 2 ** 32 + 1))
+            next(sample_chunks(2, 3, 2, 0, 2 ** 32 - 1, 2 ** 32 + 1))
         assert "\n" not in str(exc.value)
 
 
@@ -68,7 +80,7 @@ def test_bad_cell_gets_one_message_everywhere(cell):
     one with the same message."""
     d1, d2, k = cell
     calls = [
-        lambda: next(sample_states(d1, d2, k, 0, 0, 1)),
+        lambda: next(sample_chunks(d1, d2, k, 0, 0, 1)),
         lambda: sample_reduced_state(d1, d2, k, 0),
         lambda: SweepConfig(cells=(cell,), samples_per_cell=1, master_seed=0),
         lambda: run_cell(d1, d2, k, 1, 0),
@@ -124,26 +136,26 @@ class TestPureSampling:
 class TestReducedState:
     def test_rank_one_is_pure(self):
         rho = sample_reduced_state(3, 4, 1, 5)
-        assert abs(purity(rho) - 1.0) <= 1e-10
+        assert len(rho) == 1 and abs(purity(rho)[0] - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("k", [2, 4, 10])
     def test_rank_equals_k(self, k):
-        for rho in sample_states(2, 5, k, 11, 0, 20):
-            DensityMatrix(rho.mat, 2, 5)
-            assert numerical_rank(rho) == k
-            assert abs(spectrum(rho.mat).sum() - 1.0) <= 1e-9
+        rho = stacked(2, 5, k, 11, 0, 20)
+        DensityMatrix(rho.mat, 2, 5)
+        assert numerical_rank(rho).tolist() == [k] * 20
+        assert (np.abs(spectrum(rho.mat).sum(axis=1) - 1.0) <= 1e-9).all()
 
     def test_mean_purity_matches_formula(self):
         n = 4000
-        vals = [purity(rho) for rho in sample_states(2, 5, 4, 17, 0, n)]
+        vals = purity(stacked(2, 5, 4, 17, 0, n))
+        assert len(vals) == n
         assert np.mean(vals) == pytest.approx(average_purity(2, 5, 4), abs=0.01)
         assert average_purity(2, 5, 4) == pytest.approx(14 / 41)
 
     def test_mean_entropy_matches_page(self):
         n = 3000
-        vals = [
-            von_neumann_entropy(spectrum(rho.mat)) for rho in sample_states(2, 5, 10, 23, 0, n)
-        ]
+        vals = von_neumann_entropy(spectrum(stacked(2, 5, 10, 23, 0, n).mat))
+        assert vals.shape == (n,)
         _, _, s12 = page_entropies(2, 5, 10)
         # Page's exact mean, H(100) - H(10) - 9/20
         assert s12 == pytest.approx(1.808409, abs=1e-6)
@@ -154,11 +166,12 @@ class TestReducedState:
         # S1, S2 and S12 each within 4 standard errors of their Monte Carlo
         # means; at k = 1 the marginals share one spectrum and S12 is 0.
         n = 2000
-        vals = np.array([
-            [von_neumann_entropy(spectrum(m))
-             for m in (partial_trace(rho, 2), partial_trace(rho, 1), rho.mat)]
-            for rho in sample_states(*cell, 61, 0, n)
-        ])
+        rho = stacked(*cell, 61, 0, n)
+        vals = np.stack([
+            von_neumann_entropy(spectrum(m))
+            for m in (partial_trace(rho, 2), partial_trace(rho, 1), rho.mat)
+        ], axis=1)
+        assert vals.shape == (n, 3)
         se = vals.std(axis=0) / np.sqrt(n)
         assert np.all(np.abs(vals.mean(axis=0) - page_entropies(*cell)) <= 4 * se + 1e-9)
 
@@ -167,14 +180,12 @@ class TestReducedState:
         n = 1500
         rng = np.random.default_rng(31)
         u = np.kron(haar_unitary(2, rng), haar_unitary(4, rng))
-        raw, rotated = [], []
-        for rho, rho2 in zip(sample_states(2, 4, 3, 41, 0, n), sample_states(2, 4, 3, 43, 0, n)):
-            raw.append(evaluate_state(rho).ln())
-            rot = type(rho)(u @ rho.mat @ u.conj().T, 2, 4)
-            rotated.append(
-                evaluate_state(type(rho2)(u @ rho2.mat @ u.conj().T, 2, 4)).ln()
-            )
-            assert abs(evaluate_state(rot).ln() - raw[-1]) <= 1e-9
+        rho, rho2 = stacked(2, 4, 3, 41, 0, n), stacked(2, 4, 3, 43, 0, n)
+        raw = evaluate_state(rho).ln()
+        rot = DensityMatrix(u @ rho.mat @ u.conj().T, 2, 4)
+        rotated = evaluate_state(DensityMatrix(u @ rho2.mat @ u.conj().T, 2, 4)).ln()
+        assert raw.shape == rotated.shape == (n,)
+        assert (np.abs(evaluate_state(rot).ln() - raw) <= 1e-9).all()
         se = np.sqrt(np.var(raw) / n + np.var(rotated) / n)
         assert abs(np.mean(raw) - np.mean(rotated)) <= 3 * se
 
@@ -190,10 +201,9 @@ class TestIsNpt:
         assert not verdict(evaluate_state(maximally_mixed(2, 3)), "pt")[0]
 
     def test_npt_prevalence_at_low_rank(self):
-        hits = sum(
-            verdict(evaluate_state(rho), "pt")[0] for rho in sample_states(3, 4, 6, 53, 0, 200)
-        )
-        assert hits == 200
+        detected = evaluate_state(stacked(3, 4, 6, 53, 0, 200)).detected()
+        assert detected.shape == (200, 5)
+        assert int(detected[:, CRITERIA.index("pt")].sum()) == 200
 
 
 STREAM_SEEDS = (0, 1, 42, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
@@ -232,15 +242,17 @@ class TestStreams:
 
     def test_last_trials_below_2_32_match_reference(self):
         start, stop = STREAM_BLOCKS[1]
-        for trial, rho in zip(range(start, stop), sample_states(2, 5, 6, 42, start, stop)):
-            assert np.array_equal(rho.mat, reference_state(2, 5, 6, 42, trial).mat)
+        mats = sampled_mats(2, 5, 6, 42, start, stop)
+        assert len(mats) == stop - start
+        for trial, mat in zip(range(start, stop), mats):
+            assert np.array_equal(mat, reference_state(2, 5, 6, 42, trial).mat[0])
 
     @pytest.mark.parametrize(
         "constant", ["_INIT_A", "_MULT_A", "_MIX_MULT_L", "_INIT_B", "_MULT_B", "_PCG_MULT"]
     )
     def test_guard_rejects_a_changed_hash(self, monkeypatch, constant):
         monkeypatch.setattr(sampling, constant, getattr(sampling, constant) ^ 1)
-        states = sample_states(2, 5, 6, 42, 0, 256)
+        states = sample_chunks(2, 5, 6, 42, 0, 256)
         with pytest.raises(RuntimeError, match="disagrees"):
             next(states)
         # a lone trial is hashed and guarded too
@@ -249,7 +261,7 @@ class TestStreams:
 
     def test_rejects_bad_cell(self):
         with pytest.raises(ValueError):
-            next(sample_states(2, 5, 11, 42, 0, 3))
+            next(sample_chunks(2, 5, 11, 42, 0, 3))
 
 
 def test_zero_draw_raises(monkeypatch):
@@ -272,7 +284,7 @@ def test_zero_draw_raises(monkeypatch):
 
     monkeypatch.setattr(np.random, "Generator", ZeroingGenerator)
     with pytest.raises(RuntimeError, match="zero vector"):
-        list(sample_states(*cell, seed, trial - 2, trial + 3))
+        list(sample_chunks(*cell, seed, trial - 2, trial + 3))
     with pytest.raises(RuntimeError, match="zero vector"):
         sample_tripartite_pure(*cell, seed, trial)
 
@@ -296,10 +308,10 @@ def test_chunk_size_caps_entries():
     ],
 )
 def test_chunk_edges_equal_reference_sampler(cell, start, stop):
-    states = list(sample_states(*cell, 42, start, stop))
-    assert len(states) == stop - start
-    for trial, rho in zip(range(start, stop), states):
-        assert np.array_equal(rho.mat, reference_state(*cell, 42, trial).mat), trial
+    mats = sampled_mats(*cell, 42, start, stop)
+    assert len(mats) == stop - start
+    for trial, mat in zip(range(start, stop), mats):
+        assert np.array_equal(mat, reference_state(*cell, 42, trial).mat[0]), trial
 
 
 @pytest.mark.parametrize("cell", [(2, 5, 6), (3, 5, 2), (3, 4, 12), (6, 6, 2), (2, 18, 36)])
@@ -315,13 +327,12 @@ def test_stacked_norms_equal_per_row_norms(cell):
 
 
 @pytest.mark.parametrize("cell", [(2, 5, 6), (3, 5, 2), (3, 4, 12), (6, 6, 2)])
-def test_sample_states_equal_reference_sampler(cell):
+def test_sampled_chunks_equal_reference_sampler(cell):
     """Bit-identical to the per-trial SeedSequence sampler: every trial of
-    two stream blocks, a block starting mid-way, and the one-trial calls."""
-    refs = [reference_state(*cell, 42, t).mat for t in range(512)]
-    for ref, rho in zip(refs, sample_states(*cell, 42, 0, 512)):
-        assert np.array_equal(rho.mat, ref)
-    for ref, rho in zip(refs[100:140], sample_states(*cell, 42, 100, 140)):
-        assert np.array_equal(rho.mat, ref)
+    two stream blocks, a block starting mid-way, and the one-trial calls,
+    each a stack of one."""
+    refs = np.concatenate([reference_state(*cell, 42, t).mat for t in range(512)])
+    assert np.array_equal(sampled_mats(*cell, 42, 0, 512), refs)
+    assert np.array_equal(sampled_mats(*cell, 42, 100, 140), refs[100:140])
     for t in (0, 255, 256, 511):
-        assert np.array_equal(sample_reduced_state(*cell, 42, t).mat, refs[t])
+        assert np.array_equal(sample_reduced_state(*cell, 42, t).mat, refs[t:t + 1])

@@ -8,20 +8,20 @@ import math
 import numpy as np
 import pytest
 
-from entdetect import CRITERIA, Records, StateRecord, evaluate_state, verify
+from entdetect import CRITERIA, Records, evaluate_state, verify
 from entdetect.criteria import EPS, SIGNS
 from entdetect.sampling import sample_chunks
 from entdetect.verify import INVARIANTS, REALIGNMENT, CheckResult, numerical_rank, run_checks
-from conftest import maximally_mixed, random_state
+from conftest import as_records, maximally_mixed, random_state
 
 CELL = (2, 3, 6)
 
 
 def record(ln, *detected):
-    """A record with LN ``ln`` on which exactly the ``detected`` criteria
-    fire: their witness is a unit past the threshold, the others are 0."""
-    witness = tuple(s if c in detected else 0.0 for c, s in zip(CRITERIA, SIGNS))
-    return StateRecord(2.0 ** ln, witness)
+    """Records of one state with LN ``ln`` on which exactly the
+    ``detected`` criteria fire: their witness is a unit past the
+    threshold, the others are 0."""
+    return as_records([(2.0 ** ln, [s if c in detected else 0.0 for c, s in zip(CRITERIA, SIGNS)])])
 
 
 @pytest.mark.parametrize("name,rec,holds", [
@@ -43,13 +43,13 @@ def record(ln, *detected):
     ("majorization_implies_reduction", record(0.5, "pt", "reduction", "majorization"), True),
 ])
 def test_verdict_invariant_margin_sign(name, rec, holds):
-    [margin] = INVARIANTS[name](CELL, maximally_mixed(2, 3), Records.from_records([rec]), EPS)
+    [margin] = INVARIANTS[name](CELL, maximally_mixed(2, 3), rec, EPS)
     assert bool(margin >= 0) is holds
 
 
 def test_purity_bound_reads_the_records_realignment_witness():
     rho = random_state(2, 3, 2, seed=5)
-    recs = Records.from_records([evaluate_state(rho)])
+    recs = evaluate_state(rho)
     margin = INVARIANTS["realign_trace_norm_purity_bound"]
     [held] = margin(CELL, rho, recs, EPS)
     assert held >= 0
@@ -60,9 +60,15 @@ def test_purity_bound_reads_the_records_realignment_witness():
 
 
 def test_prop3_does_not_apply_beyond_qubit_qudit():
-    rho = maximally_mixed(3, 2)
+    # a sampled 3 x 4 chunk and its own Records: each margin is the scalar
+    # +inf, which run_checks broadcasts over the chunk
+    cell = (3, 4, 5)
+    chunk = next(sample_chunks(*cell, 11, 0, 28))
+    recs = evaluate_state(chunk)
+    assert len(recs) == len(chunk) > 1
     for name in ("prop3_verdict_agreement", "prop3_spectral_match"):
-        assert INVARIANTS[name](CELL, rho, record(0.5, "pt"), EPS) == math.inf
+        margin = INVARIANTS[name](cell, chunk, recs, EPS)
+        assert type(margin) is float and margin == math.inf, name
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -83,13 +89,13 @@ def test_run_checks_checks_exactly_the_sample_count(samples, monkeypatch):
     evaluated = []
 
     def counted(rho):
-        evaluated.extend(rho)
+        evaluated.append(len(rho))
         return evaluate_state(rho)
 
     monkeypatch.setattr(verify, "evaluate_state", counted)
     for result in run_checks(samples=samples, master_seed=2024):
         assert result.detail.endswith(f"over {samples} states"), result
-    assert len(evaluated) == samples
+    assert sum(evaluated) == samples
 
 
 # The worst margins of run_checks(1200, 42), the same at eps 1e-10 and 0,
@@ -126,7 +132,7 @@ def test_chunk_margins_are_each_states_margins_alone(cell):
     chunk = next(sample_chunks(*cell, 11, 0, 24))
     recs = evaluate_state(chunk)
     alone = [next(sample_chunks(*cell, 11, i, i + 1)) for i in range(len(chunk))]
-    assert [a.mat[0].tobytes() for a in alone] == [rho.mat.tobytes() for rho in chunk]
+    assert [a.mat.tobytes() for a in alone] == [mat[None].tobytes() for mat in chunk.mat]
     for name, margin in INVARIANTS.items():
         each = [_column(margin, cell, a, evaluate_state(a)) for a in alone]
         assert _column(margin, cell, chunk, recs).tobytes() == np.concatenate(each).tobytes(), name
