@@ -66,17 +66,13 @@ def aggregate(records, cell, eps=EPS):
     for i, name in enumerate(CRITERIA):
         detected_ln = ln_pos[detected_pos[:, i]].tolist()
         n_det = len(detected_ln)
-        if n_pos == 0:
-            per[name] = CriterionStats(n_det, None, None, None, None)
-            continue
-        f = n_det / n_pos
-        stderr = math.sqrt(f * (1.0 - f) / n_pos)
-        if n_det == 0:
-            per[name] = CriterionStats(0, f, stderr, None, None)
-        else:
-            per[name] = CriterionStats(
-                n_det, f, stderr, math.fsum(detected_ln) / n_det, min(detected_ln)
-            )
+        f = n_det / n_pos if n_pos else None
+        stderr = math.sqrt(f * (1.0 - f) / n_pos) if n_pos else None
+        per[name] = CriterionStats(
+            n_det, f, stderr,
+            math.fsum(detected_ln) / n_det if n_det else None,
+            min(detected_ln) if n_det else None,
+        )
     d1, d2, k = cell
     return SweepStats(d1, d2, k, len(records), n_npt, per)
 

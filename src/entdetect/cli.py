@@ -1,25 +1,26 @@
 """Command-line entry points: scan-rank, scan-dim, asymmetry, bounds, verify.
 
-Flags can be pre-loaded from a JSON config file (--config); explicit
-flags always win. The worker count comes from --workers (or its --config
-entry) alone. Sweeps run through harness.run_sweep, and
-harness.write_results writes and harness.results_current checks their
-result files. verify takes --samples, --seed and --eps only. A reader
-that closes stdout early ends a command with status 1 and no traceback.
+Every flag comes from the command line. argparse rejects a missing,
+unknown or non-integer flag with its usage error (status 2); the value
+checks exit with one line (status 1). The worker count comes from
+--workers alone. Sweeps run through harness.run_sweep, each command
+writes one fixed column layout, and harness.write_results writes and
+harness.results_current checks their result files. verify takes
+--samples, --seed and --eps only. A reader that closes stdout early ends
+a command with status 1 and no traceback.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
 import time
 
 from . import analytics
-from .criteria import CRITERIA, EPS
+from .criteria import EPS
 from .harness import (
+    CSV_COLUMNS,
     SweepConfig,
-    csv_columns,
     results_current,
     run_sweep,
     usable_cpu_count,
@@ -39,7 +40,7 @@ def _checked(check, *args, **kwargs):
 
 def _parse_range(text):
     """'2..10' -> [2..10]; '7' -> [7]."""
-    lo, sep, hi = str(text).partition("..")
+    lo, sep, hi = text.partition("..")
     try:
         values = list(range(int(lo), int(hi if sep else lo) + 1))
     except ValueError:
@@ -47,14 +48,6 @@ def _parse_range(text):
     if not values:
         raise SystemExit(f"empty range {text!r}")
     return values
-
-
-def _require(args, *names):
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise SystemExit(
-            "missing required option(s): " + ", ".join(f"--{n}" for n in missing)
-        )
 
 
 def _workers(args):
@@ -68,17 +61,6 @@ def _workers(args):
     return int(value)
 
 
-def _criteria(args):
-    if not args.criteria:
-        return CRITERIA
-    chosen = tuple(c.strip() for c in args.criteria.split(","))
-    for i, c in enumerate(chosen):
-        if c not in CRITERIA or c in chosen[:i]:
-            why = "repeated" if c in CRITERIA else "not one of " + ", ".join(CRITERIA)
-            raise SystemExit(f"--criteria {args.criteria}: entry {i + 1}, {c!r}, is {why}")
-    return chosen
-
-
 def _run_and_write(name, cells, args, lead=()):
     """Sweep ``cells`` and write <name>.csv; ``lead`` names columns of
     harness.stats_row that go before the cell. Returns the exit status."""
@@ -90,7 +72,7 @@ def _run_and_write(name, cells, args, lead=()):
         eps=args.eps,
         workers=_workers(args),
     )
-    columns = [*lead, *csv_columns(_criteria(args))]
+    columns = [*lead, *CSV_COLUMNS]
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -111,13 +93,11 @@ def _run_and_write(name, cells, args, lead=()):
 
 
 def cmd_scan_rank(args):
-    _require(args, "d1", "d2", "k")
     cells = [(args.d1, args.d2, k) for k in _parse_range(args.k)]
     return _run_and_write(f"scan_rank_{args.d1}x{args.d2}", cells, args)
 
 
 def cmd_scan_dim(args):
-    _require(args, "d1", "d2", "k")
     ks = _parse_range(args.k)
     if len(ks) != 1:
         raise SystemExit("scan-dim expects a single rank --k")
@@ -126,7 +106,6 @@ def cmd_scan_dim(args):
 
 
 def cmd_asymmetry(args):
-    _require(args, "d12")
     d12 = args.d12
     factorizations = [
         (d1, d12 // d1) for d1 in range(2, math.isqrt(max(d12, 0)) + 1) if d12 % d1 == 0
@@ -140,7 +119,6 @@ def cmd_asymmetry(args):
 
 
 def cmd_bounds(args):
-    _require(args, "d1", "d2")
     d1, d2 = args.d1, args.d2
     threshold = _checked(analytics.entropy_rank_threshold, d1, d2)
     print(f"bounds for {d1}x{d2}")
@@ -183,83 +161,49 @@ def _add_sweep_flags(sub):
     _add_run_flags(sub, samples_default=10000)
     sub.add_argument("--out", default="runs")
     sub.add_argument("--workers", default="1", help="worker count or 'auto'")
-    sub.add_argument("--criteria", default=None,
-                     help="comma-separated subset of criteria columns to emit")
 
 
-def build_parser(defaults=None):
-    """The command-line parser; ``defaults`` (flag name -> value, from a
-    --config file) pre-set the subcommands' flags. _load_config has checked
-    that each key names a flag of the subcommand being run."""
+def build_parser():
+    """The command-line parser."""
     parser = argparse.ArgumentParser(
         prog="entdetect",
         description="Entanglement-detection hierarchy on Haar-random states",
     )
-    parser.add_argument("--config", default=None, help="JSON file of default flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scan-rank", help="sweep rank k at fixed d1 x d2")
-    p.add_argument("--d1", type=int)
-    p.add_argument("--d2", type=int)
-    p.add_argument("--k", help="rank or range, e.g. 2..10")
+    p.add_argument("--d1", type=int, required=True)
+    p.add_argument("--d2", type=int, required=True)
+    p.add_argument("--k", required=True, help="rank or range, e.g. 2..10")
     _add_sweep_flags(p)
     p.set_defaults(func=cmd_scan_rank)
 
     p = sub.add_parser("scan-dim", help="sweep d2 at fixed d1 and rank")
-    p.add_argument("--d1", type=int)
-    p.add_argument("--d2", help="d2 value or range, e.g. 3..10")
-    p.add_argument("--k")
+    p.add_argument("--d1", type=int, required=True)
+    p.add_argument("--d2", required=True, help="d2 value or range, e.g. 3..10")
+    p.add_argument("--k", required=True)
     _add_sweep_flags(p)
     p.set_defaults(func=cmd_scan_dim)
 
     p = sub.add_parser("asymmetry", help="factorizations of a total dimension")
-    p.add_argument("--d12", type=int)
+    p.add_argument("--d12", type=int, required=True)
     _add_sweep_flags(p)
     p.set_defaults(func=cmd_asymmetry)
 
     p = sub.add_parser("bounds", help="closed-form predictors for one cell")
-    p.add_argument("--d1", type=int)
-    p.add_argument("--d2", type=int)
+    p.add_argument("--d1", type=int, required=True)
+    p.add_argument("--d2", type=int, required=True)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="run the invariant suites")
     _add_run_flags(p, samples_default=1000)
     p.set_defaults(func=cmd_verify)
 
-    if defaults:
-        for p in sub.choices.values():
-            p.set_defaults(**defaults)
     return parser
 
 
-def _load_config(path, args):
-    """The flags of a --config file, for the subcommand ``args`` parsed."""
-    # The namespace holds one entry per flag of the parsed subcommand,
-    # beside the top-level --config and the subcommand's own bookkeeping.
-    flags = set(vars(args)) - {"config", "command", "func"}
-    try:
-        with open(path) as fh:
-            defaults = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"--config {path}: {exc}")
-    if not isinstance(defaults, dict):
-        raise SystemExit(f"--config {path}: expected a JSON object of flags")
-    for key, value in defaults.items():
-        if key not in flags:
-            raise SystemExit(f"--config {path}: {key!r} is not a flag of {args.command}")
-        if value is None or isinstance(value, (list, dict)):
-            raise SystemExit(f"--config {path}: {key!r} must be a number or a string")
-    # As strings, the values go through each flag's type= conversion, as if typed.
-    return {key: str(value) for key, value in defaults.items()}
-
-
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
-    if args.config:
-        # Parse again with the file's flags as defaults, so explicit
-        # flags still override them.
-        args = build_parser(_load_config(args.config, args)).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

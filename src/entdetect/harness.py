@@ -55,13 +55,10 @@ CRITERION_FIELDS = {
     "F": "fraction", "F_stderr": "fraction_stderr", "M": "mean_ln", "m": "min_ln",
 }
 
-
-def csv_columns(criteria=CRITERIA):
-    """CSV header: the cell and counts, then each criterion's CRITERION_FIELDS."""
-    return [*CELL_FIELDS, *(f"{c}_{suffix}" for c in criteria for suffix in CRITERION_FIELDS)]
-
-
-CSV_COLUMNS = csv_columns()
+# CSV header: the cell and counts, then each criterion's CRITERION_FIELDS.
+CSV_COLUMNS = [
+    *CELL_FIELDS, *(f"{c}_{suffix}" for c in CRITERIA for suffix in CRITERION_FIELDS),
+]
 
 
 @dataclass(frozen=True)
@@ -146,11 +143,9 @@ def run_sweep(config):
         config.cells, config.samples_per_cell, config.master_seed, config.workers
     )
     with contextlib.closing(cells):
-        # cells first: zip then runs the generator to its end, where it
-        # shuts the pool down without cancelling anything
         return [
             aggregate(records, cell, eps=config.eps)
-            for records, cell in zip(cells, config.cells)
+            for records, cell in zip(cells, config.cells, strict=True)
         ]
 
 
@@ -186,7 +181,7 @@ def _fmt(x):
 
 
 def stats_row(stats):
-    """A cell's SweepStats by column: csv_columns() and d12 = d1 * d2."""
+    """A cell's SweepStats by column: CSV_COLUMNS and d12 = d1 * d2."""
     row = dict(d12=stats.d1 * stats.d2, d1=stats.d1, d2=stats.d2, k=stats.k,
                n=stats.n_total, n_npt=stats.n_npt)
     for c in CRITERIA:

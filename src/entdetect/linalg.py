@@ -104,7 +104,7 @@ def partial_transpose(rho, subsystem=1):
         t = t.swapaxes(-3, -1)
     else:
         raise ValueError("subsystem must be 1 or 2")
-    return np.ascontiguousarray(t.reshape(rho.mat.shape))
+    return t.reshape(rho.mat.shape)
 
 
 def partial_trace(rho, traced_subsystem=2):
@@ -128,7 +128,7 @@ def realign(rho):
     multiset as the input (equal Frobenius norms).
     """
     t = rho._blocks().swapaxes(-3, -2)
-    return np.ascontiguousarray(t.reshape(len(t), rho.d1 ** 2, rho.d2 ** 2))
+    return t.reshape(len(t), rho.d1 ** 2, rho.d2 ** 2)
 
 
 def trace_norm(m):

@@ -100,6 +100,17 @@ def _prop3_spectral_match(cell, rho, recs, eps):
     return 1e-9 - np.abs(np.linalg.eigvalsh(red) - pt_eigs).max(axis=-1)
 
 
+# A separable state's rank is at least each marginal's (Horodecki,
+# Lewenstein, Vidal & Cirac 2000), and a state of lower rank than a
+# marginal violates reduction (Horodecki, Smolin, Terhal & Thapliyal
+# 2003). A Haar rank-k state's marginals have rank min(d_i, d_j k), so
+# reduction fires on every state below rank max(d1, d2).
+def _reduction_below_local_rank(cell, rho, recs, eps):
+    if cell[2] >= max(rho.d1, rho.d2):
+        return math.inf
+    return -recs.witness[:, REDUCTION] - eps
+
+
 INVARIANTS = {
     "entropy_implies_majorization": _implies("entropy", "majorization"),
     "reduction_implies_pt": _implies("reduction", "pt"),
@@ -112,6 +123,7 @@ INVARIANTS = {
     "rank_ceiling": _rank_ceiling,
     "prop3_verdict_agreement": _prop3_verdict_agreement,
     "prop3_spectral_match": _prop3_spectral_match,
+    "reduction_below_local_rank": _reduction_below_local_rank,
 }
 
 

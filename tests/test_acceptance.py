@@ -14,6 +14,7 @@ from entdetect import (
     aggregate,
     evaluate_state,
     page_entropies,
+    partial_trace,
     purity,
     run_cell,
     spectrum,
@@ -49,6 +50,20 @@ def consistent_with_zero(x, n):
     n / (n + REF_N), so P(all x there) = (n / (n + REF_N))^x.
     """
     return (n / (n + REF_N)) ** x >= ALPHA
+
+
+def consistent_with_half(x, n):
+    """Whether x successes in n draws agree with a rate of 1/2.
+
+    Exact two-sided binomial test: the binomial at 1/2 is symmetric, so
+    the p-value is twice the tail beyond the nearer of x and n - x,
+    summed in integers.
+    """
+    tail, term = 0, 1
+    for i in range(min(x, n - x) + 1):
+        tail += term
+        term = term * (n - i) // (i + 1)
+    return min(1.0, 2 * tail / 2 ** n) >= ALPHA
 
 
 def _report(num, ok, desc):
@@ -91,6 +106,16 @@ def test_criterion_1_table_1_regression(sweep_2x5):
         ("k=6 F_E", abs(per(6, "entropy").fraction - 0.054) <= 0.015),
         ("runtime < 120s", sweep_2x5["elapsed"] < 120.0),
     ]
+    # Below the local rank max(d1, d2) every state is NPT, and reduction
+    # fires on each: through I (x) rho2 - rho, since rho1 (x) I - rho alone
+    # misses some states from k = 3 on.
+    for k in (2, 3, 4):
+        n = stats[k].n_total
+        checks.append((
+            f"k={k} all NPT and reduction-detected (got n_npt={stats[k].n_npt}, "
+            f"n_det={per(k, 'reduction').n_detected} of {n})",
+            stats[k].n_npt == per(k, "reduction").n_detected == n,
+        ))
     for k in (9, 10):
         cs = per(k, "entropy")
         checks.append((
@@ -129,6 +154,45 @@ def test_consistent_with_zero_decision_edge():
     assert consistent_with_zero(9, REF_N)
     assert not consistent_with_zero(10, REF_N)
     assert consistent_with_zero(3, REF_N)
+
+
+def test_consistent_with_half_decision_edge():
+    # At n = 20, P(X <= 2) = 211 / 2^20 and P(X <= 3) = 1351 / 2^20, so
+    # p = 4.0e-4 at 2 (or 18) of 20, below ALPHA = 1e-3, and 2.6e-3 at 3.
+    assert not consistent_with_half(2, 20) and not consistent_with_half(18, 20)
+    assert consistent_with_half(3, 20) and consistent_with_half(17, 20)
+    assert consistent_with_half(10, 20) and consistent_with_half(0, 1)
+    # the integer tail against math.comb's, at every count of 60 draws
+    for x in range(61):
+        tail = sum(math.comb(60, i) for i in range(min(x, 60 - x) + 1))
+        assert consistent_with_half(x, 60) is (min(1.0, 2 * tail / 2 ** 60) >= ALPHA)
+
+
+def test_entropy_rank_threshold_is_a_median():
+    # At k = d2 the Haar pure state on A (x) B (x) C, C the purifying
+    # rank-k system, is invariant in law under swapping B and C, and
+    # S(rho) = S(AB) = S(C). So S(rho) < S(rho_B) has probability 1/2
+    # exactly: entropy's threshold max(d1, d2) is a median, not a cut-off.
+    # A record holds only the smaller conditional entropy, so both
+    # entropies are taken here from the states themselves.
+    def entropy(eigs):
+        p = np.where(eigs > 1e-14, eigs, 1.0)
+        return -(p * np.log(p)).sum(axis=-1)
+
+    counts = []
+    for d1, d2 in ((2, 3), (2, 5), (3, 4), (3, 5)):
+        below = 0
+        for chunk in sample_chunks(d1, d2, d2, SEED, 0, N_FULL):
+            s_ab = entropy(spectrum(chunk.mat))
+            s_b = entropy(spectrum(partial_trace(chunk, 1)))
+            below += int(np.count_nonzero(s_ab < s_b))
+        counts.append((f"{d1}x{d2}", below))
+    _report(
+        "entropy median",
+        all(consistent_with_half(x, N_FULL) for _, x in counts),
+        "S(rho) < S(rho_B) at k = d2 agrees with probability 1/2: "
+        + ", ".join(f"{cell} {x} of {N_FULL}" for cell, x in counts),
+    )
 
 
 def test_criterion_2_reduction_pt_equivalence_qubit_qudit():

@@ -16,11 +16,22 @@ from entdetect.harness import find_orphans, render_csv, stats_row
 from entdetect.verify import run_checks
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SCAN = ["scan-rank", "--d1", "2", "--d2", "3", "--k", "2", "--samples", "5"]
 
 
 def read_csv(path):
     with open(path, newline="") as fh:
         return fh.read()
+
+
+def assert_missing_flag(capsys, argv, flag):
+    """``argv`` lacks the required ``flag``: argparse's usage error, status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "the following arguments are required" in err and flag in err
+    assert "Traceback" not in err
 
 
 class TestScanRank:
@@ -95,43 +106,10 @@ class TestScanRank:
         assert read_csv(tmp_path / "scan_rank_2x3.csv") == first
         assert find_orphans(str(tmp_path)) == []
 
-    def test_missing_flag_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["scan-rank", "--d1", "2", "--k", "2", "--out", str(tmp_path)])
-
-    def test_criteria_subset_columns(self, tmp_path):
-        main([
-            "scan-rank", "--d1", "2", "--d2", "3", "--k", "2",
-            "--samples", "120", "--seed", "4", "--out", str(tmp_path),
-            "--criteria", "pt,majorization",
-        ])
-        header = read_csv(tmp_path / "scan_rank_2x3.csv").split("\r\n")[0]
-        assert "majorization_F" in header and "entropy_F" not in header
-
-    @pytest.mark.parametrize("value,named", [
-        ("pt,pt", "entry 2, 'pt', is repeated"),
-        ("pt,,entropy", "entry 2, '', is not one of"),
-        ("pt, entropy,foo", "entry 3, 'foo', is not one of"),
-    ])
-    def test_bad_criteria_entry_is_named(self, tmp_path, value, named):
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "scan-rank", "--d1", "2", "--d2", "3", "--k", "2",
-                "--samples", "5", "--out", str(tmp_path), "--criteria", value,
-            ])
-        assert named in exc.value.code
-
-    def test_criteria_change_recomputes(self, tmp_path, capsys):
-        args = [
-            "scan-rank", "--d1", "2", "--d2", "3", "--k", "2",
-            "--samples", "120", "--seed", "4", "--out", str(tmp_path),
-        ]
-        main(args)
-        capsys.readouterr()
-        main(args + ["--criteria", "pt"])
-        assert "skipping" not in capsys.readouterr().out
-        header = read_csv(tmp_path / "scan_rank_2x3.csv").split("\r\n")[0]
-        assert header == "d1,d2,k,n,n_npt,pt_F,pt_F_stderr,pt_M,pt_m"
+    def test_missing_flag_rejected(self, tmp_path, capsys):
+        assert_missing_flag(capsys, ["scan-rank", "--d1", "2", "--k", "2",
+                                     "--out", str(tmp_path)], "--d2")
+        assert os.listdir(tmp_path) == []
 
 
 class TestScanDim:
@@ -147,6 +125,11 @@ class TestScanDim:
         with pytest.raises(SystemExit):
             main(["scan-dim", "--d1", "2", "--k", "2..3", "--d2", "3",
                   "--out", str(tmp_path)])
+
+    def test_missing_flag_rejected(self, tmp_path, capsys):
+        assert_missing_flag(capsys, ["scan-dim", "--d1", "2", "--d2", "3..4",
+                                     "--out", str(tmp_path)], "--k")
+        assert os.listdir(tmp_path) == []
 
 
 class TestAsymmetry:
@@ -171,6 +154,11 @@ class TestAsymmetry:
         with pytest.raises(SystemExit):
             main(["asymmetry", "--d12", "4", "--out", str(tmp_path)])
 
+    def test_missing_flag_rejected(self, tmp_path, capsys):
+        assert_missing_flag(capsys, ["asymmetry", "--samples", "5",
+                                     "--out", str(tmp_path)], "--d12")
+        assert os.listdir(tmp_path) == []
+
 
 class TestBounds:
     def test_report_values(self, capsys):
@@ -194,6 +182,9 @@ class TestBounds:
     def test_equal_dims_vacuous(self, capsys):
         main(["bounds", "--d1", "3", "--d2", "3"])
         assert "vacuous (equal dimensions)" in capsys.readouterr().out
+
+    def test_missing_flag_rejected(self, capsys):
+        assert_missing_flag(capsys, ["bounds", "--d2", "5"], "--d1")
 
     def test_reader_closing_early_is_quiet(self):
         # Unbuffered, every line is its own write, so the first write after
@@ -235,16 +226,6 @@ class TestVerify:
         assert exc.value.code == 2
         assert "unrecognized arguments" in err and "Traceback" not in err
 
-    def test_sweep_flag_in_config_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"workers": 2}))
-        with pytest.raises(SystemExit) as exc:
-            main(["--config", str(cfg), "verify", "--samples", "12"])
-        message = exc.value.code
-        assert isinstance(message, str) and "\n" not in message
-        assert "'workers' is not a flag of verify" in message
-        assert "Traceback" not in capsys.readouterr().err
-
 
 def test_serial_run_loads_no_pool_machinery():
     # concurrent.futures.process pulls in multiprocessing; a command that
@@ -265,67 +246,9 @@ def test_serial_run_loads_no_pool_machinery():
     assert proc.stdout.strip() == "[]"
 
 
-class TestConfigFile:
-    def test_config_defaults_and_flag_override(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "d1": 2, "d2": 3, "k": "2", "samples": 120, "seed": 4,
-            "out": str(tmp_path / "runs"),
-        }))
-        main(["--config", str(cfg), "scan-rank"])
-        assert os.path.exists(tmp_path / "runs" / "scan_rank_2x3.csv")
-        # explicit flag beats the file
-        main(["--config", str(cfg), "scan-rank", "--d2", "4"])
-        assert os.path.exists(tmp_path / "runs" / "scan_rank_2x4.csv")
-
-    def test_config_with_equals_sign(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "d1": 2, "d2": 3, "k": "2", "samples": 5, "out": str(tmp_path / "runs"),
-        }))
-        main([f"--config={cfg}", "scan-rank"])
-        with open(tmp_path / "runs" / "scan_rank_2x3.manifest.json") as fh:
-            assert json.load(fh)["config"]["samples_per_cell"] == 5
-
-    @pytest.mark.parametrize("argv", [["--config"], ["scan-rank", "--d1", "2", "--config"]])
-    def test_config_without_path_rejected(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "--config" in capsys.readouterr().err
-
-    def test_unreadable_config_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="--config"):
-            main(["--config", str(tmp_path / "missing.json"), "scan-rank"])
-
-    # Each value is converted by its flag's type=, as if typed; a null,
-    # list or object is rejected by name, and so is a key that names no
-    # flag of the subcommand (a typo, or a flag of another subcommand).
-    @pytest.mark.parametrize("bad", [
-        {"samples": 2.5}, {"d1": 2.0}, {"d1": None}, {"k": [2, 3]}, {"seed": {}},
-        {"sampels": 7}, {"d12": 36},
-    ], ids=json.dumps)
-    def test_bad_config_value_rejected(self, tmp_path, capsys, bad):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "d1": 2, "d2": 3, "k": "2", "samples": 5, "out": str(tmp_path / "runs"),
-        } | bad))
-        with pytest.raises(SystemExit) as exc:
-            main(["--config", str(cfg), "scan-rank"])
-        code, err = exc.value.code, capsys.readouterr().err
-        assert code not in (0, None)
-        assert "Traceback" not in str(code) + err
-        key = next(iter(bad))
-        if code == 2:  # argparse's usage error, printed on stderr
-            assert f"argument --{key}" in err
-        else:
-            assert isinstance(code, str) and f"'{key}'" in code and "\n" not in code
-        assert not list(tmp_path.rglob("*.csv"))
-
-
 class TestWorkersEnv:
-    """The worker count comes from --workers or its --config entry; the
-    process environment has no say in it."""
+    """The worker count comes from --workers alone; the process
+    environment has no say in it."""
 
     def test_worker_count_keeps_results_identical(self, tmp_path, capsys):
         args = [
@@ -357,30 +280,13 @@ class TestWorkersEnv:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert _workers(args) == 4
 
-    # Each count is given once as typed after --workers (flag) and once in
-    # a --config file (config), whose JSON types it.
-    @pytest.mark.parametrize(
-        "flag,config", [("0", None), ("abc", None), (None, "-3"), (None, 2.5), (None, True)]
-    )
-    def test_bad_worker_count_rejected(self, tmp_path, flag, config):
-        argv = [
-            "scan-rank", "--d1", "2", "--d2", "3", "--k", "2",
-            "--samples", "5", "--out", str(tmp_path),
-        ]
-        if flag is not None:
-            argv += ["--workers", flag]
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"workers": config}))
-            argv = ["--config", str(cfg)] + argv
+    @pytest.mark.parametrize("workers", ["0", "abc", "-3", "2.5"])
+    def test_bad_worker_count_rejected(self, tmp_path, workers):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(SCAN + ["--workers", workers, "--out", str(tmp_path)])
         message = str(exc.value.code)
         assert "worker count" in message and "\n" not in message
         assert not os.path.exists(tmp_path / "scan_rank_2x3.csv")
-
-
-SCAN = ["scan-rank", "--d1", "2", "--d2", "3", "--k", "2", "--samples", "5"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -401,8 +307,6 @@ SCAN = ["scan-rank", "--d1", "2", "--d2", "3", "--k", "2", "--samples", "5"]
     ["verify", "--samples", "-5"],
     ["verify", "--samples", "99999999999999999999"],
     SCAN[:-1] + ["99999999999999999999", "--workers", "2"],
-    SCAN + ["--criteria", "pt,pt"],
-    SCAN + ["--criteria", "pt,,entropy"],
 ], ids=" ".join)
 def test_bad_numeric_input_is_one_line_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -412,6 +316,24 @@ def test_bad_numeric_input_is_one_line_error(tmp_path, capsys, argv):
     assert isinstance(message, str) and message and "\n" not in message
     assert "Traceback" not in message + capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("flag", [["--config", "f.json"], ["--criteria", "pt"]], ids=" ".join)
+@pytest.mark.parametrize("argv", [
+    SCAN, ["scan-dim", "--d1", "2", "--d2", "3", "--k", "2", "--samples", "5"],
+    ["asymmetry", "--d12", "12", "--samples", "5"],
+], ids=lambda argv: argv[0])
+def test_removed_flags_are_unrecognized(tmp_path, capsys, monkeypatch, argv, flag):
+    # Every flag comes from the command line, and each sweep writes all
+    # of CSV_COLUMNS: neither a config file nor a column filter is read.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(json.dumps({"samples": 7}))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag + ["--out", str(tmp_path / "runs")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["f.json"]
 
 
 def test_out_under_a_file_is_one_line_error(tmp_path, capsys):

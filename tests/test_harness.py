@@ -21,7 +21,6 @@ from entdetect import (
 from entdetect.harness import (
     CSV_COLUMNS,
     checksum,
-    csv_columns,
     find_orphans,
     render_csv,
     results_current,
@@ -331,8 +330,8 @@ class TestPersistence:
 
     def test_other_columns_not_current(self, tmp_path):
         config, path = self._write(tmp_path)
-        assert not results_current(str(tmp_path), "cell", config, csv_columns(("pt",)))
-        assert results_current(str(tmp_path), "cell", config, csv_columns())
+        assert not results_current(str(tmp_path), "cell", config, ["d12", *CSV_COLUMNS])
+        assert results_current(str(tmp_path), "cell", config, CSV_COLUMNS)
 
     def test_other_version_not_current(self, tmp_path):
         config, path = self._write(tmp_path)

@@ -100,6 +100,7 @@ def test_run_checks_checks_exactly_the_sample_count(samples, monkeypatch):
 
 # The worst margins of run_checks(1200, 42), the same at eps 1e-10 and 0,
 # as the per-state fold computed them before the margins took columns.
+# reduction_below_local_rank is a witness less eps, so it is pinned per eps.
 WORST_1200_42 = {
     "entropy_implies_majorization": "0x0.0p+0",
     "reduction_implies_pt": "0x0.0p+0",
@@ -113,13 +114,31 @@ WORST_1200_42 = {
     "prop3_verdict_agreement": "0x0.0p+0",
     "prop3_spectral_match": "0x1.12e0ae826d695p-30",
 }
+REDUCTION_BELOW_LOCAL_RANK_1200_42 = {EPS: "0x1.06c1df6bfe856p-3", 0.0: "0x1.06c1df6f6e216p-3"}
 
 
 @pytest.mark.parametrize("eps", [EPS, 0.0])
 def test_run_checks_worst_margins_are_pinned(eps):
     results = run_checks(samples=1200, master_seed=42, eps=eps)
-    assert {r.name: r.margin.hex() for r in results} == WORST_1200_42
+    assert {r.name: r.margin.hex() for r in results} == WORST_1200_42 | {
+        "reduction_below_local_rank": REDUCTION_BELOW_LOCAL_RANK_1200_42[eps],
+    }
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("cell,detected,holds", [
+    ((2, 5, 4), ("pt", "reduction"), True),
+    ((2, 5, 4), ("pt",), False),
+    ((3, 3, 2), ("pt",), False),
+    ((2, 5, 5), ("pt",), True),   # rank max(d1, d2): does not apply
+    ((3, 3, 3), (), True),
+])
+def test_reduction_below_local_rank_margin_sign(cell, detected, holds):
+    rho = maximally_mixed(*cell[:2])
+    [margin] = np.broadcast_to(
+        INVARIANTS["reduction_below_local_rank"](cell, rho, record(0.5, *detected), EPS), 1
+    )
+    assert bool(margin >= 0) is holds
 
 
 def _column(margin, cell, rho, recs):
