@@ -23,7 +23,7 @@ def main():
     ent = []
     pur = []
     for chunk in sample_chunks(d1, d2, k, 11, 0, n):
-        ent.extend(von_neumann_entropy(spectrum(chunk.mat)))
+        ent.extend(von_neumann_entropy(spectrum(chunk.gram, d1 * d2)))
         pur.extend(purity(chunk))
     s12 = page_entropies(d1, d2, k)[2]
     print(f"rank-{k} states on {d1}x{d2}, {n} samples:")

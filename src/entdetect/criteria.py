@@ -24,6 +24,14 @@ Witness conventions:
 
 LN is log2 of the trace norm of the partial transpose, clipped to 0 when
 that norm is within 2*eps of 1 (a PPT state).
+
+The global spectrum, read by the majorization and entropy witnesses, is
+``spectrum(rho.gram, n)``: the eigenvalues of the state's spectral
+stand-in, A^dag A (k x k) for a rank-k state built from its factor A,
+followed by exact zeros for the null space. The realignment trace norm
+sums the singular values of the tall orientation of the d1^2 x d2^2
+realigned matrix. The partial-transpose and reduction spectra are solved
+on the full n x n operators.
 """
 
 import functools
@@ -130,13 +138,16 @@ def evaluate_state(rho):
     eigendecompositions are shared between the criteria; the
     partial-transpose spectrum is independent of which side is
     transposed, so the PT witness and the trace norm come from a single
-    solve.
+    solve. rho's own spectrum is solved on its ``gram`` stand-in (k x k
+    for a rank-k state from the sampler) and padded with exact zeros to
+    n, and the realignment's singular values on its tall orientation.
     """
+    shape = rho.mat.shape
     pt_eigs = np.linalg.eigvalsh(partial_transpose(rho, 1))
 
     rho1 = partial_trace(rho, 2)
     rho2 = partial_trace(rho, 1)
-    eigs12 = spectrum(rho.mat)
+    eigs12 = spectrum(rho.gram, shape[-1])
     eigs1 = spectrum(rho1)
     eigs2 = spectrum(rho2)
 
@@ -144,7 +155,6 @@ def evaluate_state(rho):
     # each Kronecker product formed by broadcasting on the (i, mu, j, nu)
     # index view against a shared identity: the same products as np.kron,
     # without its overhead.
-    shape = rho.mat.shape
     kron1 = rho1[:, :, None, :, None] * _identity(rho.d2)[:, None, :]
     kron2 = _identity(rho.d1)[:, None, :, None] * rho2[:, None, :, None, :]
     op1 = kron1.reshape(shape) - rho.mat

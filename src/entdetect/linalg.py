@@ -6,7 +6,12 @@ composite row index of an entry ``<i mu| rho |j nu>`` is ``i*d2 + mu``.
 A DensityMatrix is a stack of states; the helpers work on each of its
 states, and on the last two axes of an array (the last one for spectra),
 and give each matrix of a stack the same bits as a stack of that matrix
-alone.
+alone. A state's spectrum is read from its ``gram`` stand-in, the k x k
+matrix A^dag A of a rank-k state built from its factor A (the same
+nonzero eigenvalues as rho = A A^dag), padded with exact zeros for rho's
+null space; singular values are taken from the tall orientation of a
+matrix. Both hand LAPACK a smaller problem for the same numbers, to
+rounding.
 """
 
 import numpy as np
@@ -32,14 +37,20 @@ class DensityMatrix:
     The input is validated against the Hermiticity/trace/positivity
     invariants and then symmetrized once, ``(M + M^dag)/2``; no operation
     downstream ever re-symmetrizes silently. Only ``DensityMatrix.stack``
-    skips the positivity check, for stacks that are PSD by construction.
+    skips the positivity check, for states built from a factor, which
+    are PSD by construction.
+
+    ``gram`` is the spectral stand-in, a ``(B, m, m)`` stack, m <= n,
+    whose spectra are the states' nonzero spectra: ``spectrum(rho.gram,
+    n)`` is rho's spectrum. It is ``mat`` itself, except for a stack
+    built from ``(B, n, k)`` factors with k < n, where it is A^dag A.
     """
 
-    __slots__ = ("d1", "d2", "mat")
+    __slots__ = ("d1", "d2", "mat", "gram")
 
     def __init__(self, mat, d1, d2):
         mats = np.asarray(mat, dtype=complex)
-        self.mat = _symmetrized(mats[None] if mats.ndim == 2 else mats, d1, d2)
+        self.mat = self.gram = _symmetrized(mats[None] if mats.ndim == 2 else mats, d1, d2)
         self.d1 = d1
         self.d2 = d2
         lmin = np.linalg.eigvalsh(self.mat)[:, 0].min()
@@ -47,14 +58,20 @@ class DensityMatrix:
             raise ValueError(f"matrix is not PSD (min eigenvalue {lmin:g})")
 
     @classmethod
-    def stack(cls, mats, d1, d2):
-        """The states of a ``(B, n, n)`` stack that is PSD by construction
-        (the sampler's ``A A^dag``) as one stacked DensityMatrix. Every
-        check of ``DensityMatrix`` but positivity is made on the whole
-        stack in one pass."""
+    def stack(cls, factors, d1, d2):
+        """The states ``A A^dag`` of a ``(B, n, k)`` stack of factors A
+        (the sampler's), PSD by construction, as one stacked
+        DensityMatrix. Every check of ``DensityMatrix`` but positivity is
+        made on the whole stack of products in one pass. For k < n,
+        ``gram`` is the ``(B, k, k)`` stack of ``A^dag A``, which has the
+        nonzero eigenvalues of ``A A^dag`` (eigvalsh reads its lower
+        triangle); for k = n it is ``mat``."""
+        a = np.asarray(factors, dtype=complex)
+        a_dag = a.conj().swapaxes(-2, -1)
         rho = cls.__new__(cls)
         rho.d1, rho.d2 = d1, d2
-        rho.mat = _symmetrized(np.asarray(mats, dtype=complex), d1, d2)
+        rho.mat = _symmetrized(a @ a_dag, d1, d2)
+        rho.gram = a_dag @ a if a.shape[-1] < a.shape[-2] else rho.mat
         return rho
 
     def __len__(self):
@@ -133,14 +150,27 @@ def realign(rho):
 
 def trace_norm(m):
     """Sum of singular values of ``m``, or of each matrix of a stack (the
-    last two axes)."""
+    last two axes), taken from its tall orientation: a transpose has the
+    same singular values, and LAPACK takes a tall matrix faster than its
+    wide transpose."""
+    if m.shape[-2] < m.shape[-1]:
+        m = m.swapaxes(-2, -1)
     return np.add.reduce(np.linalg.svd(m, compute_uv=False), axis=-1)
 
 
-def spectrum(mat):
+def spectrum(mat, size=None):
     """Descending eigenvalues of a Hermitian matrix (an ndarray), or of
-    each matrix of a stack (the last two axes)."""
-    return np.linalg.eigvalsh(mat)[..., ::-1]
+    each matrix of a stack (the last two axes), followed by exact zeros
+    up to ``size`` eigenvalues when ``size`` is larger:
+    ``spectrum(rho.gram, n)`` is the spectrum of each state of rho, its
+    null space as exact zeros."""
+    eigs = np.linalg.eigvalsh(mat)[..., ::-1]
+    m = eigs.shape[-1]
+    if size is None or size == m:
+        return eigs
+    padded = np.zeros(eigs.shape[:-1] + (size,))
+    padded[..., :m] = eigs
+    return padded
 
 
 def von_neumann_entropy(eigenvalues):

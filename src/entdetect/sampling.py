@@ -24,7 +24,10 @@ drawn and built a chunk at a time: each trial's state is assigned to one
 reused PCG64 right before its draw fills one row of the chunk's array,
 and the chunk's norms, its ``A A^dag`` products and their checks and
 symmetrization are each one stacked pass, yielded as one stacked
-DensityMatrix for the kernel to evaluate in one call. The stacked norm
+DensityMatrix for the kernel to evaluate in one call. The chunk is built
+by DensityMatrix.stack from its ``(B, d1*d2, k)`` factors A, so for
+k < d1*d2 it also carries the k x k products ``A^dag A``, from which the
+kernel takes each state's spectrum. The stacked norm
 gives each row the bits of ``np.linalg.norm`` of that row alone. A chunk
 holds as many density matrices as fit in CHUNK_ENTRIES complex entries,
 so its memory does not grow with the block. numpy's own SeedSequence is only the
@@ -220,9 +223,8 @@ def sample_chunks(d1, d2, k, master_seed, start, stop):
     (d1, d2, k), in trial order, as one stacked DensityMatrix per chunk
     of ``_unit_vectors``."""
     for psi in _unit_vectors(d1, d2, k, master_seed, start, stop):
-        a = psi.reshape(len(psi), d1 * d2, k)
         # A A^dag is PSD with unit trace by construction; no eig check.
-        yield DensityMatrix.stack(a @ a.conj().transpose(0, 2, 1), d1, d2)
+        yield DensityMatrix.stack(psi.reshape(len(psi), d1 * d2, k), d1, d2)
 
 
 def sample_tripartite_pure(d1, d2, k, master_seed, trial_index=0):

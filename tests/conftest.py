@@ -60,9 +60,26 @@ def random_state(d1, d2, k, seed=0, trial=0):
     return sample_reduced_state(d1, d2, k, seed, trial)
 
 
+def _stack_of(d1, d2, mat, gram):
+    """A DensityMatrix of already-built arrays and their stand-in."""
+    rho = DensityMatrix.__new__(DensityMatrix)
+    rho.d1, rho.d2, rho.mat, rho.gram = d1, d2, mat, gram
+    return rho
+
+
 def states_of(rho):
-    """Each state of the stack ``rho`` as its own stack of one, B = 1."""
-    return [DensityMatrix.stack(rho.mat[i:i + 1], rho.d1, rho.d2) for i in range(len(rho))]
+    """Each state of the stack ``rho`` as its own stack of one, B = 1,
+    with its own slice of the stack's spectral stand-in ``gram``."""
+    return [_stack_of(rho.d1, rho.d2, rho.mat[i:i + 1], rho.gram[i:i + 1])
+            for i in range(len(rho))]
+
+
+def joined(stacks):
+    """The states of stacks of one cell as one stack, in order, each with
+    its own stand-in."""
+    stacks = list(stacks)
+    return _stack_of(stacks[0].d1, stacks[0].d2, np.concatenate([s.mat for s in stacks]),
+                     np.concatenate([s.gram for s in stacks]))
 
 
 def as_records(rows):
@@ -101,14 +118,14 @@ def haar_unitary(d, rng):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def _majorization_excess(global_eigs, marginal_eigs):
+def majorization_excess(global_eigs, marginal_eigs):
     """Largest excess of the global prefix sums over the marginal's, over
     the prefixes shorter than the marginal (the longer ones test 1 - 1)."""
     j = len(marginal_eigs) - 1
     return float((np.cumsum(global_eigs)[:j] - np.cumsum(marginal_eigs)[:j]).max())
 
 
-def _entropy(eigs):
+def reference_entropy(eigs):
     """Reference for von_neumann_entropy: the clip, log and sum written
     out, which the kernel's entropies must match bit for bit."""
     p = np.minimum(eigs[eigs > ENTROPY_FLOOR], 1.0)
@@ -133,10 +150,15 @@ def reference_record(rho):
     """Reference for evaluate_state on a stack of one: every witness
     computed on its own, with its own eigendecompositions and sums, and
     the trace norm from the side-2 partial transpose (evaluate_state uses
-    side 1). It returns plain numbers, ``(tn, (pt, red, maj, ent, rl))``;
-    test_criteria's boundary table pins the thresholds."""
+    side 1). rho's spectrum is its stand-in's, ``rho.gram``, padded with
+    zeros to n, and the realignment's singular values are the tall
+    orientation's, as in the kernel. It returns plain numbers, ``(tn,
+    (pt, red, maj, ent, rl))``; test_criteria's boundary table pins the
+    thresholds."""
     [mat] = rho.mat
     rho1, rho2 = reference_marginal(rho, 2), reference_marginal(rho, 1)
+    [gram] = rho.gram
+    eigs = np.concatenate((spectrum(gram), np.zeros(len(mat) - len(gram))))
 
     pt = float(np.linalg.eigvalsh(partial_transpose(rho, 1)[0])[0])
 
@@ -144,16 +166,16 @@ def reference_record(rho):
     op2 = np.kron(np.eye(rho.d1), rho2) - mat
     red = float(min(np.linalg.eigvalsh(op1)[0], np.linalg.eigvalsh(op2)[0]))
 
-    eigs = spectrum(mat)
     maj = max(
-        _majorization_excess(eigs, spectrum(rho1)),
-        _majorization_excess(eigs, spectrum(rho2)),
+        majorization_excess(eigs, spectrum(rho1)),
+        majorization_excess(eigs, spectrum(rho2)),
     )
 
-    s12 = _entropy(spectrum(mat))
-    ent = min(s12 - _entropy(spectrum(rho1)), s12 - _entropy(spectrum(rho2)))
+    s12 = reference_entropy(eigs)
+    ent = min(s12 - reference_entropy(spectrum(rho1)), s12 - reference_entropy(spectrum(rho2)))
 
-    rl = float(np.linalg.svd(realign(rho)[0], compute_uv=False).sum()) - 1.0
+    r = realign(rho)[0]
+    rl = float(np.linalg.svd(r.T if r.shape[0] < r.shape[1] else r, compute_uv=False).sum()) - 1.0
 
     tn = float(np.abs(np.linalg.eigvalsh(partial_transpose(rho, 2)[0])).sum())
     return tn, (pt, red, maj, ent, rl)

@@ -11,8 +11,11 @@ from entdetect import (
     evaluate_state,
     partial_transpose,
     purity,
+    realign,
     sample_reduced_state,
+    sample_tripartite_pure,
     spectrum,
+    trace_norm,
 )
 from entdetect.criteria import EPS
 from entdetect.linalg import ENTROPY_FLOOR
@@ -22,9 +25,12 @@ from conftest import (
     as_records,
     bell_state,
     haar_unitary,
+    majorization_excess,
     maximally_mixed,
     product_pure,
     random_state,
+    reference_entropy,
+    reference_marginal,
     reference_record,
     row_of,
     states_of,
@@ -290,13 +296,23 @@ class TestStackedKernel:
                 assert _row_bits(recs, trial) == _bits(*reference_record(one)), trial
 
     def test_one_matrix_gives_one_record(self):
-        mat = random_state(2, 5, 6, seed=3).mat[0]
-        one = DensityMatrix(mat, 2, 5)
+        a = sample_tripartite_pure(2, 5, 6, 3).reshape(10, 6)
+        one = DensityMatrix(a @ a.conj().T, 2, 5)
         assert len(one) == 1 and one.mat.shape == (1, 10, 10)
         recs = evaluate_state(one)
         assert isinstance(recs, Records) and len(recs) == 1
-        from_stack = evaluate_state(DensityMatrix.stack(mat[None], 2, 5))
-        assert _row_bits(from_stack) == _row_bits(recs)
+        # The factor's stack of one holds the same rho; only the global
+        # spectrum is solved on another matrix, A^dag A, so the two
+        # witnesses that read it agree to rounding and the rest to the bit.
+        stack = DensityMatrix.stack(a[None], 2, 5)
+        assert np.array_equal(stack.mat, one.mat) and stack.gram.shape == (1, 6, 6)
+        from_stack = evaluate_state(stack)
+        assert from_stack.tn.tolist() == recs.tn.tolist()
+        for i, name in enumerate(CRITERIA):
+            if name in ("majorization", "entropy"):
+                assert abs(from_stack.witness[0, i] - recs.witness[0, i]) <= 1e-13, name
+            else:
+                assert from_stack.witness[0, i] == recs.witness[0, i], name
 
     def test_mixed_ranks_in_one_stack(self):
         # Ranks 1 and 10 side by side: the spectra keep different numbers
@@ -312,6 +328,57 @@ class TestStackedKernel:
         for trial, one in enumerate(states_of(stack)):
             assert _row_bits(recs, trial) == _row_bits(evaluate_state(one)), trial
             assert _row_bits(recs, trial) == _bits(*reference_record(one)), trial
+
+
+# STACK_CELLS with 2x18 and 6x6 at both k = 2 and k = n.
+SOLVE_CELLS = STACK_CELLS + [((2, 18, 2), 7), ((6, 6, 36), 8)]
+
+
+def _full_solve_columns(chunk):
+    """The majorization, entropy and realignment witnesses of each state
+    of ``chunk`` from the n x n eigvalsh of rho and the svd of the
+    realigned matrix as realign lays it out (wide for d1 < d2), neither
+    of the kernel's smaller solves."""
+    rows = []
+    for one in states_of(chunk):
+        eigs = np.linalg.eigvalsh(one.mat[0])[::-1]
+        marginals = [np.linalg.eigvalsh(reference_marginal(one, side))[::-1] for side in (2, 1)]
+        s12 = reference_entropy(eigs)
+        rows.append((max(majorization_excess(eigs, m) for m in marginals),
+                     min(s12 - reference_entropy(m) for m in marginals),
+                     np.linalg.svd(realign(one)[0], compute_uv=False).sum() - 1.0))
+    return np.array(rows)
+
+
+class TestSmallerSolves:
+    """The kernel's smaller LAPACK problems, rho's spectrum from its k x k
+    stand-in and the realignment singular values from the tall
+    orientation, agree with the full n x n and wide solves to rounding."""
+
+    @pytest.mark.parametrize("cell, trials", SOLVE_CELLS)
+    def test_stand_in_spectrum_is_rhos_with_exact_zeros_last(self, cell, trials):
+        d1, d2, k = cell
+        n = d1 * d2
+        for chunk in sample_chunks(*cell, 97, 0, trials):
+            eigs = spectrum(chunk.gram, n)
+            full = np.sort(np.linalg.eigvalsh(chunk.mat), axis=-1)[:, ::-1]
+            assert eigs.shape == full.shape == (len(chunk), n)
+            assert np.abs(eigs - full).max() <= 1e-14
+            assert ((eigs == 0.0).sum(axis=-1) == n - k).all()
+
+    @pytest.mark.parametrize("cell, trials", SOLVE_CELLS)
+    def test_tall_trace_norm_is_the_wide_svd_sum(self, cell, trials):
+        for chunk in sample_chunks(*cell, 97, 0, trials):
+            wide = realign(chunk)
+            want = np.linalg.svd(wide, compute_uv=False).sum(axis=-1)
+            assert np.abs(trace_norm(wide) - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("cell, trials", SOLVE_CELLS)
+    def test_spectral_witnesses_match_the_full_solves(self, cell, trials):
+        cols = [CRITERIA.index(c) for c in ("majorization", "entropy", "realignment")]
+        for chunk in sample_chunks(*cell, 97, 0, trials):
+            got = evaluate_state(chunk).witness[:, cols]
+            assert np.abs(got - _full_solve_columns(chunk)).max() <= 1e-13
 
 
 def _column_bits(records):

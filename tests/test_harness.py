@@ -58,7 +58,7 @@ class TestRunCell:
             rho = sample_reduced_state(2, 3, 4, 77, t)
             assert row_of(recs, t) == evaluate_state(rho), t
 
-    # run_cell(2, 5, 6, 300, 42) draws two blocks, of 256 and 44 trials,
+    # run_cell(2, 5, k, 300, 42) draws two blocks, of 256 and 44 trials,
     # in chunks of 40 (sampling._chunk_size(2, 5)): 6 x 40 + 16, then 40 + 4.
     CHUNKS_2X5_300 = [40] * 6 + [16, 40, 4]
 
@@ -67,33 +67,40 @@ class TestRunCell:
         # harness.evaluate_state, pins 6 eigvalsh and 1 svd per such call,
         # and wraps harness.sample_reduced_state. run_cell makes one such
         # call per sampler chunk, and its Records are those calls' Records
-        # in order.
+        # in order. At 2x5 k=2 the calls see the partial transpose and the
+        # two reduction operators at 10 x 10, rho's 2 x 2 stand-in, the two
+        # marginals, and the realigned matrix in its tall 25 x 4
+        # orientation; a solve of rho at 10 x 10 fails here.
         assert callable(harness.sample_reduced_state)
-        lapack = Counter()
+        lapack = []  # (name, shape of its matrix stack) of each call
         for name in ("eigvalsh", "svd"):
             fn = getattr(np.linalg, name)
 
-            def counted(*args, _name=name, _fn=fn, **kwargs):
-                lapack[_name] += 1
-                return _fn(*args, **kwargs)
+            def counted(a, *args, _name=name, _fn=fn, **kwargs):
+                lapack.append((_name, np.shape(a)))
+                return _fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         per_call, returned = [], []
         evaluate = harness.evaluate_state
 
         def traced(rho):
-            before = lapack.copy()
+            before = len(lapack)
             recs = evaluate(rho)
-            per_call.append((len(rho), lapack["eigvalsh"] - before["eigvalsh"],
-                             lapack["svd"] - before["svd"]))
+            calls = lapack[before:]
+            per_call.append((len(rho), sorted(shape for name, shape in calls if name == "eigvalsh"),
+                             [shape for name, shape in calls if name == "svd"]))
             returned.append(recs)
             return recs
 
         monkeypatch.setattr(harness, "evaluate_state", traced)
-        recs = run_cell(2, 5, 6, 300, 42)
-        assert per_call == [(b, 6, 1) for b in self.CHUNKS_2X5_300]
+        recs = run_cell(2, 5, 2, 300, 42)
+        assert per_call == [
+            (b, sorted([(b, 10, 10)] * 3 + [(b, 2, 2), (b, 2, 2), (b, 5, 5)]), [(b, 25, 4)])
+            for b in self.CHUNKS_2X5_300
+        ]
         assert len(recs) == 300 and recs == Records.concat(returned)
-        assert recs == Records.concat([evaluate_state(sample_reduced_state(2, 5, 6, 42, t))
+        assert recs == Records.concat([evaluate_state(sample_reduced_state(2, 5, 2, 42, t))
                                        for t in range(300)])
 
     def test_per_state_calls_every_helper_the_benchmark_tracer_wraps(self, monkeypatch):

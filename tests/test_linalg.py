@@ -8,6 +8,7 @@ from entdetect import (
     purity,
     realign,
     sample_chunks,
+    sample_tripartite_pure,
     spectrum,
     trace_norm,
     von_neumann_entropy,
@@ -73,7 +74,10 @@ class TestDensityMatrix:
     def test_one_matrix_is_a_stack_of_one(self):
         rho = DensityMatrix(np.eye(6) / 6, 2, 3)
         assert len(rho) == 1 and rho.mat.shape == (1, 6, 6)
-        assert np.array_equal(rho.mat, DensityMatrix.stack(np.eye(6)[None] / 6, 2, 3).mat)
+        assert rho.gram is rho.mat
+        [a] = _factors(1, 2, 3, 4)
+        assert np.array_equal(DensityMatrix(a @ a.conj().T, 2, 3).mat,
+                              DensityMatrix.stack(a[None], 2, 3).mat)
 
     @pytest.mark.parametrize("build", [DensityMatrix, DensityMatrix.stack])
     def test_rejects_an_empty_stack(self, build):
@@ -82,12 +86,18 @@ class TestDensityMatrix:
         assert str(exc.value) == "expected at least one matrix, got an empty stack"
 
 
-def _wishart_stack(b, d1, d2, k, seed=0):
-    """``b`` unit-trace ``A A^dag`` products, Hermitian only to rounding."""
+def _factors(b, d1, d2, k, seed=0):
+    """``b`` complex Gaussian ``(d1*d2, k)`` factors of unit Frobenius
+    norm, so each ``A A^dag`` has unit trace."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((b, d1 * d2, k)) + 1j * rng.standard_normal((b, d1 * d2, k))
-    m = a @ a.conj().transpose(0, 2, 1)
-    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return a / np.linalg.norm(a, axis=(1, 2))[:, None, None]
+
+
+def _wishart_stack(b, d1, d2, k, seed=0):
+    """``b`` unit-trace ``A A^dag`` products, Hermitian only to rounding."""
+    a = _factors(b, d1, d2, k, seed)
+    return a @ a.conj().transpose(0, 2, 1)
 
 
 def _non_finite(m):
@@ -105,17 +115,24 @@ def _off_trace(m):
 
 
 class TestStack:
-    """DensityMatrix.stack checks a stack as DensityMatrix checks each of
-    its matrices, bar positivity, and in one pass."""
+    """A stack of matrices is checked as each of its matrices alone, in
+    one pass; DensityMatrix.stack takes ``(B, n, k)`` factors and makes
+    the same checks, bar positivity, on their ``A A^dag`` products."""
 
     D1, D2 = 2, 3
 
     def test_equals_one_matrix_at_a_time(self):
-        mats = _wishart_stack(7, self.D1, self.D2, 4)
-        states = DensityMatrix.stack(mats, self.D1, self.D2)
+        a = _factors(7, self.D1, self.D2, 4)
+        states = DensityMatrix.stack(a, self.D1, self.D2)
         assert len(states) == 7 and (states.d1, states.d2) == (self.D1, self.D2)
-        for m, mat in zip(mats, states.mat):
-            assert np.array_equal(mat, DensityMatrix(m, self.D1, self.D2).mat[0])
+        assert states.gram.shape == (7, 4, 4)
+        for f, mat, gram in zip(a, states.mat, states.gram):
+            assert np.array_equal(mat, DensityMatrix(f @ f.conj().T, self.D1, self.D2).mat[0])
+            assert np.array_equal(gram, f.conj().T @ f)
+
+    def test_full_rank_factors_keep_rho_as_the_stand_in(self):
+        states = DensityMatrix.stack(_factors(3, self.D1, self.D2, 6), self.D1, self.D2)
+        assert states.gram is states.mat
 
     @pytest.mark.parametrize("spoil", [_non_finite, _non_hermitian, _off_trace])
     @pytest.mark.parametrize("where", [0, -1])
@@ -125,7 +142,21 @@ class TestStack:
         with pytest.raises(ValueError) as alone:
             DensityMatrix(mats[where], self.D1, self.D2)
         with pytest.raises(ValueError) as stacked:
-            DensityMatrix.stack(mats, self.D1, self.D2)
+            DensityMatrix(mats, self.D1, self.D2)
+        assert str(stacked.value) == str(alone.value)
+        assert "\n" not in str(stacked.value)
+
+    @pytest.mark.parametrize("spoil", [_non_finite, _off_trace])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_one_bad_factor_raises_its_products_error(self, spoil, where):
+        # A product A A^dag is Hermitian to rounding, so a factor can spoil
+        # only its finiteness or its trace.
+        a = _factors(5, self.D1, self.D2, 3)
+        a[where] = spoil(a[where].copy())
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(a[where] @ a[where].conj().T, self.D1, self.D2)
+        with pytest.raises(ValueError) as stacked:
+            DensityMatrix.stack(a, self.D1, self.D2)
         assert str(stacked.value) == str(alone.value)
         assert "\n" not in str(stacked.value)
 
@@ -136,13 +167,13 @@ class TestStack:
         pure = np.diag([1.0, 0, 0, 0, 0, 0]).astype(complex)
         mixed = np.eye(6, dtype=complex) / 6
         pure[0, 1] = mixed[0, 1] = 5e-13
-        DensityMatrix.stack(pure[None], 2, 3)
+        DensityMatrix(pure[None], 2, 3)
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix.stack(np.stack([pure, mixed]), 2, 3)
+            DensityMatrix(np.stack([pure, mixed]), 2, 3)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="6x6"):
-            DensityMatrix.stack(np.stack([np.eye(4) / 4] * 2), 2, 3)
+            DensityMatrix.stack(_factors(2, 2, 2, 2), 2, 3)
 
 
 class TestStackedHelpers:
@@ -151,8 +182,10 @@ class TestStackedHelpers:
 
     @pytest.mark.parametrize("cell", [(2, 5, 6), (3, 4, 12), (6, 6, 2)])
     def test_helpers_equal_one_matrix_calls(self, cell):
-        stack = DensityMatrix.stack(np.concatenate([random_state(*cell, seed=9, trial=t).mat
-                                                    for t in range(5)]), *cell[:2])
+        d1, d2, k = cell
+        stack = DensityMatrix.stack(
+            np.stack([sample_tripartite_pure(*cell, 9, t).reshape(d1 * d2, k) for t in range(5)]),
+            d1, d2)
         per_state = {
             "partial_transpose 1": lambda rho: partial_transpose(rho, 1),
             "partial_transpose 2": lambda rho: partial_transpose(rho, 2),
@@ -161,7 +194,8 @@ class TestStackedHelpers:
             "realign": realign,
             "trace_norm": lambda rho: trace_norm(realign(rho)),
             "spectrum": lambda rho: spectrum(rho.mat),
-            "entropy": lambda rho: von_neumann_entropy(spectrum(rho.mat)),
+            "stand-in spectrum": lambda rho: spectrum(rho.gram, d1 * d2),
+            "entropy": lambda rho: von_neumann_entropy(spectrum(rho.gram, d1 * d2)),
         }
         for name, fn in per_state.items():
             stacked = fn(stack)
@@ -186,7 +220,6 @@ class TestStackedHelpers:
         mats[1] = np.diag([0.6, 0.5, 0.0, -0.1])
         with pytest.raises(ValueError, match="PSD"):
             DensityMatrix(mats, 2, 2)
-        DensityMatrix.stack(mats, 2, 2)  # the by-construction path does not check
 
     def test_entropy_of_rows_equals_row_by_row(self):
         # Unsorted rows, rows whose kept terms are not a prefix, and rows

@@ -24,6 +24,7 @@ from entdetect.verify import numerical_rank
 from conftest import (
     bell_state,
     haar_unitary,
+    joined,
     maximally_mixed,
     product_pure,
     reference_state,
@@ -40,7 +41,7 @@ def sampled_mats(d1, d2, k, master_seed, start, stop):
 
 def stacked(d1, d2, k, master_seed, start, stop):
     """The states of trials ``start .. stop - 1`` as one stack."""
-    return DensityMatrix.stack(sampled_mats(d1, d2, k, master_seed, start, stop), d1, d2)
+    return joined(sample_chunks(d1, d2, k, master_seed, start, stop))
 
 
 class TestTrialIdentity:
@@ -93,7 +94,7 @@ def test_bad_cell_gets_one_message_everywhere(cell):
             lambda: entropy_rank_threshold(d1, d2),
             lambda: realignment_rank_bound(d1, d2),
             lambda: DensityMatrix(mixed, d1, d2),
-            lambda: DensityMatrix.stack(mixed[None], d1, d2),
+            lambda: DensityMatrix.stack(np.sqrt(mixed)[None], d1, d2),
         ]
     messages = set()
     for call in calls:
