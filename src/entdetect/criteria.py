@@ -87,11 +87,9 @@ class Records:
         return np.array_equal(self.tn, other.tn) and np.array_equal(self.witness, other.witness)
 
     def ln(self, eps=EPS):
-        """Each state's log-negativity, as a float64 array: log2 of its
-        trace norm, or 0 within 2*eps of PPT. Each is ``math.log2`` of a
-        Python float, whose bits can differ from ``np.log2``'s by an ulp."""
-        return np.array([math.log2(tn) if tn > 1.0 + 2.0 * eps else 0.0
-                         for tn in self.tn.tolist()])
+        """Each state's log-negativity, as a float64 array: ``np.log2`` of
+        its trace norm, or 0 within 2*eps of PPT."""
+        return np.where(self.tn > 1.0 + 2.0 * eps, np.log2(self.tn), 0.0)
 
     def detected(self, eps=EPS):
         """Whether each criterion fires on each state at ``eps``, as an

@@ -21,15 +21,17 @@ numbers are identical for any worker count.
 This module alone defines the result files. write_results turns a
 sweep's SweepStats into a CSV, one row per cell, and writes it next to a
 JSON manifest holding the configuration echo, the package version, the
-CSV's columns and cells, a sha256 checksum of the CSV's bytes and a
-description of the run (workers, CPUs, library versions, wall time).
-A run whose CSV bytes still match its manifest checksum, and whose
-manifest echoes the same configuration, version and columns, is not
-recomputed; a file that cannot be read or decoded means recompute.
+kernel fingerprint, the CSV's columns and cells, a sha256 checksum of
+the CSV's bytes and a description of the run (workers, CPUs, library
+versions, wall time). A run whose CSV bytes still match its manifest
+checksum, and whose manifest echoes the same configuration, version,
+kernel fingerprint and columns, is not recomputed; a file that cannot be
+read or decoded means recompute.
 """
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -89,6 +91,16 @@ class SweepConfig:
 
 def _run_block(args):
     return Records.concat([evaluate_state(chunk) for chunk in sample_chunks(*args)])
+
+
+@functools.cache
+def kernel_fingerprint():
+    """The sha256 of the Records bytes (``tn``, then ``witness``) of
+    trials 0..15 of 2x5 k=6 and 3x4 k=12 at seed 0, computed once per
+    process on first use: results written by a kernel whose numbers
+    differ in any bit carry another fingerprint."""
+    probes = [_run_block((*cell, 0, 0, 16)) for cell in ((2, 5, 6), (3, 4, 12))]
+    return checksum(b"".join(r.tn.tobytes() + r.witness.tobytes() for r in probes))
 
 
 def _start_pool(workers):
@@ -233,6 +245,7 @@ def write_results(out_dir, name, stats, config, columns=CSV_COLUMNS, *, wall_s):
     manifest = {
         "config": config.to_dict(),
         "version": __version__,
+        "kernel": kernel_fingerprint(),
         "started_at": _utc(finished - wall_s),
         "finished_at": _utc(finished),
         "columns": list(columns),
@@ -263,11 +276,14 @@ def _verified_manifest(out_dir, name):
 
 def results_current(out_dir, name, config, columns=CSV_COLUMNS):
     """True iff <name>.csv matches its manifest checksum and the manifest
-    echoes the same configuration, package version and ``columns``."""
+    echoes the same configuration, package version and ``columns``, and
+    then the same kernel fingerprint, computed only for such a manifest."""
     manifest = _verified_manifest(out_dir, name)
     return manifest is not None and (
         manifest.get("config"), manifest.get("version"), manifest.get("columns")
-    ) == (config.to_dict(), __version__, list(columns))
+    ) == (config.to_dict(), __version__, list(columns)) and (
+        manifest.get("kernel") == kernel_fingerprint()
+    )
 
 
 def find_orphans(out_dir):

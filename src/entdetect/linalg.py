@@ -178,26 +178,15 @@ def von_neumann_entropy(eigenvalues):
     each spectrum along the last axis.
 
     Eigenvalues at or below the entropy floor (tiny negatives from the
-    eigensolver among them) contribute zero; the rest are clipped to 1.
-    Each spectrum's kept terms are summed as one contiguous row, whatever
-    their order: the spectra are grouped by their number L of kept terms
-    and each group summed as one ``(m, L)`` array along its rows, so a
-    spectrum's sum does not depend on the others beside it.
+    eigensolver among them) are masked to 1, so their terms are exact
+    zeros (1 log 1 = 0); the rest are clipped to 1. Each spectrum is then
+    summed as one row, whatever the stack beside it.
     """
     p = np.asarray(eigenvalues, dtype=float)
-    rows = p.reshape(-1, p.shape[-1])
-    keep = rows > ENTROPY_FLOOR
-    counts = keep.sum(axis=1)
-    sums = np.zeros(len(rows))
-    for length in set(counts.tolist()) - {0}:
-        group = counts == length
-        q = rows[group][keep[group]].reshape(-1, length)  # a copy, worked in place
-        np.minimum(q, 1.0, out=q)
-        q *= np.log(q)
-        sums[group] = np.add.reduce(q, axis=1)
-    neg = -sums
+    q = np.where(p > ENTROPY_FLOOR, np.minimum(p, 1.0), 1.0)
+    neg = -np.add.reduce(q * np.log(q), axis=-1)
     # max(-sum, 0.0) as Python's max takes it, -0.0 and NaN included
-    return np.where(0.0 > neg, 0.0, neg).reshape(p.shape[:-1])[()]
+    return np.where(0.0 > neg, 0.0, neg)[()]
 
 
 def purity(rho):

@@ -126,10 +126,12 @@ def majorization_excess(global_eigs, marginal_eigs):
 
 
 def reference_entropy(eigs):
-    """Reference for von_neumann_entropy: the clip, log and sum written
-    out, which the kernel's entropies must match bit for bit."""
-    p = np.minimum(eigs[eigs > ENTROPY_FLOOR], 1.0)
-    return max(float(-(p * np.log(p)).sum()), 0.0)
+    """Reference for von_neumann_entropy of one spectrum: the mask, clip,
+    log and sum written out, which the kernel's entropies must match bit
+    for bit. Entries at or below the floor become 1, whose term 1 log 1
+    is an exact zero, so the whole spectrum is summed as one row."""
+    q = np.where(eigs > ENTROPY_FLOOR, np.minimum(eigs, 1.0), 1.0)
+    return max(float(-(q * np.log(q)).sum()), 0.0)
 
 
 def reference_marginal(rho, traced_subsystem):

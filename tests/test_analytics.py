@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from entdetect import (
@@ -139,7 +140,7 @@ class TestAggregate:
         assert stats.n_npt == sum(fires["pt"])
         for c in CRITERIA:
             lns = [
-                math.log2(tn)
+                float(np.log2(tn))
                 for tn, in_population, fired in zip(tns, npt, fires[c])
                 if in_population and fired
             ]

@@ -299,10 +299,11 @@ class TestPersistence:
         with open(os.path.join(tmp_path, "cell.manifest.json")) as fh:
             manifest = json.load(fh)
         assert set(manifest) == {
-            "config", "version", "started_at", "finished_at", "columns", "cells", "run",
-            "checksum",
+            "config", "version", "kernel", "started_at", "finished_at", "columns", "cells",
+            "run", "checksum",
         }
         assert manifest["config"] == config.to_dict()
+        assert manifest["kernel"] == harness.kernel_fingerprint()
         assert manifest["cells"][0]["n"] == 100
         with open(path, "rb") as fh:
             body = fh.read()
@@ -328,6 +329,33 @@ class TestPersistence:
         del manifest["columns"]
         manifest_path.write_text(json.dumps(manifest))
         assert not results_current(str(tmp_path), "cell", config)
+
+    def test_manifest_without_kernel_not_current(self, tmp_path):
+        # a manifest written before it recorded the kernel fingerprint
+        config, path = self._write(tmp_path)
+        manifest_path = tmp_path / "cell.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["kernel"]
+        manifest_path.write_text(json.dumps(manifest))
+        assert not results_current(str(tmp_path), "cell", config)
+
+    def test_other_kernel_not_current(self, tmp_path, monkeypatch):
+        # A kernel that moves one witness by one ulp, with the same version
+        # string: its fingerprint differs, so the results are not current.
+        config, path = self._write(tmp_path)
+        assert results_current(str(tmp_path), "cell", config)
+
+        def moved(rho):
+            records = evaluate_state(rho)
+            records.witness[0, 0] = np.nextafter(records.witness[0, 0], np.inf)
+            return records
+
+        monkeypatch.setattr(harness, "evaluate_state", moved)
+        harness.kernel_fingerprint.cache_clear()
+        try:
+            assert not results_current(str(tmp_path), "cell", config)
+        finally:
+            harness.kernel_fingerprint.cache_clear()
 
     def test_results_current_and_resume(self, tmp_path):
         config, path = self._write(tmp_path)

@@ -20,6 +20,7 @@ from conftest import (
     product_mixed,
     product_pure,
     random_state,
+    reference_entropy,
     reference_marginal,
     states_of,
 )
@@ -222,9 +223,10 @@ class TestStackedHelpers:
             DensityMatrix(mats, 2, 2)
 
     def test_entropy_of_rows_equals_row_by_row(self):
-        # Unsorted rows, rows whose kept terms are not a prefix, and rows
-        # with no entry above the floor (entropy 0), long enough (n >= 8)
-        # that numpy's pairwise sum would regroup a zero-padded row.
+        # Unsorted rows, rows with entries at or below the floor in any
+        # position, and rows with no entry above it (entropy 0), short and
+        # long (n >= 8, where numpy sums a row pairwise): no row's sum may
+        # depend on the rows beside it.
         rng = np.random.default_rng(12)
         for n in (2, 5, 10, 36):
             rows = rng.random((300, n)) * rng.choice([1e-16, 1e-13, 1.0, 1.5], (300, n))
@@ -235,9 +237,8 @@ class TestStackedHelpers:
             assert stacked.shape == (300,)
             one_by_one = np.array([von_neumann_entropy(row) for row in rows])
             assert stacked.tobytes() == one_by_one.tobytes(), n
-            # and each equals the clip-then-filter sum of its row alone
-            kept = [np.minimum(row[row > ENTROPY_FLOOR], 1.0) for row in rows]
-            reference = np.array([max(float(-(p * np.log(p)).sum()), 0.0) for p in kept])
+            # and each equals the masked sum of its row alone
+            reference = np.array([reference_entropy(row) for row in rows])
             assert stacked.tobytes() == reference.tobytes(), n
             assert (stacked[::7] == 0.0).all()
             assert len({int((row > ENTROPY_FLOOR).sum()) for row in rows}) > 2
@@ -397,16 +398,17 @@ class TestEntropyAndPurity:
         assert von_neumann_entropy([1.0 + 5e-11, -5e-11]) == 0.0
 
     def test_equals_clip_then_filter_reference(self):
-        # Reference: clip to [0, 1], then drop what is at or below the
-        # floor. Filtering first and clipping to 1 after keeps the same
-        # terms, so the sums agree exactly.
+        # Reference: clip to [0, 1], then set what is at or below the
+        # floor to 1, whose term 1 log 1 is an exact zero. Masking first
+        # and clipping to 1 after gives the same row, so the sums agree
+        # exactly.
         rng = np.random.default_rng(11)
         for n in (2, 5, 10, 36):
             for _ in range(200):
                 e = rng.random(n) * rng.choice([1e-16, 1e-13, 1.0, 1.5], n)
                 e -= rng.choice([0.0, 1e-15], n)
                 p = np.clip(e, 0.0, 1.0)
-                p = p[p > ENTROPY_FLOOR]
+                p[p <= ENTROPY_FLOOR] = 1.0
                 assert von_neumann_entropy(e) == max(float(-(p * np.log(p)).sum()), 0.0)
 
     @pytest.mark.parametrize("seed", range(3))
