@@ -226,13 +226,24 @@ class TestEvaluateState:
         assert rec.ln()[0] == pytest.approx(ref.ln()[0], abs=1e-10)
 
     @pytest.mark.parametrize("cell", EXACT_CELLS)
+    def test_reduction_and_majorization_witnesses_exact(self, cell):
+        # The kernel forms the reduction operators by broadcasting, the
+        # reference with np.kron; the kernel takes the majorization prefix
+        # sums along a stack's last axis, the reference one spectrum at a
+        # time. Same arithmetic, so the witnesses must agree to the last
+        # bit, also on sides of 9 and more.
+        for trial, one, rec in _rows(cell, 97, 100):
+            _, ref_witness = reference_record(one)
+            for i in map(CRITERIA.index, ("reduction", "majorization")):
+                assert rec.witness[0, i] == ref_witness[i], (CRITERIA[i], trial)
+
+    @pytest.mark.parametrize("cell", EXACT_CELLS)
     def test_all_witnesses_and_trace_norm_exact(self, cell):
-        # The kernel forms the reduction operators by broadcasting, sums
-        # the majorization prefixes with a stacked np.cumsum and the
-        # entropies and trace norms with a stacked np.add.reduce; the
-        # reference uses np.kron and writes out np.cumsum and .sum() per
-        # state. Same arithmetic in the same order, so every number must
-        # agree to the last bit, also on sides of 9 and more.
+        # The kernel sums the majorization prefixes with a stacked
+        # np.cumsum and the entropies and trace norms with a stacked
+        # np.add.reduce; the reference writes out np.cumsum and .sum() per
+        # state. Same additions in the same order, so every number must
+        # agree to the last bit.
         for trial, one, rec in _rows(cell, 97, 100):
             assert tuple(rec.witness[0].tolist()) == reference_record(one)[1], trial
             pt_eigs = np.linalg.eigvalsh(partial_transpose(one, 1)[0])
@@ -280,10 +291,7 @@ class TestStackedKernel:
         assert sum(map(len, chunks)) == trials and (len(chunks) > 1 or cell == (2, 2, 1))
         for chunk in chunks:
             recs = evaluate_state(chunk)
-            assert isinstance(recs, Records)
-            assert recs.tn.dtype == recs.witness.dtype == np.float64
-            assert recs.tn.shape == (len(chunk),)
-            assert recs.witness.shape == (len(chunk), len(CRITERIA))
+            assert len(recs) == len(chunk)
             for trial, one in enumerate(states_of(chunk)):
                 assert _row_bits(recs, trial) == _row_bits(evaluate_state(one)), trial
                 assert _row_bits(recs, trial) == _bits(*reference_record(one)), trial
@@ -432,6 +440,19 @@ def _column_bits(records):
 
 class TestRecords:
     """A stack's Records are the columns of its states' stacks of one."""
+
+    @pytest.mark.parametrize("cell, trials", STACK_CELLS)
+    def test_columns_equal_one_matrix_calls_and_reference(self, cell, trials):
+        for chunk in sample_chunks(*cell, 97, 0, trials):
+            recs = evaluate_state(chunk)
+            assert isinstance(recs, Records)
+            assert recs.tn.dtype == recs.witness.dtype == np.float64
+            assert recs.tn.shape == (len(chunk),)
+            assert recs.witness.shape == (len(chunk), len(CRITERIA))
+            one = Records.concat([evaluate_state(s) for s in states_of(chunk)])
+            refs = [reference_record(s) for s in states_of(chunk)]
+            ref = as_records(refs)
+            assert _column_bits(recs) == _column_bits(one) == _column_bits(ref)
 
     @pytest.mark.parametrize("eps", EPS_VALUES)
     def test_ln_is_np_log2_of_each_trace_norm(self, eps):
