@@ -29,9 +29,17 @@ The global spectrum, read by the majorization and entropy witnesses, is
 ``spectrum(rho.gram, n)``: the eigenvalues of the state's spectral
 stand-in, A^dag A (k x k) for a rank-k state built from its factor A,
 followed by exact zeros for the null space. The realignment trace norm
-sums the singular values of the tall orientation of the d1^2 x d2^2
-realigned matrix. The partial-transpose and reduction spectra are solved
-on the full n x n operators.
+sums the singular values of the tall orientation of the realigned
+matrix. The partial-transpose, reduction and marginal spectra and the
+realignment are solved on the state's support stand-in ``rho.core``
+when it has one (a rank-k state with d1*k < d2), else on the n x n
+operators themselves. The core is rho on C^d1 (x) supp(rho2), n' = d1^2
+k wide. Off that space rho^T1 and I (x) rho2 - rho vanish, so their
+minima take min(., 0), and rho2's spectrum is padded with exact zeros to
+d2; there rho1 (x) I - rho is rho1 (x) I, whose eigenvalues are at least
+the core operator's least, <u w| rho1 (x) I - rho |u w> <= <u| rho1
+|u>. The realigned core has rho's singular values: the isometry acts on
+its columns as Q (x) conj(Q).
 """
 
 import functools
@@ -138,33 +146,41 @@ def evaluate_state(rho):
     transposed, so the PT witness and the trace norm come from a single
     solve. rho's own spectrum is solved on its ``gram`` stand-in (k x k
     for a rank-k state from the sampler) and padded with exact zeros to
-    n, and the realignment's singular values on its tall orientation.
+    n, the realignment's singular values on its tall orientation, and
+    everything else on its ``core`` when it has one.
     """
-    shape = rho.mat.shape
-    pt_eigs = np.linalg.eigvalsh(partial_transpose(rho, 1))
+    n = rho.mat.shape[-1]
+    sub = rho if rho.core is None else rho.core
+    shape = sub.mat.shape
+    pt_eigs = np.linalg.eigvalsh(partial_transpose(sub, 1))
 
-    rho1 = partial_trace(rho, 2)
-    rho2 = partial_trace(rho, 1)
-    eigs12 = spectrum(rho.gram, shape[-1])
+    rho1 = partial_trace(sub, 2)
+    rho2 = partial_trace(sub, 1)
+    eigs12 = spectrum(rho.gram, n)
     eigs1 = spectrum(rho1)
-    eigs2 = spectrum(rho2)
+    eigs2 = spectrum(rho2, rho.d2)
 
     # The reduction operators rho1 (x) I - rho and I (x) rho2 - rho, with
     # each Kronecker product formed by broadcasting on the (i, mu, j, nu)
     # index view against a shared identity: the same products as np.kron,
     # without its overhead.
-    kron1 = rho1[:, :, None, :, None] * _identity(rho.d2)[:, None, :]
-    kron2 = _identity(rho.d1)[:, None, :, None] * rho2[:, None, :, None, :]
-    op1 = kron1.reshape(shape) - rho.mat
-    op2 = kron2.reshape(shape) - rho.mat
+    kron1 = rho1[:, :, None, :, None] * _identity(sub.d2)[:, None, :]
+    kron2 = _identity(sub.d1)[:, None, :, None] * rho2[:, None, :, None, :]
+    op1 = kron1.reshape(shape) - sub.mat
+    op2 = kron2.reshape(shape) - sub.mat
+    pt_min = pt_eigs[:, 0]
     red_min = np.minimum(np.linalg.eigvalsh(op1)[:, 0], np.linalg.eigvalsh(op2)[:, 0])
+    if sub is not rho:
+        # the zero eigenvalues of rho^T1 and I (x) rho2 - rho off the core
+        pt_min = np.minimum(pt_min, 0.0)
+        red_min = np.minimum(red_min, 0.0)
 
     maj = _majorization_witness(eigs12, eigs1, eigs2)
 
     s12 = von_neumann_entropy(eigs12)
     ent = np.minimum(s12 - von_neumann_entropy(eigs1), s12 - von_neumann_entropy(eigs2))
 
-    rl = trace_norm(realign(rho)) - 1.0
+    rl = trace_norm(realign(sub)) - 1.0
 
     tn = np.add.reduce(np.abs(pt_eigs), axis=-1)
-    return Records(tn, np.stack((pt_eigs[:, 0], red_min, maj, ent, rl), axis=-1))
+    return Records(tn, np.stack((pt_min, red_min, maj, ent, rl), axis=-1))

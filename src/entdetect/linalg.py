@@ -12,6 +12,14 @@ nonzero eigenvalues as rho = A A^dag), padded with exact zeros for rho's
 null space; singular values are taken from the tall orientation of a
 matrix. Both hand LAPACK a smaller problem for the same numbers, to
 rounding.
+
+A rank-k state with d1*k < d2 also carries a ``core``: its marginal
+rho2 has rank at most d1*k, so the state lives on C^d1 (x) supp(rho2).
+The core is the same state written on C^d1 (x) C^(d1*k) through the R
+factor of one QR of the factor A, rho = (I (x) Q) core (I (x) Q)^dag
+with Q an isometry; the kernel solves the partial transpose, both
+reduction operators, rho2's spectrum and the realignment on it, n' =
+d1^2 k wide instead of n = d1 d2.
 """
 
 import numpy as np
@@ -44,15 +52,22 @@ class DensityMatrix:
     whose spectra are the states' nonzero spectra: ``spectrum(rho.gram,
     n)`` is rho's spectrum. It is ``mat`` itself, except for a stack
     built from ``(B, n, k)`` factors with k < n, where it is A^dag A.
+
+    ``core`` is the support stand-in of a stack built from ``(B, n, k)``
+    factors with d1*k < d2: the same states on C^d1 (x) C^(d1*k), a
+    DensityMatrix of d2' = d1*k equivalent to ``mat`` under a local
+    isometry on subsystem 2 (see ``stack``). On every other stack it is
+    None, never the stack itself.
     """
 
-    __slots__ = ("d1", "d2", "mat", "gram")
+    __slots__ = ("d1", "d2", "mat", "gram", "core")
 
     def __init__(self, mat, d1, d2):
         mats = np.asarray(mat, dtype=complex)
         self.mat = self.gram = _symmetrized(mats[None] if mats.ndim == 2 else mats, d1, d2)
         self.d1 = d1
         self.d2 = d2
+        self.core = None
         lmin = np.linalg.eigvalsh(self.mat)[:, 0].min()
         if lmin < -PSD_ATOL:
             raise ValueError(f"matrix is not PSD (min eigenvalue {lmin:g})")
@@ -65,13 +80,27 @@ class DensityMatrix:
         made on the whole stack of products in one pass. For k < n,
         ``gram`` is the ``(B, k, k)`` stack of ``A^dag A``, which has the
         nonzero eigenvalues of ``A A^dag`` (eigvalsh reads its lower
-        triangle); for k = n it is ``mat``."""
+        triangle); for k = n it is ``mat``.
+
+        For d1*k < d2, ``core`` is the stack of the factors A' of the same
+        states on C^d1 (x) C^(d1*k). The ``(B, d2, d1*k)`` matrix M[mu,
+        (i, l)] = A[(i, mu), l] is M = Q T, one stacked QR, Q a d2 x d1*k
+        isometry; so A[(i, mu), l] = sum_s Q[mu, s] T[s, (i, l)], i.e. A =
+        (I (x) Q) A' with A'[(i, s), l] = T[s, (i, l)]. Only T is
+        computed. The core is built by this same method, so its checks
+        run, and it has a ``gram`` but no core of its own."""
         a = np.asarray(factors, dtype=complex)
         a_dag = a.conj().swapaxes(-2, -1)
         rho = cls.__new__(cls)
         rho.d1, rho.d2 = d1, d2
         rho.mat = _symmetrized(a @ a_dag, d1, d2)
         rho.gram = a_dag @ a if a.shape[-1] < a.shape[-2] else rho.mat
+        rho.core = None
+        k = a.shape[-1]
+        if d1 * k < d2:
+            m = a.reshape(-1, d1, d2, k).swapaxes(1, 2).reshape(-1, d2, d1 * k)
+            t = np.linalg.qr(m, mode="r").reshape(-1, d1 * k, d1, k)
+            rho.core = cls.stack(t.swapaxes(1, 2).reshape(-1, d1 * d1 * k, k), d1, d1 * k)
         return rho
 
     def __len__(self):

@@ -27,7 +27,8 @@ symmetrization are each one stacked pass, yielded as one stacked
 DensityMatrix for the kernel to evaluate in one call. The chunk is built
 by DensityMatrix.stack from its ``(B, d1*d2, k)`` factors A, so for
 k < d1*d2 it also carries the k x k products ``A^dag A``, from which the
-kernel takes each state's spectrum. The stacked norm
+kernel takes each state's spectrum, and for d1*k < d2 the support
+stand-in ``core``, on which it solves the rest. The stacked norm
 gives each row the bits of ``np.linalg.norm`` of that row alone. A chunk
 holds as many density matrices as fit in CHUNK_ENTRIES complex entries,
 so its memory does not grow with the block. numpy's own SeedSequence is only the

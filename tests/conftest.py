@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -60,26 +62,29 @@ def random_state(d1, d2, k, seed=0, trial=0):
     return sample_reduced_state(d1, d2, k, seed, trial)
 
 
-def _stack_of(d1, d2, mat, gram):
-    """A DensityMatrix of already-built arrays and their stand-in."""
+def _stack_of(d1, d2, mat, gram, core=None):
+    """A DensityMatrix of already-built arrays and their stand-ins."""
     rho = DensityMatrix.__new__(DensityMatrix)
-    rho.d1, rho.d2, rho.mat, rho.gram = d1, d2, mat, gram
+    rho.d1, rho.d2, rho.mat, rho.gram, rho.core = d1, d2, mat, gram, core
     return rho
 
 
 def states_of(rho):
     """Each state of the stack ``rho`` as its own stack of one, B = 1,
-    with its own slice of the stack's spectral stand-in ``gram``."""
-    return [_stack_of(rho.d1, rho.d2, rho.mat[i:i + 1], rho.gram[i:i + 1])
+    with its own slices of the stack's stand-ins ``gram`` and ``core``."""
+    cores = [None] * len(rho) if rho.core is None else states_of(rho.core)
+    return [_stack_of(rho.d1, rho.d2, rho.mat[i:i + 1], rho.gram[i:i + 1], cores[i])
             for i in range(len(rho))]
 
 
 def joined(stacks):
     """The states of stacks of one cell as one stack, in order, each with
-    its own stand-in."""
+    its own stand-ins."""
     stacks = list(stacks)
+    cores = [s.core for s in stacks]
     return _stack_of(stacks[0].d1, stacks[0].d2, np.concatenate([s.mat for s in stacks]),
-                     np.concatenate([s.gram for s in stacks]))
+                     np.concatenate([s.gram for s in stacks]),
+                     None if cores[0] is None else joined(cores))
 
 
 def as_records(rows):
@@ -153,33 +158,39 @@ def reference_record(rho):
     computed on its own, with its own eigendecompositions and sums, and
     the trace norm from the side-2 partial transpose (evaluate_state uses
     side 1). rho's spectrum is its stand-in's, ``rho.gram``, padded with
-    zeros to n, and the realignment's singular values are the tall
-    orientation's, as in the kernel. It returns plain numbers, ``(tn,
+    zeros to n; the other solves are made on its support stand-in
+    ``rho.core`` when it has one, with rho2's spectrum padded with zeros
+    to d2 and the PT and reduction minima capped at the 0 of the
+    operators off the core; and the realignment's singular values are the
+    tall orientation's, as in the kernel. It returns plain numbers, ``(tn,
     (pt, red, maj, ent, rl))``; test_criteria's boundary table pins the
     thresholds."""
-    [mat] = rho.mat
-    rho1, rho2 = reference_marginal(rho, 2), reference_marginal(rho, 1)
+    sub = rho if rho.core is None else rho.core
+    cap = math.inf if rho.core is None else 0.0
+    [mat] = sub.mat
+    rho1, rho2 = reference_marginal(sub, 2), reference_marginal(sub, 1)
     [gram] = rho.gram
-    eigs = np.concatenate((spectrum(gram), np.zeros(len(mat) - len(gram))))
+    eigs = np.concatenate((spectrum(gram), np.zeros(rho.d1 * rho.d2 - len(gram))))
+    eigs2 = np.concatenate((spectrum(rho2), np.zeros(rho.d2 - len(rho2))))
 
-    pt = float(np.linalg.eigvalsh(partial_transpose(rho, 1)[0])[0])
+    pt = min(float(np.linalg.eigvalsh(partial_transpose(sub, 1)[0])[0]), cap)
 
-    op1 = np.kron(rho1, np.eye(rho.d2)) - mat
-    op2 = np.kron(np.eye(rho.d1), rho2) - mat
-    red = float(min(np.linalg.eigvalsh(op1)[0], np.linalg.eigvalsh(op2)[0]))
+    op1 = np.kron(rho1, np.eye(sub.d2)) - mat
+    op2 = np.kron(np.eye(sub.d1), rho2) - mat
+    red = min(float(min(np.linalg.eigvalsh(op1)[0], np.linalg.eigvalsh(op2)[0])), cap)
 
     maj = max(
         majorization_excess(eigs, spectrum(rho1)),
-        majorization_excess(eigs, spectrum(rho2)),
+        majorization_excess(eigs, eigs2),
     )
 
     s12 = reference_entropy(eigs)
-    ent = min(s12 - reference_entropy(spectrum(rho1)), s12 - reference_entropy(spectrum(rho2)))
+    ent = min(s12 - reference_entropy(spectrum(rho1)), s12 - reference_entropy(eigs2))
 
-    r = realign(rho)[0]
+    r = realign(sub)[0]
     rl = float(np.linalg.svd(r.T if r.shape[0] < r.shape[1] else r, compute_uv=False).sum()) - 1.0
 
-    tn = float(np.abs(np.linalg.eigvalsh(partial_transpose(rho, 2)[0])).sum())
+    tn = float(np.abs(np.linalg.eigvalsh(partial_transpose(sub, 2)[0])).sum())
     return tn, (pt, red, maj, ent, rl)
 
 

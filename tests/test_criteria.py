@@ -9,6 +9,7 @@ from entdetect import (
     DensityMatrix,
     Records,
     evaluate_state,
+    partial_trace,
     partial_transpose,
     purity,
     realign,
@@ -380,6 +381,57 @@ class TestSmallerSolves:
         for chunk in sample_chunks(*cell, 97, 0, trials):
             got = evaluate_state(chunk).witness[:, cols]
             assert np.abs(got - _full_solve_columns(chunk)).max() <= 1e-13
+
+
+# Cells with d1*k < d2, whose stacks carry a support stand-in, and cells
+# at or past the edge d1*k = d2, whose stacks do not.
+CORE_CELLS = [(2, 5, 2), (2, 8, 3), (2, 18, 2), (2, 18, 5), (2, 18, 8), (3, 12, 2),
+              (3, 12, 3), (4, 9, 2), (2, 32, 2), (3, 4, 1)]
+NO_CORE_CELLS = [(2, 4, 2), (2, 5, 3), (3, 4, 2), (2, 18, 9), (3, 12, 4), (4, 9, 3),
+                 (6, 6, 1), (6, 6, 2)]
+
+
+class TestSupportSolves:
+    """A stack with d1*k < d2 is solved on its support stand-in ``core``,
+    d1^2 k wide, and agrees with the full n x n solves of the checked
+    constructor, which builds no core, to rounding and in every verdict."""
+
+    @pytest.mark.parametrize("cell", CORE_CELLS)
+    def test_columns_match_the_full_size_path(self, cell):
+        d1, d2, k = cell
+        for chunk in sample_chunks(*cell, 97, 0, 24):
+            assert chunk.core is not None and chunk.core.core is None
+            assert (chunk.core.d1, chunk.core.d2) == (d1, d1 * k)
+            full = DensityMatrix(chunk.mat, d1, d2)
+            assert full.core is None
+            got, want = evaluate_state(chunk), evaluate_state(full)
+            assert np.abs(got.tn - want.tn).max() <= 1e-13
+            assert np.abs(got.witness - want.witness).max() <= 1e-13
+            for eps in (0.0, EPS):
+                assert np.array_equal(got.detected(eps), want.detected(eps)), eps
+                assert np.array_equal(got.ln(eps) > 0, want.ln(eps) > 0), eps
+
+    @pytest.mark.parametrize("cell", CORE_CELLS)
+    def test_core_is_the_state_on_its_marginals_support(self, cell):
+        # rho1 and rho's spectrum are kept by the local isometry, and rho2's
+        # nonzero spectrum is the core's.
+        d1, d2, k = cell
+        chunk = next(sample_chunks(*cell, 97, 0, 24))
+        core = chunk.core
+        assert np.abs(partial_trace(core, 2) - partial_trace(chunk, 2)).max() <= 1e-14
+        for a, b, size in ((core.mat, chunk.mat, d1 * d2), (partial_trace(core, 1),
+                                                            partial_trace(chunk, 1), d2)):
+            assert np.abs(spectrum(a, size) - spectrum(b)).max() <= 1e-14
+
+    @pytest.mark.parametrize("cell", NO_CORE_CELLS)
+    def test_no_core_at_or_past_the_edge_and_bits_kept(self, cell):
+        # d1*k >= d2: no core, and each state's columns are the full-size
+        # reference's bits.
+        for chunk in sample_chunks(*cell, 97, 0, 24):
+            assert chunk.core is None
+            recs = evaluate_state(chunk)
+            for trial, one in enumerate(states_of(chunk)):
+                assert _row_bits(recs, trial) == _bits(*reference_record(one)), trial
 
 
 # The entropy floor as the package states it, written here rather than

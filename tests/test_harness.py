@@ -62,15 +62,26 @@ class TestRunCell:
     # in chunks of 40 (sampling._chunk_size(2, 5)): 6 x 40 + 16, then 40 + 4.
     CHUNKS_2X5_300 = [40] * 6 + [16, 40, 4]
 
+    # The LAPACK problems of one evaluate_state call on a chunk of b states
+    # of 2x5: eigvalsh shapes sorted, then svd shapes. At k=2, d1*k = 4 < 5,
+    # so the partial transpose and the two reduction operators are solved
+    # on the 8 x 8 support stand-in, beside rho's 2 x 2 gram stand-in and
+    # the marginals, 2 x 2 and rho2's 4 x 4 on the core, and the realigned
+    # core in its tall 16 x 4 orientation. At k=6 there is no core: the
+    # operators are 10 x 10, the marginals 2 x 2 and 5 x 5, rho's stand-in
+    # 6 x 6 and the realigned matrix 25 x 4.
+    LAPACK_2X5 = {
+        2: ([(2, 2), (2, 2), (4, 4)] + [(8, 8)] * 3, [(16, 4)]),
+        6: ([(2, 2), (5, 5), (6, 6)] + [(10, 10)] * 3, [(25, 4)]),
+    }
+
     def test_per_state_calls_the_benchmark_tracer_counts(self, monkeypatch):
         # benchmarks/layers.py counts evaluated states as calls to
         # harness.evaluate_state, pins 6 eigvalsh and 1 svd per such call,
         # and wraps harness.sample_reduced_state. run_cell makes one such
         # call per sampler chunk, and its Records are those calls' Records
-        # in order. At 2x5 k=2 the calls see the partial transpose and the
-        # two reduction operators at 10 x 10, rho's 2 x 2 stand-in, the two
-        # marginals, and the realigned matrix in its tall 25 x 4
-        # orientation; a solve of rho at 10 x 10 fails here.
+        # in order. A solve of rho at 10 x 10, or of a 2x5 k=2 operator at
+        # 10 x 10, fails here.
         assert callable(harness.sample_reduced_state)
         lapack = []  # (name, shape of its matrix stack) of each call
         for name in ("eigvalsh", "svd"):
@@ -94,14 +105,17 @@ class TestRunCell:
             return recs
 
         monkeypatch.setattr(harness, "evaluate_state", traced)
-        recs = run_cell(2, 5, 2, 300, 42)
-        assert per_call == [
-            (b, sorted([(b, 10, 10)] * 3 + [(b, 2, 2), (b, 2, 2), (b, 5, 5)]), [(b, 25, 4)])
-            for b in self.CHUNKS_2X5_300
-        ]
-        assert len(recs) == 300 and recs == Records.concat(returned)
-        assert recs == Records.concat([evaluate_state(sample_reduced_state(2, 5, 2, 42, t))
-                                       for t in range(300)])
+        for k, (eigvalsh, svd) in self.LAPACK_2X5.items():
+            per_call.clear()
+            returned.clear()
+            recs = run_cell(2, 5, k, 300, 42)
+            assert per_call == [
+                (b, sorted((b, *shape) for shape in eigvalsh), [(b, *shape) for shape in svd])
+                for b in self.CHUNKS_2X5_300
+            ], k
+            assert len(recs) == 300 and recs == Records.concat(returned)
+            assert recs == Records.concat([evaluate_state(sample_reduced_state(2, 5, k, 42, t))
+                                           for t in range(300)])
 
     def test_per_state_calls_every_helper_the_benchmark_tracer_wraps(self, monkeypatch):
         # benchmarks/layers.py times each of these helpers as it is looked
@@ -348,6 +362,26 @@ class TestPersistence:
         def moved(rho):
             records = evaluate_state(rho)
             records.witness[0, 0] = np.nextafter(records.witness[0, 0], np.inf)
+            return records
+
+        monkeypatch.setattr(harness, "evaluate_state", moved)
+        harness.kernel_fingerprint.cache_clear()
+        try:
+            assert not results_current(str(tmp_path), "cell", config)
+        finally:
+            harness.kernel_fingerprint.cache_clear()
+
+    def test_other_core_kernel_not_current(self, tmp_path, monkeypatch):
+        # A kernel that moves one witness by one ulp only on stacks solved
+        # on their support stand-in (d1*k < d2): the fingerprint probes
+        # such a cell, so the results are not current.
+        config, path = self._write(tmp_path)
+        assert results_current(str(tmp_path), "cell", config)
+
+        def moved(rho):
+            records = evaluate_state(rho)
+            if rho.core is not None:
+                records.witness[0, 0] = np.nextafter(records.witness[0, 0], np.inf)
             return records
 
         monkeypatch.setattr(harness, "evaluate_state", moved)
