@@ -7,10 +7,14 @@ checks exit with one line (status 1). The worker count comes from
 writes one fixed column layout, and harness.write_results writes and
 harness.results_current checks their result files. verify takes
 --samples, --seed and --eps only. A reader that closes stdout early ends
-a command with status 1 and no traceback.
+a command with status 1 and no traceback. The parser is built once per
+process, and each call of main parses its argv against it into a fresh
+namespace, so a re-run of a sweep whose results are current costs little
+more than the cache check.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -163,8 +167,10 @@ def _add_sweep_flags(sub):
     sub.add_argument("--workers", default="1", help="worker count or 'auto'")
 
 
+@functools.cache
 def build_parser():
-    """The command-line parser."""
+    """The command-line parser, built once per process. A parse leaves
+    no state on it: argparse gives every parse its own namespace."""
     parser = argparse.ArgumentParser(
         prog="entdetect",
         description="Entanglement-detection hierarchy on Haar-random states",

@@ -42,7 +42,6 @@ the core operator's least, <u w| rho1 (x) I - rho |u w> <= <u| rho1
 its columns as Q (x) conj(Q).
 """
 
-import functools
 import math
 
 import numpy as np
@@ -126,15 +125,6 @@ def _majorization_witness(global_eigs, eigs1, eigs2):
     ))
 
 
-@functools.cache
-def _identity(d):
-    """The d x d complex identity, built once per dimension and read-only,
-    so every state can share it."""
-    eye = np.eye(d, dtype=complex)
-    eye.flags.writeable = False
-    return eye
-
-
 def evaluate_state(rho):
     """The five witnesses and the partial-transpose trace norm of each
     state of a stacked DensityMatrix, as Records in stack order.
@@ -149,7 +139,7 @@ def evaluate_state(rho):
     n, the realignment's singular values on its tall orientation, and
     everything else on its ``core`` when it has one.
     """
-    n = rho.mat.shape[-1]
+    n = rho.d1 * rho.d2
     sub = rho if rho.core is None else rho.core
     shape = sub.mat.shape
     pt_eigs = np.linalg.eigvalsh(partial_transpose(sub, 1))
@@ -160,14 +150,16 @@ def evaluate_state(rho):
     eigs1 = spectrum(rho1)
     eigs2 = spectrum(rho2, rho.d2)
 
-    # The reduction operators rho1 (x) I - rho and I (x) rho2 - rho, with
-    # each Kronecker product formed by broadcasting on the (i, mu, j, nu)
-    # index view against a shared identity: the same products as np.kron,
-    # without its overhead.
-    kron1 = rho1[:, :, None, :, None] * _identity(sub.d2)[:, None, :]
-    kron2 = _identity(sub.d1)[:, None, :, None] * rho2[:, None, :, None, :]
-    op1 = kron1.reshape(shape) - sub.mat
-    op2 = kron2.reshape(shape) - sub.mat
+    # The reduction operators rho1 (x) I - rho and I (x) rho2 - rho, each
+    # in one buffer: the Kronecker product is formed by broadcasting on
+    # the (i, mu, j, nu) index view against an identity, the same products
+    # as np.kron without its overhead, and rho is subtracted in place.
+    # Each entry is np.kron's product less rho's, signed zeros included:
+    # a core's structural zeros reach LAPACK, whose bits depend on them.
+    op1 = (rho1[:, :, None, :, None] * np.eye(sub.d2)[:, None, :]).reshape(shape)
+    op2 = (np.eye(sub.d1)[:, None, :, None] * rho2[:, None, :, None, :]).reshape(shape)
+    op1 -= sub.mat
+    op2 -= sub.mat
     pt_min = pt_eigs[:, 0]
     red_min = np.minimum(np.linalg.eigvalsh(op1)[:, 0], np.linalg.eigvalsh(op2)[:, 0])
     if sub is not rho:

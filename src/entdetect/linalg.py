@@ -19,7 +19,8 @@ The core is the same state written on C^d1 (x) C^(d1*k) through the R
 factor of one QR of the factor A, rho = (I (x) Q) core (I (x) Q)^dag
 with Q an isometry; the kernel solves the partial transpose, both
 reduction operators, rho2's spectrum and the realignment on it, n' =
-d1^2 k wide instead of n = d1 d2.
+d1^2 k wide instead of n = d1 d2. Such a stack forms its n x n matrices
+only when they are first read.
 """
 
 import numpy as np
@@ -57,20 +58,30 @@ class DensityMatrix:
     factors with d1*k < d2: the same states on C^d1 (x) C^(d1*k), a
     DensityMatrix of d2' = d1*k equivalent to ``mat`` under a local
     isometry on subsystem 2 (see ``stack``). On every other stack it is
-    None, never the stack itself.
+    None, never the stack itself. A stack with a core forms ``mat`` only
+    when it is first read, from its factors, with the bits it would have
+    had if built at once; the kernel never reads it there.
     """
 
-    __slots__ = ("d1", "d2", "mat", "gram", "core")
+    __slots__ = ("d1", "d2", "gram", "core", "_mat", "_factors")
 
     def __init__(self, mat, d1, d2):
         mats = np.asarray(mat, dtype=complex)
-        self.mat = self.gram = _symmetrized(mats[None] if mats.ndim == 2 else mats, d1, d2)
+        self._mat = self.gram = _symmetrized(mats[None] if mats.ndim == 2 else mats, d1, d2)
         self.d1 = d1
         self.d2 = d2
         self.core = None
-        lmin = np.linalg.eigvalsh(self.mat)[:, 0].min()
+        lmin = np.linalg.eigvalsh(self._mat)[:, 0].min()
         if lmin < -PSD_ATOL:
             raise ValueError(f"matrix is not PSD (min eigenvalue {lmin:g})")
+
+    @property
+    def mat(self):
+        """The ``(B, n, n)`` stack of the states."""
+        if self._mat is None:
+            self._mat = _products(self._factors, self.d1, self.d2)
+            self._factors = None
+        return self._mat
 
     @classmethod
     def stack(cls, factors, d1, d2):
@@ -88,27 +99,37 @@ class DensityMatrix:
         isometry; so A[(i, mu), l] = sum_s Q[mu, s] T[s, (i, l)], i.e. A =
         (I (x) Q) A' with A'[(i, s), l] = T[s, (i, l)]. Only T is
         computed. The core is built by this same method, so its checks
-        run, and it has a ``gram`` but no core of its own."""
+        run, and it has a ``gram`` but no core of its own. Those checks
+        are the stack's: A' has A's Frobenius norm, so a factor that is
+        not finite or whose product has no unit trace fails them, with
+        the message its product would raise. ``mat`` is then formed only
+        when first read."""
         a = np.asarray(factors, dtype=complex)
-        a_dag = a.conj().swapaxes(-2, -1)
         rho = cls.__new__(cls)
         rho.d1, rho.d2 = d1, d2
-        rho.mat = _symmetrized(a @ a_dag, d1, d2)
-        rho.gram = a_dag @ a if a.shape[-1] < a.shape[-2] else rho.mat
         rho.core = None
-        k = a.shape[-1]
-        if d1 * k < d2:
+        if a.ndim == 3 and a.shape[1] == d1 * d2 and 0 < d1 * a.shape[2] < d2:
+            k = a.shape[2]
             m = a.reshape(-1, d1, d2, k).swapaxes(1, 2).reshape(-1, d2, d1 * k)
             t = np.linalg.qr(m, mode="r").reshape(-1, d1 * k, d1, k)
             rho.core = cls.stack(t.swapaxes(1, 2).reshape(-1, d1 * d1 * k, k), d1, d1 * k)
+            rho._mat, rho._factors = None, a
+        else:
+            rho._mat = _products(a, d1, d2)
+        rho.gram = a.conj().swapaxes(-2, -1) @ a if a.shape[-1] < a.shape[-2] else rho._mat
         return rho
 
     def __len__(self):
-        return len(self.mat)
+        return len(self.gram)
 
     def _blocks(self):
         """View each matrix of the stack with indices (i, mu, j, nu)."""
         return self.mat.reshape(-1, self.d1, self.d2, self.d1, self.d2)
+
+
+def _products(a, d1, d2):
+    """The checked and symmetrized ``A A^dag`` of a stack of factors."""
+    return _symmetrized(a @ a.conj().swapaxes(-2, -1), d1, d2)
 
 
 def _symmetrized(mats, d1, d2):

@@ -28,10 +28,13 @@ DensityMatrix for the kernel to evaluate in one call. The chunk is built
 by DensityMatrix.stack from its ``(B, d1*d2, k)`` factors A, so for
 k < d1*d2 it also carries the k x k products ``A^dag A``, from which the
 kernel takes each state's spectrum, and for d1*k < d2 the support
-stand-in ``core``, on which it solves the rest. The stacked norm
-gives each row the bits of ``np.linalg.norm`` of that row alone. A chunk
-holds as many density matrices as fit in CHUNK_ENTRIES complex entries,
-so its memory does not grow with the block. numpy's own SeedSequence is only the
+stand-in ``core``, on which it solves the rest; a stack with a core
+forms no n x n ``A A^dag`` unless it is read. The stacked norm gives
+each row the bits of ``np.linalg.norm`` of that row alone. A chunk holds
+as many of the operators the kernel solves as fit in CHUNK_ENTRIES
+complex entries, ``d1^2 k`` wide on a core cell and ``d1*d2`` wide
+otherwise (``_chunk_size(d1, d2, k)``), so its memory does not grow with
+the block. numpy's own SeedSequence is only the
 guard: the first hashed state of every block, a lone trial's included,
 is compared with numpy's, and a mismatch, as a numpy that changed these
 internals would give, raises RuntimeError before any state of the block
@@ -52,10 +55,10 @@ from .linalg import DensityMatrix, check_dims
 BLOCK_SIZE = 256
 # Trial indices lie below this, so each is one word of the spawn key.
 MAX_TRIALS = 2 ** 32
-# Complex entries in one chunk's stack of density matrices (64 KB). It
-# bounds the chunk's temporaries: a 2x5 sweep's peak RSS grows by
-# ~0.15-0.5 MB at 2**12 and by ~2 MB at 2**14, for no more speed on small
-# cells.
+# Complex entries in one chunk's stack of the operators the kernel solves
+# (64 KB). It bounds the chunk's temporaries: a 2x5 sweep's peak RSS
+# grows by ~0.15-0.5 MB at 2**12 and by ~2 MB at 2**14, for no more speed
+# on small cells.
 CHUNK_ENTRIES = 2 ** 12
 
 # SeedSequence's hash constants and pool size (numpy bit_generator.pyx).
@@ -171,10 +174,13 @@ def _stream_states(d1, d2, k, master_seed, start, stop):
     return states
 
 
-def _chunk_size(d1, d2):
-    """Trials per chunk: as many ``(d1*d2)^2`` density matrices as fit in
-    CHUNK_ENTRIES complex entries, and at least one."""
-    return max(1, CHUNK_ENTRIES // (d1 * d2) ** 2)
+def _chunk_size(d1, d2, k):
+    """Trials per chunk: as many of the square operators the kernel
+    solves as fit in CHUNK_ENTRIES complex entries, and at least one.
+    They are ``d1^2 k`` wide on a cell with a support stand-in (d1*k <
+    d2, see DensityMatrix.stack) and ``d1*d2`` wide otherwise."""
+    width = d1 * d1 * k if d1 * k < d2 else d1 * d2
+    return max(1, CHUNK_ENTRIES // width ** 2)
 
 
 def _norms(v):
@@ -195,7 +201,7 @@ def _unit_vectors(d1, d2, k, master_seed, start, stop):
     """Yield the Haar-uniform unit vectors on C^(d1*d2*k) of trials
     ``start .. stop - 1``, in trial order, as the rows of one ``(B,
     d1*d2*k)`` array per chunk: each block of BLOCK_SIZE trials is cut
-    into chunks of ``_chunk_size(d1, d2)`` trials, its last one short.
+    into chunks of ``_chunk_size(d1, d2, k)`` trials, its last one short.
     """
     check_cell(d1, d2, k)
     check_seed(master_seed)
@@ -204,7 +210,7 @@ def _unit_vectors(d1, d2, k, master_seed, start, stop):
     if stop > MAX_TRIALS:
         raise ValueError(f"trial indices must lie below 2**32, got stop={stop!r}")
     n = d1 * d2 * k
-    size = _chunk_size(d1, d2)
+    size = _chunk_size(d1, d2, k)
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
     for block in range(start, stop, BLOCK_SIZE):

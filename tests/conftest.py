@@ -65,7 +65,7 @@ def random_state(d1, d2, k, seed=0, trial=0):
 def _stack_of(d1, d2, mat, gram, core=None):
     """A DensityMatrix of already-built arrays and their stand-ins."""
     rho = DensityMatrix.__new__(DensityMatrix)
-    rho.d1, rho.d2, rho.mat, rho.gram, rho.core = d1, d2, mat, gram, core
+    rho.d1, rho.d2, rho._mat, rho.gram, rho.core = d1, d2, mat, gram, core
     return rho
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from entdetect import aggregate
-from entdetect.cli import _workers, main
+from entdetect.cli import _workers, build_parser, cmd_bounds, cmd_scan_rank, main
 from entdetect.harness import find_orphans, render_csv, stats_row
 from entdetect.verify import run_checks
 
@@ -32,6 +32,45 @@ def assert_missing_flag(capsys, argv, flag):
     assert exc.value.code == 2
     assert "the following arguments are required" in err and flag in err
     assert "Traceback" not in err
+
+
+class TestSharedParser:
+    """main parses every argv against one parser per process; a parse
+    leaves no state on it."""
+
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_parses_are_independent(self):
+        scan = build_parser().parse_args(SCAN + ["--out", "elsewhere"])
+        bounds = build_parser().parse_args(["bounds", "--d1", "2", "--d2", "5"])
+        assert (scan.func, scan.out, scan.samples) == (cmd_scan_rank, "elsewhere", 5)
+        assert vars(bounds) == {"command": "bounds", "d1": 2, "d2": 5, "func": cmd_bounds}
+        again = build_parser().parse_args(SCAN)
+        assert (again.out, again.seed) == ("runs", 42) and again is not scan
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan-rank", "--d1", "2", "--d2", "x", "--k", "2"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert main(["bounds", "--d1", "2", "--d2", "5"]) == 0
+        assert capsys.readouterr().out.startswith("bounds for 2x5\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([command, "--help"] for command in (
+            "scan-rank", "scan-dim", "asymmetry", "bounds", "verify")),
+    ], ids=" ".join)
+    def test_help_is_an_uncached_parsers(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        helps = []
+        for parse in (main, build_parser.__wrapped__().parse_args, main):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out.encode())
+        assert helps[0].startswith(b"usage: entdetect")
+        assert helps[0] == helps[1] == helps[2]
 
 
 class TestScanRank:

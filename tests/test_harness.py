@@ -59,8 +59,10 @@ class TestRunCell:
             assert row_of(recs, t) == evaluate_state(rho), t
 
     # run_cell(2, 5, k, 300, 42) draws two blocks, of 256 and 44 trials,
-    # in chunks of 40 (sampling._chunk_size(2, 5)): 6 x 40 + 16, then 40 + 4.
-    CHUNKS_2X5_300 = [40] * 6 + [16, 40, 4]
+    # in chunks of sampling._chunk_size(2, 5, k): at k=2, 64 of the 8 x 8
+    # core operators, 4 x 64, then 44; at k=6, 40 of the 10 x 10
+    # operators, 6 x 40 + 16, then 40 + 4.
+    CHUNKS_2X5_300 = {2: [64] * 4 + [44], 6: [40] * 6 + [16, 40, 4]}
 
     # The LAPACK problems of one evaluate_state call on a chunk of b states
     # of 2x5: eigvalsh shapes sorted, then svd shapes. At k=2, d1*k = 4 < 5,
@@ -111,7 +113,7 @@ class TestRunCell:
             recs = run_cell(2, 5, k, 300, 42)
             assert per_call == [
                 (b, sorted((b, *shape) for shape in eigvalsh), [(b, *shape) for shape in svd])
-                for b in self.CHUNKS_2X5_300
+                for b in self.CHUNKS_2X5_300[k]
             ], k
             assert len(recs) == 300 and recs == Records.concat(returned)
             assert recs == Records.concat([evaluate_state(sample_reduced_state(2, 5, k, 42, t))
@@ -143,7 +145,7 @@ class TestRunCell:
 
         monkeypatch.setattr(harness, "evaluate_state", traced)
         assert len(run_cell(2, 5, 6, 300, 42)) == 300
-        assert [(b, n) for b, n, _ in per_call] == [(b, b) for b in self.CHUNKS_2X5_300]
+        assert [(b, n) for b, n, _ in per_call] == [(b, b) for b in self.CHUNKS_2X5_300[6]]
         assert min(c for _, _, c in per_call) >= 1
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from entdetect import (
     DensityMatrix,
+    evaluate_state,
     partial_trace,
     partial_transpose,
     purity,
@@ -151,15 +152,39 @@ class TestStack:
     @pytest.mark.parametrize("where", [0, -1])
     def test_one_bad_factor_raises_its_products_error(self, spoil, where):
         # A product A A^dag is Hermitian to rounding, so a factor can spoil
-        # only its finiteness or its trace.
-        a = _factors(5, self.D1, self.D2, 3)
-        a[where] = spoil(a[where].copy())
-        with pytest.raises(ValueError) as alone:
-            DensityMatrix(a[where] @ a[where].conj().T, self.D1, self.D2)
-        with pytest.raises(ValueError) as stacked:
-            DensityMatrix.stack(a, self.D1, self.D2)
-        assert str(stacked.value) == str(alone.value)
-        assert "\n" not in str(stacked.value)
+        # only its finiteness or its trace. At 2x8 k=3 (d1*k < d2) the
+        # checks run on the core's products, which keep A's norm.
+        for d1, d2, k in ((self.D1, self.D2, 3), (2, 8, 3)):
+            a = _factors(5, d1, d2, k)
+            assert (DensityMatrix.stack(a, d1, d2).core is None) == (d1 * k >= d2)
+            a[where] = spoil(a[where].copy())
+            with pytest.raises(ValueError) as alone:
+                DensityMatrix(a[where] @ a[where].conj().T, d1, d2)
+            with pytest.raises(ValueError) as stacked:
+                DensityMatrix.stack(a, d1, d2)
+            assert str(stacked.value) == str(alone.value)
+            assert "\n" not in str(stacked.value)
+
+    def test_core_stack_forms_mat_on_first_read(self):
+        # The kernel reads only gram and core of a stack with a core; mat
+        # is A A^dag, checked and symmetrized, with the bits it has on a
+        # stack without one.
+        a = _factors(6, 2, 5, 2)
+        states = DensityMatrix.stack(a, 2, 5)
+        evaluate_state(states)
+        assert states._mat is None and len(states) == 6
+        for f, mat in zip(a, states.mat):
+            assert np.array_equal(mat, DensityMatrix(f @ f.conj().T, 2, 5).mat[0])
+        assert states.mat is states.mat and states.gram.shape == (6, 2, 2)
+
+    @pytest.mark.parametrize("shape, d1, d2, message", [
+        ((3, 12, 2), 2, 5, "10x10"),
+        ((3, 5, 2), 1, 5, "at least 2"),
+        ((3, 10, 0), 2, 5, "unit trace"),
+    ])
+    def test_malformed_factors_raise_as_without_a_core(self, shape, d1, d2, message):
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix.stack(np.ones(shape) / np.sqrt(np.prod(shape[1:])), d1, d2)
 
     def test_hermiticity_is_relative_to_each_matrix(self):
         # An asymmetry of 5e-13 is within HERMITICITY_RTOL of a pure

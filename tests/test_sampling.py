@@ -291,9 +291,14 @@ def test_zero_draw_raises(monkeypatch):
 
 
 def test_chunk_size_caps_entries():
-    assert [sampling._chunk_size(d1, d2) for d1, d2 in ((2, 5), (3, 4), (6, 6), (2, 18))] == [
-        40, 28, 3, 3
-    ]
+    # d1*d2 wide operators without a support stand-in (d1*k >= d2) ...
+    assert [sampling._chunk_size(*cell) for cell in (
+        (2, 5, 6), (3, 4, 12), (6, 6, 2), (2, 18, 36),
+    )] == [40, 28, 3, 3]
+    # ... and d1^2 k wide ones with it: 4, 8, 9, 18 and 32 wide
+    assert [sampling._chunk_size(*cell) for cell in (
+        (2, 5, 1), (2, 5, 2), (2, 18, 2), (3, 4, 1), (3, 12, 2), (4, 9, 2),
+    )] == [256, 64, 64, 50, 12, 4]
 
 
 @pytest.mark.parametrize(
