@@ -96,11 +96,13 @@ def _run_block(args):
 @functools.cache
 def kernel_fingerprint():
     """The sha256 of the Records bytes (``tn``, then ``witness``) of
-    trials 0..15 of 2x5 k=6, 3x4 k=12 and 2x5 k=2 at seed 0, computed
-    once per process on first use: results written by a kernel whose
-    numbers differ in any bit carry another fingerprint. 2x5 k=2 is
-    solved on its support stand-in (d1*k < d2), the others are not."""
-    probes = [_run_block((*cell, 0, 0, 16)) for cell in ((2, 5, 6), (3, 4, 12), (2, 5, 2))]
+    trials 0..15 of 2x5 k=6, 3x4 k=12, 2x5 k=2 and 3x4 k=1 at seed 0,
+    computed once per process on first use: results written by a kernel
+    whose numbers differ in any bit carry another fingerprint. 2x5 k=2
+    and 3x4 k=1 are solved on their support stand-in (d1*k < d2), the
+    others are not."""
+    cells = ((2, 5, 6), (3, 4, 12), (2, 5, 2), (3, 4, 1))
+    probes = [_run_block((*cell, 0, 0, 16)) for cell in cells]
     return checksum(b"".join(r.tn.tobytes() + r.witness.tobytes() for r in probes))
 
 

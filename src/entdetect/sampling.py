@@ -18,11 +18,11 @@ rather than building a SeedSequence per trial. It runs SeedSequence's
 entropy assembly, ``mix_entropy`` hash and ``generate_state(4, uint64)``
 (numpy's ``bit_generator.pyx``) over all of the block's trial indices at
 once in uint32 arrays; the words that depend only on the seed and the
-cell are mixed once per block. Each trial's PCG64 state then follows from
-PCG64's seeding step, two 128-bit LCG steps (O'Neill 2014). The block is
-drawn and built a chunk at a time: each trial's state is assigned to one
-reused PCG64 right before its draw fills one row of the chunk's array,
-and the chunk's norms, its ``A A^dag`` products and their checks and
+cell are mixed once per block. Each trial's four words are handed to a
+PCG64 of its own through numpy's ISeedSequence interface, so numpy runs
+PCG64's seeding step itself. The block is drawn and built a chunk at a
+time: each trial's draw fills one row of the chunk's array, and the
+chunk's norms, its ``A A^dag`` products and their checks and
 symmetrization are each one stacked pass, yielded as one stacked
 DensityMatrix for the kernel to evaluate in one call. The chunk is built
 by DensityMatrix.stack from its ``(B, d1*d2, k)`` factors A, so for
@@ -31,12 +31,11 @@ kernel takes each state's spectrum, and for d1*k < d2 the support
 stand-in ``core``, on which it solves the rest; a stack with a core
 forms no n x n ``A A^dag`` unless it is read. The stacked norm gives
 each row the bits of ``np.linalg.norm`` of that row alone. A chunk holds
-as many of the operators the kernel solves as fit in CHUNK_ENTRIES
-complex entries, ``d1^2 k`` wide on a core cell and ``d1*d2`` wide
-otherwise (``_chunk_size(d1, d2, k)``), so its memory does not grow with
-the block. numpy's own SeedSequence is only the
-guard: the first hashed state of every block, a lone trial's included,
-is compared with numpy's, and a mismatch, as a numpy that changed these
+as many states as fit in CHUNK_ENTRIES complex entries (``_chunk_size``),
+so its memory grows neither with the block nor with d2. numpy's own
+SeedSequence is only the guard: the PCG64 state that the first words of
+every block, a lone trial's included, seed through the same handoff is
+compared with numpy's, and a mismatch, as a numpy that changed these
 internals would give, raises RuntimeError before any state of the block
 is yielded.
 
@@ -47,6 +46,7 @@ sample_tripartite_pure are its one-trial views.
 """
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .linalg import DensityMatrix, check_dims
 
@@ -70,9 +70,6 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
-# PCG64's default 128-bit LCG multiplier.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def check_cell(d1, d2, k):
@@ -146,41 +143,40 @@ def _generate_state(pool):
     return [lo | (hi << np.uint64(32)) for lo, hi in zip(out[::2], out[1::2])]
 
 
-def _pcg64_state(seed_hi, seed_lo, inc_hi, inc_lo):
-    """PCG64's state dict after pcg64_set_seed: the LCG is started at 0,
-    with increment 2*initseq + 1, stepped, offset by initstate and
-    stepped again."""
-    inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
-    state = (((inc + ((seed_hi << 64) | seed_lo)) * _PCG_MULT) + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+class _TrialSeed(ISeedSequence):
+    """A seed sequence whose ``generate_state`` is one trial's hashed words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _stream_states(d1, d2, k, master_seed, start, stop):
-    """PCG64 state dicts of trials ``start .. stop - 1``, all below
-    MAX_TRIALS, hashed in one pass; the first is checked against numpy's
-    own seeding."""
+    """The PCG64 seed words of trials ``start .. stop - 1``, all below
+    MAX_TRIALS, hashed in one pass as one C-contiguous ``(B, 4)`` uint64
+    array; the state the first row seeds is checked against numpy's."""
     trials = np.arange(start, stop, dtype=np.uint32)
     seed_words = (_words(master_seed) + [0] * _POOL_SIZE)[:_POOL_SIZE]
     pool = _mix_entropy(seed_words + _words(d1) + _words(d2) + _words(k) + [trials, 0])
-    words = [w.tolist() for w in _generate_state(pool)]
-    states = [_pcg64_state(*w) for w in zip(*words)]
+    words = np.stack(_generate_state(pool), axis=1)
     reference = np.random.SeedSequence(master_seed, spawn_key=(d1, d2, k, start, 0))
-    if states[0] != np.random.PCG64(reference).state:
+    if np.random.PCG64(_TrialSeed(words[0])).state != np.random.PCG64(reference).state:
         raise RuntimeError(
             "vectorised SeedSequence seeding disagrees with numpy's own; "
             "numpy's SeedSequence or PCG64 seeding has changed"
         )
-    return states
+    return words
 
 
 def _chunk_size(d1, d2, k):
-    """Trials per chunk: as many of the square operators the kernel
-    solves as fit in CHUNK_ENTRIES complex entries, and at least one.
-    They are ``d1^2 k`` wide on a cell with a support stand-in (d1*k <
-    d2, see DensityMatrix.stack) and ``d1*d2`` wide otherwise."""
+    """Trials per chunk: as many states as fit in CHUNK_ENTRIES complex
+    entries, and at least one, each counted as the larger of its
+    ``d1*d2*k`` factor entries and the square operator the kernel solves,
+    ``d1^2 k`` wide with a support stand-in (d1*k < d2), else ``d1*d2``."""
     width = d1 * d1 * k if d1 * k < d2 else d1 * d2
-    return max(1, CHUNK_ENTRIES // width ** 2)
+    return max(1, CHUNK_ENTRIES // max(width ** 2, d1 * d2 * k))
 
 
 def _norms(v):
@@ -211,16 +207,13 @@ def _unit_vectors(d1, d2, k, master_seed, start, stop):
         raise ValueError(f"trial indices must lie below 2**32, got stop={stop!r}")
     n = d1 * d2 * k
     size = _chunk_size(d1, d2, k)
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
     for block in range(start, stop, BLOCK_SIZE):
-        states = _stream_states(d1, d2, k, master_seed, block, min(block + BLOCK_SIZE, stop))
-        for lo in range(0, len(states), size):
-            chunk = states[lo:lo + size]
+        words = _stream_states(d1, d2, k, master_seed, block, min(block + BLOCK_SIZE, stop))
+        for lo in range(0, len(words), size):
+            chunk = words[lo:lo + size]
             x = np.empty((len(chunk), 2 * n))
-            for row, state in zip(x, chunk):
-                bitgen.state = state
-                rng.standard_normal(out=row)
+            for row, w in zip(x, chunk):
+                np.random.Generator(np.random.PCG64(_TrialSeed(w))).standard_normal(out=row)
             v = x[:, :n] + 1j * x[:, n:]
             yield v / _norms(v)[:, None]
 

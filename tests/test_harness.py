@@ -393,6 +393,26 @@ class TestPersistence:
         finally:
             harness.kernel_fingerprint.cache_clear()
 
+    def test_other_rank_one_core_kernel_not_current(self, tmp_path, monkeypatch):
+        # A kernel that moves one witness by one ulp only on rank-one stacks
+        # solved on their support stand-in: the fingerprint probes such a
+        # cell, so the results are not current.
+        config, path = self._write(tmp_path)
+        assert results_current(str(tmp_path), "cell", config)
+
+        def moved(rho):
+            records = evaluate_state(rho)
+            if rho.core is not None and rho.gram.shape[-1] == 1:
+                records.witness[0, 0] = np.nextafter(records.witness[0, 0], np.inf)
+            return records
+
+        monkeypatch.setattr(harness, "evaluate_state", moved)
+        harness.kernel_fingerprint.cache_clear()
+        try:
+            assert not results_current(str(tmp_path), "cell", config)
+        finally:
+            harness.kernel_fingerprint.cache_clear()
+
     def test_results_current_and_resume(self, tmp_path):
         config, path = self._write(tmp_path)
         assert results_current(str(tmp_path), "cell", config)

@@ -223,13 +223,13 @@ class TestStreams:
     @pytest.mark.parametrize("block", STREAM_BLOCKS)
     def test_states_and_draws_equal_seedsequence(self, seed, cell, block):
         start, stop = block
-        states = sampling._stream_states(*cell, seed, start, stop)
-        assert len(states) == stop - start
-        bitgen = np.random.PCG64(0)
-        for trial, state in zip(range(start, stop), states):
+        words = sampling._stream_states(*cell, seed, start, stop)
+        assert words.shape == (stop - start, 4) and words.dtype == np.uint64
+        assert words.flags.c_contiguous
+        for trial, w in zip(range(start, stop), words):
             ref = reference_stream(*cell, seed, trial)
-            assert state == ref.bit_generator.state
-            bitgen.state = state
+            bitgen = np.random.PCG64(sampling._TrialSeed(w))
+            assert bitgen.state == ref.bit_generator.state
             assert np.array_equal(
                 np.random.Generator(bitgen).standard_normal(64), ref.standard_normal(64)
             )
@@ -237,9 +237,10 @@ class TestStreams:
     @pytest.mark.filterwarnings("error")
     def test_numpy_integer_arguments(self):
         seed = 2 ** 64 - 1
-        assert sampling._stream_states(
-            np.int64(2), np.int64(5), np.int64(6), np.uint64(seed), 0, 4
-        ) == sampling._stream_states(2, 5, 6, seed, 0, 4)
+        assert np.array_equal(
+            sampling._stream_states(np.int64(2), np.int64(5), np.int64(6), np.uint64(seed), 0, 4),
+            sampling._stream_states(2, 5, 6, seed, 0, 4),
+        )
 
     def test_last_trials_below_2_32_match_reference(self):
         start, stop = STREAM_BLOCKS[1]
@@ -248,17 +249,31 @@ class TestStreams:
         for trial, mat in zip(range(start, stop), mats):
             assert np.array_equal(mat, reference_state(2, 5, 6, 42, trial).mat[0])
 
-    @pytest.mark.parametrize(
-        "constant", ["_INIT_A", "_MULT_A", "_MIX_MULT_L", "_INIT_B", "_MULT_B", "_PCG_MULT"]
-    )
-    def test_guard_rejects_a_changed_hash(self, monkeypatch, constant):
-        monkeypatch.setattr(sampling, constant, getattr(sampling, constant) ^ 1)
+    @staticmethod
+    def _guard_raises():
         states = sample_chunks(2, 5, 6, 42, 0, 256)
         with pytest.raises(RuntimeError, match="disagrees"):
             next(states)
         # a lone trial is hashed and guarded too
         with pytest.raises(RuntimeError, match="disagrees"):
             sample_reduced_state(2, 5, 6, 42, 7)
+
+    @pytest.mark.parametrize(
+        "constant", ["_INIT_A", "_MULT_A", "_MIX_MULT_L", "_INIT_B", "_MULT_B", "_MIX_MULT_R"]
+    )
+    def test_guard_rejects_a_changed_hash(self, monkeypatch, constant):
+        monkeypatch.setattr(sampling, constant, getattr(sampling, constant) ^ 1)
+        self._guard_raises()
+
+    def test_guard_rejects_a_strided_handoff(self, monkeypatch):
+        # PCG64 reads the handed-over words through their data pointer, so
+        # a strided view of the right words seeds another stream; the guard
+        # compares the seeded state, not the words.
+        def strided(self, n_words, dtype=np.uint32):
+            return np.repeat(self.words, 2)[::2]
+
+        monkeypatch.setattr(sampling._TrialSeed, "generate_state", strided)
+        self._guard_raises()
 
     def test_rejects_bad_cell(self):
         with pytest.raises(ValueError):
@@ -295,10 +310,11 @@ def test_chunk_size_caps_entries():
     assert [sampling._chunk_size(*cell) for cell in (
         (2, 5, 6), (3, 4, 12), (6, 6, 2), (2, 18, 36),
     )] == [40, 28, 3, 3]
-    # ... and d1^2 k wide ones with it: 4, 8, 9, 18 and 32 wide
+    # ... and d1^2 k wide ones with it: 4, 8, 9, 18 and 32 wide, where
+    # 2x18 and 2x32 k=2 hold more factor entries (72 and 128) than 64
     assert [sampling._chunk_size(*cell) for cell in (
-        (2, 5, 1), (2, 5, 2), (2, 18, 2), (3, 4, 1), (3, 12, 2), (4, 9, 2),
-    )] == [256, 64, 64, 50, 12, 4]
+        (2, 5, 1), (2, 5, 2), (2, 18, 2), (2, 32, 2), (3, 4, 1), (3, 12, 2), (4, 9, 2),
+    )] == [256, 64, 56, 32, 50, 12, 4]
 
 
 @pytest.mark.parametrize(
