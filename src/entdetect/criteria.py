@@ -125,6 +125,14 @@ def _majorization_witness(global_eigs, eigs1, eigs2):
     ))
 
 
+def _least_eigenvalues(product, mat):
+    """The least eigenvalue of each operator ``product - mat``, ``product``
+    an ``(B, d1, d2, d1, d2)`` stack, formed in ``product``'s buffer."""
+    op = product.reshape(mat.shape)
+    op -= mat
+    return np.linalg.eigvalsh(op)[:, 0]
+
+
 def evaluate_state(rho):
     """The five witnesses and the partial-transpose trace norm of each
     state of a stacked DensityMatrix, as Records in stack order.
@@ -141,7 +149,6 @@ def evaluate_state(rho):
     """
     n = rho.d1 * rho.d2
     sub = rho if rho.core is None else rho.core
-    shape = sub.mat.shape
     pt_eigs = np.linalg.eigvalsh(partial_transpose(sub, 1))
 
     rho1 = partial_trace(sub, 2)
@@ -151,17 +158,17 @@ def evaluate_state(rho):
     eigs2 = spectrum(rho2, rho.d2)
 
     # The reduction operators rho1 (x) I - rho and I (x) rho2 - rho, each
-    # in one buffer: the Kronecker product is formed by broadcasting on
-    # the (i, mu, j, nu) index view against an identity, the same products
-    # as np.kron without its overhead, and rho is subtracted in place.
-    # Each entry is np.kron's product less rho's, signed zeros included:
-    # a core's structural zeros reach LAPACK, whose bits depend on them.
-    op1 = (rho1[:, :, None, :, None] * np.eye(sub.d2)[:, None, :]).reshape(shape)
-    op2 = (np.eye(sub.d1)[:, None, :, None] * rho2[:, None, :, None, :]).reshape(shape)
-    op1 -= sub.mat
-    op2 -= sub.mat
+    # in one buffer, solved as soon as it is built so that one is held at
+    # a time: the Kronecker product is formed by broadcasting on the (i,
+    # mu, j, nu) index view against an identity, the same products as
+    # np.kron without its overhead, and rho is subtracted in place. Each
+    # entry is np.kron's product less rho's, signed zeros included: a
+    # core's structural zeros reach LAPACK, whose bits depend on them.
+    red_min = np.minimum(
+        _least_eigenvalues(rho1[:, :, None, :, None] * np.eye(sub.d2)[:, None, :], sub.mat),
+        _least_eigenvalues(np.eye(sub.d1)[:, None, :, None] * rho2[:, None, :, None, :], sub.mat),
+    )
     pt_min = pt_eigs[:, 0]
-    red_min = np.minimum(np.linalg.eigvalsh(op1)[:, 0], np.linalg.eigvalsh(op2)[:, 0])
     if sub is not rho:
         # the zero eigenvalues of rho^T1 and I (x) rho2 - rho off the core
         pt_min = np.minimum(pt_min, 0.0)

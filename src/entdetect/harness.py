@@ -90,7 +90,9 @@ class SweepConfig:
 
 
 def _run_block(args):
-    return Records.concat([evaluate_state(chunk) for chunk in sample_chunks(*args)])
+    # map, not a list comprehension, whose loop variable would keep the
+    # last chunk alive while the next one is drawn and built
+    return Records.concat(list(map(evaluate_state, sample_chunks(*args))))
 
 
 @functools.cache

@@ -152,7 +152,8 @@ def _symmetrized(mats, d1, d2):
     scale = np.abs(mats).max(axis=(-2, -1))
     if (np.abs(mats - adj).max(axis=(-2, -1)) > HERMITICITY_RTOL * scale).any():
         raise ValueError("matrix is not Hermitian within tolerance")
-    sym = 0.5 * (mats + adj)
+    sym = mats + adj
+    sym *= 0.5
     if (np.abs(np.trace(sym, axis1=-2, axis2=-1).real - 1.0) > TRACE_ATOL).any():
         raise ValueError("matrix does not have unit trace")
     return sym

@@ -24,15 +24,21 @@ PCG64's seeding step itself. The block is drawn and built a chunk at a
 time: each trial's draw fills one row of the chunk's array, and the
 chunk's norms, its ``A A^dag`` products and their checks and
 symmetrization are each one stacked pass, yielded as one stacked
-DensityMatrix for the kernel to evaluate in one call. The chunk is built
-by DensityMatrix.stack from its ``(B, d1*d2, k)`` factors A, so for
+DensityMatrix for the kernel to evaluate in one call. The draw's real
+and imaginary halves are copied into one complex array, which is
+normalized in place, so neither the real draw nor the unnormalized
+vectors are held while the kernel runs. The chunk is built by
+DensityMatrix.stack from its ``(B, d1*d2, k)`` factors A, so for
 k < d1*d2 it also carries the k x k products ``A^dag A``, from which the
 kernel takes each state's spectrum, and for d1*k < d2 the support
 stand-in ``core``, on which it solves the rest; a stack with a core
 forms no n x n ``A A^dag`` unless it is read. The stacked norm gives
 each row the bits of ``np.linalg.norm`` of that row alone. A chunk holds
-as many states as fit in CHUNK_ENTRIES complex entries (``_chunk_size``),
-so its memory grows neither with the block nor with d2. numpy's own
+as many states as fit in CHUNK_ENTRIES complex entries, and at least
+MIN_CHUNK (``_chunk_size``). So a small cell's chunk stays within
+CHUNK_ENTRIES, and a wide cell's chunk holds MIN_CHUNK states (a
+block's last chunk may be short), whose stack grows with the cell: 2 MB
+at 64 wide. numpy's own
 SeedSequence is only the guard: the PCG64 state that the first words of
 every block, a lone trial's included, seed through the same handoff is
 compared with numpy's, and a mismatch, as a numpy that changed these
@@ -56,10 +62,14 @@ BLOCK_SIZE = 256
 # Trial indices lie below this, so each is one word of the spawn key.
 MAX_TRIALS = 2 ** 32
 # Complex entries in one chunk's stack of the operators the kernel solves
-# (64 KB). It bounds the chunk's temporaries: a 2x5 sweep's peak RSS
-# grows by ~0.15-0.5 MB at 2**12 and by ~2 MB at 2**14, for no more speed
-# on small cells.
+# (64 KB), on cells where more than MIN_CHUNK states fit. It bounds a
+# small cell's temporaries: a 2x5 sweep's peak RSS grows by ~0.15-0.5 MB
+# at 2**12 and by ~2 MB at 2**14, for no more speed on small cells.
 CHUNK_ENTRIES = 2 ** 12
+# Fewest states per chunk (BLOCK_SIZE is 8 such chunks). On a wide cell,
+# run_cell on chunks of 1 to 3 states ran 7-17% slower per state than on
+# chunks of 32 (2x18 k=36, 6x6 k=2, 8x8 k=64; 1 BLAS thread).
+MIN_CHUNK = BLOCK_SIZE // 8
 
 # SeedSequence's hash constants and pool size (numpy bit_generator.pyx).
 _INIT_A = 0x43B0D7E5
@@ -172,11 +182,11 @@ def _stream_states(d1, d2, k, master_seed, start, stop):
 
 def _chunk_size(d1, d2, k):
     """Trials per chunk: as many states as fit in CHUNK_ENTRIES complex
-    entries, and at least one, each counted as the larger of its
+    entries, and at least MIN_CHUNK, each counted as the larger of its
     ``d1*d2*k`` factor entries and the square operator the kernel solves,
     ``d1^2 k`` wide with a support stand-in (d1*k < d2), else ``d1*d2``."""
     width = d1 * d1 * k if d1 * k < d2 else d1 * d2
-    return max(1, CHUNK_ENTRIES // max(width ** 2, d1 * d2 * k))
+    return max(MIN_CHUNK, CHUNK_ENTRIES // max(width ** 2, d1 * d2 * k))
 
 
 def _norms(v):
@@ -191,6 +201,19 @@ def _norms(v):
     if not (norms > 0).all():
         raise RuntimeError("drew a zero vector; the RNG is broken")
     return norms
+
+
+def _gaussians(words, n):
+    """The standard complex Gaussian amplitudes of the trials seeded by
+    ``words``, as the rows of one complex ``(B, n)`` array: each trial's
+    one ``standard_normal`` call of 2n numbers gives its real parts, then
+    its imaginary parts. The real draw is freed on return."""
+    x = np.empty((len(words), 2 * n))
+    for row, w in zip(x, words):
+        np.random.Generator(np.random.PCG64(_TrialSeed(w))).standard_normal(out=row)
+    v = np.empty((len(words), n), complex)
+    v.real, v.imag = x[:, :n], x[:, n:]
+    return v
 
 
 def _unit_vectors(d1, d2, k, master_seed, start, stop):
@@ -210,12 +233,9 @@ def _unit_vectors(d1, d2, k, master_seed, start, stop):
     for block in range(start, stop, BLOCK_SIZE):
         words = _stream_states(d1, d2, k, master_seed, block, min(block + BLOCK_SIZE, stop))
         for lo in range(0, len(words), size):
-            chunk = words[lo:lo + size]
-            x = np.empty((len(chunk), 2 * n))
-            for row, w in zip(x, chunk):
-                np.random.Generator(np.random.PCG64(_TrialSeed(w))).standard_normal(out=row)
-            v = x[:, :n] + 1j * x[:, n:]
-            yield v / _norms(v)[:, None]
+            v = _gaussians(words[lo:lo + size], n)
+            v /= _norms(v)[:, None]
+            yield v
 
 
 def sample_chunks(d1, d2, k, master_seed, start, stop):

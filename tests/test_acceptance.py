@@ -52,18 +52,28 @@ def consistent_with_zero(x, n):
     return (n / (n + REF_N)) ** x >= ALPHA
 
 
-def consistent_with_half(x, n):
-    """Whether x successes in n draws agree with a rate of 1/2.
+def consistent_with_rate(x, n, num, den):
+    """Whether x successes in n draws agree with a rate of num / den.
 
-    Exact two-sided binomial test: the binomial at 1/2 is symmetric, so
-    the p-value is twice the tail beyond the nearer of x and n - x,
+    Exact two-sided binomial test: the p-value is the probability of
+    every count no likelier than x. Each count's probability is C(n, i)
+    num^i (den - num)^(n - i) / den^n, so the numerators are compared and
     summed in integers.
     """
-    tail, term = 0, 1
-    for i in range(min(x, n - x) + 1):
-        tail += term
-        term = term * (n - i) // (i + 1)
-    return min(1.0, 2 * tail / 2 ** n) >= ALPHA
+    like_x = math.comb(n, x) * num ** x * (den - num) ** (n - x)
+    tail, term = 0, (den - num) ** n
+    for i in range(n + 1):
+        if term <= like_x:
+            tail += term
+        term = term * (n - i) * num // ((i + 1) * (den - num))
+    return min(1.0, tail / den ** n) >= ALPHA
+
+
+def consistent_with_half(x, n):
+    """Whether x successes in n draws agree with a rate of 1/2. The
+    binomial at 1/2 is symmetric, so the p-value is twice the tail beyond
+    the nearer of x and n - x, or 1."""
+    return consistent_with_rate(x, n, 1, 2)
 
 
 def _report(num, ok, desc):
@@ -168,6 +178,15 @@ def test_consistent_with_half_decision_edge():
         assert consistent_with_half(x, 60) is (min(1.0, 2 * tail / 2 ** 60) >= ALPHA)
 
 
+def test_consistent_with_rate_decision_edge():
+    # At 60 draws and a rate of 8/33 (mean 14.5) the exact two-sided
+    # p-value is 7.3e-4 at 4 and 2.3e-3 at 5, and 1.3e-3 at 26 and 4.3e-4
+    # at 27: the test's decision flips across ALPHA = 1e-3 on both sides.
+    assert not consistent_with_rate(4, 60, 8, 33) and consistent_with_rate(5, 60, 8, 33)
+    assert consistent_with_rate(26, 60, 8, 33) and not consistent_with_rate(27, 60, 8, 33)
+    assert consistent_with_rate(14, 60, 8, 33) and not consistent_with_rate(0, 60, 8, 33)
+
+
 def test_entropy_rank_threshold_is_a_median():
     # At k = d2 the Haar pure state on A (x) B (x) C, C the purifying
     # rank-k system, is invariant in law under swapping B and C, and
@@ -192,6 +211,23 @@ def test_entropy_rank_threshold_is_a_median():
         all(consistent_with_half(x, N_FULL) for _, x in counts),
         "S(rho) < S(rho_B) at k = d2 agrees with probability 1/2: "
         + ", ".join(f"{cell} {x} of {N_FULL}" for cell, x in counts),
+    )
+
+
+@pytest.mark.parametrize("seed", [SEED, 7])
+def test_hilbert_schmidt_ppt_probability(seed):
+    """At 2x2 k=4 the induced measure is the Hilbert-Schmidt measure
+    (Zyczkowski & Sommers 2001), under which a two-qubit state is PPT,
+    and so separable (Horodecki 1996), with probability 8/33. That
+    complex value rests on a conjecture of Slater's with strong numerical
+    support; Lovas & Andai (2017) proved its real analogue, 29/64."""
+    stats = aggregate(run_cell(2, 2, 4, N_FULL, master_seed=seed), (2, 2, 4))
+    ppt = stats.n_total - stats.n_npt
+    _report(
+        "Hilbert-Schmidt",
+        consistent_with_rate(ppt, N_FULL, 8, 33),
+        f"2x2 k=4 PPT count agrees with 8/33: {ppt} of {N_FULL} at seed {seed}, "
+        f"against {N_FULL * 8 / 33:.0f}",
     )
 
 

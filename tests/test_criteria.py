@@ -282,9 +282,10 @@ CELLS = [((2, 2, 1), 40)] + [((2, 5, k), 50) for k in range(1, 11)] + [
 ]
 # CELLS, each run spanning more than one chunk of sample_chunks where a
 # chunk is shorter than the run: 2x5 k=1 and k=2 are solved on their
-# support stand-in, in chunks of 256 and 64.
-STACK_CELLS = [(cell, {(2, 5, 1): 300, (2, 5, 2): 100}.get(cell, trials))
-               for cell, trials in CELLS]
+# support stand-in, in chunks of 256 and 64, and 6x6 k=2 and 2x18 k=36
+# run in chunks of 32.
+STACK_CELLS = [(cell, {(2, 5, 1): 300, (2, 5, 2): 100, (6, 6, 2): 40, (2, 18, 36): 36}
+                .get(cell, trials)) for cell, trials in CELLS]
 
 
 class TestStackedKernel:

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
@@ -17,6 +18,7 @@ from entdetect import (
     run_cell,
     run_sweep,
     sample_reduced_state,
+    sampling,
 )
 from entdetect.harness import (
     CSV_COLUMNS,
@@ -118,6 +120,22 @@ class TestRunCell:
             assert len(recs) == 300 and recs == Records.concat(returned)
             assert recs == Records.concat([evaluate_state(sample_reduced_state(2, 5, k, 42, t))
                                            for t in range(300)])
+
+    def test_heap_peak_stays_within_five_chunk_stacks(self):
+        # run_cell(6, 6, 36, 128, 42) is one block of 4 chunks, each of
+        # MIN_CHUNK states of 36 x 36. Its heap peak, numpy's buffers
+        # included, stays within 5 such stacks of complex entries: the
+        # kernel holds one reduction operator at a time, a chunk's real
+        # draw and unnormalized vectors are freed once it is normalized,
+        # and the last chunk's operators before the next one is drawn.
+        stack = sampling.MIN_CHUNK * 36 ** 2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            run_cell(6, 6, 36, 128, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * stack, (peak / 1024, 5 * stack / 1024)
 
     def test_per_state_calls_every_helper_the_benchmark_tracer_wraps(self, monkeypatch):
         # benchmarks/layers.py times each of these helpers as it is looked

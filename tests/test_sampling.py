@@ -309,12 +309,13 @@ def test_chunk_size_caps_entries():
     # d1*d2 wide operators without a support stand-in (d1*k >= d2) ...
     assert [sampling._chunk_size(*cell) for cell in (
         (2, 5, 6), (3, 4, 12), (6, 6, 2), (2, 18, 36),
-    )] == [40, 28, 3, 3]
+    )] == [40, 32, 32, 32]
     # ... and d1^2 k wide ones with it: 4, 8, 9, 18 and 32 wide, where
-    # 2x18 and 2x32 k=2 hold more factor entries (72 and 128) than 64
+    # 2x18 and 2x32 k=2 hold more factor entries (72 and 128) than 64;
+    # no chunk holds fewer than MIN_CHUNK states
     assert [sampling._chunk_size(*cell) for cell in (
         (2, 5, 1), (2, 5, 2), (2, 18, 2), (2, 32, 2), (3, 4, 1), (3, 12, 2), (4, 9, 2),
-    )] == [256, 64, 56, 32, 50, 12, 4]
+    )] == [256, 64, 56, 32, 50, 32, 32]
 
 
 @pytest.mark.parametrize(
@@ -325,8 +326,8 @@ def test_chunk_size_caps_entries():
         ((2, 5, 6), 0, 300),
         ((2, 5, 6), 37, 421),
         ((3, 4, 12), 27, 60),
-        # three matrices a chunk
-        ((2, 18, 36), 0, 20),
+        # MIN_CHUNK states a chunk, across two chunk edges
+        ((2, 18, 36), 0, 70),
     ],
 )
 def test_chunk_edges_equal_reference_sampler(cell, start, stop):
