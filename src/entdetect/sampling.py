@@ -21,13 +21,16 @@ once in uint32 arrays; the words that depend only on the seed and the
 cell are mixed once per block. Each trial's four words are handed to a
 PCG64 of its own through numpy's ISeedSequence interface, so numpy runs
 PCG64's seeding step itself. The block is drawn and built a chunk at a
-time: each trial's draw fills one row of the chunk's array, and the
-chunk's norms, its ``A A^dag`` products and their checks and
-symmetrization are each one stacked pass, yielded as one stacked
-DensityMatrix for the kernel to evaluate in one call. The draw's real
-and imaginary halves are copied into one complex array, which is
-normalized in place, so neither the real draw nor the unnormalized
-vectors are held while the kernel runs. The chunk is built by
+time: each trial's draw fills one row of the chunk's array, the chunk's
+norms are one stacked pass, and its ``A A^dag`` products, their checks
+and their symmetrization are made in the chunk's one stack, a slab of
+linalg.CHUNK_ENTRIES entries at a time (one slab on a small cell). It
+is yielded as one stacked DensityMatrix for the kernel to evaluate in
+one call. The draw's real and imaginary halves are copied into one
+complex array, which is normalized in place, so neither the real draw
+nor the unnormalized vectors are held while the kernel runs, and the
+generators' suspended frames hold no chunk's vectors once its stack is
+built. The chunk is built by
 DensityMatrix.stack from its ``(B, d1*d2, k)`` factors A, so for
 k < d1*d2 it also carries the k x k products ``A^dag A``, from which the
 kernel takes each state's spectrum, and for d1*k < d2 the support
@@ -38,7 +41,7 @@ as many states as fit in CHUNK_ENTRIES complex entries, and at least
 MIN_CHUNK (``_chunk_size``). So a small cell's chunk stays within
 CHUNK_ENTRIES, and a wide cell's chunk holds MIN_CHUNK states (a
 block's last chunk may be short), whose stack grows with the cell: 2 MB
-at 64 wide. numpy's own
+at 64 wide, while its build's temporaries stay one slab's. numpy's own
 SeedSequence is only the guard: the PCG64 state that the first words of
 every block, a lone trial's included, seed through the same handoff is
 compared with numpy's, and a mismatch, as a numpy that changed these
@@ -54,21 +57,19 @@ sample_tripartite_pure are its one-trial views.
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .linalg import DensityMatrix, check_dims
+from .linalg import CHUNK_ENTRIES, DensityMatrix, check_dims
 
 # Trials seeded and guarded per pass of sample_chunks, and per block of a
 # sweep.
 BLOCK_SIZE = 256
 # Trial indices lie below this, so each is one word of the spawn key.
 MAX_TRIALS = 2 ** 32
-# Complex entries in one chunk's stack of the operators the kernel solves
-# (64 KB), on cells where more than MIN_CHUNK states fit. It bounds a
-# small cell's temporaries: a 2x5 sweep's peak RSS grows by ~0.15-0.5 MB
-# at 2**12 and by ~2 MB at 2**14, for no more speed on small cells.
-CHUNK_ENTRIES = 2 ** 12
-# Fewest states per chunk (BLOCK_SIZE is 8 such chunks). On a wide cell,
-# run_cell on chunks of 1 to 3 states ran 7-17% slower per state than on
-# chunks of 32 (2x18 k=36, 6x6 k=2, 8x8 k=64; 1 BLAS thread).
+# Fewest states per chunk (BLOCK_SIZE is 8 such chunks). Where more fit,
+# a chunk's stack of the operators the kernel solves holds at most
+# CHUNK_ENTRIES complex entries, so a small cell's chunk is one slab of
+# its build. On a wide cell, run_cell on chunks of 1 to 3 states ran
+# 7-17% slower per state than on chunks of 32 (2x18 k=36, 6x6 k=2, 8x8
+# k=64; 1 BLAS thread).
 MIN_CHUNK = BLOCK_SIZE // 8
 
 # SeedSequence's hash constants and pool size (numpy bit_generator.pyx).
@@ -216,6 +217,13 @@ def _gaussians(words, n):
     return v
 
 
+def _normalized(v):
+    """The rows of a complex ``(B, n)`` array divided by their norms
+    (_norms), in place."""
+    v /= _norms(v)[:, None]
+    return v
+
+
 def _unit_vectors(d1, d2, k, master_seed, start, stop):
     """Yield the Haar-uniform unit vectors on C^(d1*d2*k) of trials
     ``start .. stop - 1``, in trial order, as the rows of one ``(B,
@@ -233,18 +241,21 @@ def _unit_vectors(d1, d2, k, master_seed, start, stop):
     for block in range(start, stop, BLOCK_SIZE):
         words = _stream_states(d1, d2, k, master_seed, block, min(block + BLOCK_SIZE, stop))
         for lo in range(0, len(words), size):
-            v = _gaussians(words[lo:lo + size], n)
-            v /= _norms(v)[:, None]
-            yield v
+            # yielded unnamed, so this frame holds no chunk while suspended
+            yield _normalized(_gaussians(words[lo:lo + size], n))
 
 
 def sample_chunks(d1, d2, k, master_seed, start, stop):
     """Yield the rank-k states of trials ``start .. stop - 1`` of cell
     (d1, d2, k), in trial order, as one stacked DensityMatrix per chunk
     of ``_unit_vectors``."""
-    for psi in _unit_vectors(d1, d2, k, master_seed, start, stop):
+    def build(psi):
         # A A^dag is PSD with unit trace by construction; no eig check.
-        yield DensityMatrix.stack(psi.reshape(len(psi), d1 * d2, k), d1, d2)
+        return DensityMatrix.stack(psi.reshape(len(psi), d1 * d2, k), d1, d2)
+
+    # A map, not a loop, so no loop variable in this suspended frame holds
+    # a chunk's vectors once its stack is built.
+    yield from map(build, _unit_vectors(d1, d2, k, master_seed, start, stop))
 
 
 def sample_tripartite_pure(d1, d2, k, master_seed, trial_index=0):

@@ -121,21 +121,25 @@ class TestRunCell:
             assert recs == Records.concat([evaluate_state(sample_reduced_state(2, 5, k, 42, t))
                                            for t in range(300)])
 
-    def test_heap_peak_stays_within_five_chunk_stacks(self):
-        # run_cell(6, 6, 36, 128, 42) is one block of 4 chunks, each of
-        # MIN_CHUNK states of 36 x 36. Its heap peak, numpy's buffers
-        # included, stays within 5 such stacks of complex entries: the
-        # kernel holds one reduction operator at a time, a chunk's real
-        # draw and unnormalized vectors are freed once it is normalized,
-        # and the last chunk's operators before the next one is drawn.
-        stack = sampling.MIN_CHUNK * 36 ** 2 * np.dtype(complex).itemsize
+    @pytest.mark.parametrize("d, samples", [(6, 128), (8, 64)])
+    def test_heap_peak_stays_within_three_chunk_stacks(self, d, samples):
+        # run_cell(d, d, d*d, samples, 42) is one block of 4 chunks at 6x6
+        # and 2 at 8x8, each of MIN_CHUNK states of d^2 x d^2. Its heap
+        # peak, numpy's buffers included, stays within 3 such stacks of
+        # complex entries: a chunk's products, checks and symmetrization
+        # are made in its one stack a slab at a time, the sampler's frames
+        # hold no chunk's vectors once its stack is built, the kernel
+        # holds one reduction operator at a time, a chunk's real draw and
+        # unnormalized vectors are freed once it is normalized, and the
+        # last chunk's operators before the next one is drawn.
+        stack = sampling.MIN_CHUNK * (d * d) ** 2 * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
-            run_cell(6, 6, 36, 128, 42)
+            run_cell(d, d, d * d, samples, 42)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * stack, (peak / 1024, 5 * stack / 1024)
+        assert peak <= 3 * stack, (peak / 1024, 3 * stack / 1024)
 
     def test_per_state_calls_every_helper_the_benchmark_tracer_wraps(self, monkeypatch):
         # benchmarks/layers.py times each of these helpers as it is looked

@@ -78,8 +78,11 @@ class TestDensityMatrix:
         assert len(rho) == 1 and rho.mat.shape == (1, 6, 6)
         assert rho.gram is rho.mat
         [a] = _factors(1, 2, 3, 4)
-        assert np.array_equal(DensityMatrix(a @ a.conj().T, 2, 3).mat,
-                              DensityMatrix.stack(a[None], 2, 3).mat)
+        m = a @ a.conj().T
+        before = m.tobytes()
+        assert np.array_equal(DensityMatrix(m, 2, 3).mat, DensityMatrix.stack(a[None], 2, 3).mat)
+        # symmetrized in a copy: the caller's matrix keeps its bits
+        assert m.tobytes() == before
 
     @pytest.mark.parametrize("build", [DensityMatrix, DensityMatrix.stack])
     def test_rejects_an_empty_stack(self, build):
@@ -139,23 +142,29 @@ class TestStack:
     @pytest.mark.parametrize("spoil", [_non_finite, _non_hermitian, _off_trace])
     @pytest.mark.parametrize("where", [0, -1])
     def test_one_bad_matrix_raises_its_own_error(self, spoil, where):
-        mats = _wishart_stack(5, self.D1, self.D2, 3)
-        mats[where] = spoil(mats[where].copy())
-        with pytest.raises(ValueError) as alone:
-            DensityMatrix(mats[where], self.D1, self.D2)
-        with pytest.raises(ValueError) as stacked:
-            DensityMatrix(mats, self.D1, self.D2)
-        assert str(stacked.value) == str(alone.value)
-        assert "\n" not in str(stacked.value)
+        # 12 states at 2x18 are 4 slabs of 3 matrices; where=-1 is in the
+        # last one. The input keeps its bits, as it is checked in a copy.
+        for b, d1, d2 in ((5, self.D1, self.D2), (12, 2, 18)):
+            mats = _wishart_stack(b, d1, d2, 3)
+            mats[where] = spoil(mats[where].copy())
+            before = mats.tobytes()
+            with pytest.raises(ValueError) as alone:
+                DensityMatrix(mats[where], d1, d2)
+            with pytest.raises(ValueError) as stacked:
+                DensityMatrix(mats, d1, d2)
+            assert str(stacked.value) == str(alone.value)
+            assert "\n" not in str(stacked.value)
+            assert mats.tobytes() == before
 
     @pytest.mark.parametrize("spoil", [_non_finite, _off_trace])
     @pytest.mark.parametrize("where", [0, -1])
     def test_one_bad_factor_raises_its_products_error(self, spoil, where):
         # A product A A^dag is Hermitian to rounding, so a factor can spoil
         # only its finiteness or its trace. At 2x8 k=3 (d1*k < d2) the
-        # checks run on the core's products, which keep A's norm.
-        for d1, d2, k in ((self.D1, self.D2, 3), (2, 8, 3)):
-            a = _factors(5, d1, d2, k)
+        # checks run on the core's products, which keep A's norm. 12
+        # states at 6x6 k=4 are 4 slabs of 3 products.
+        for b, d1, d2, k in ((5, self.D1, self.D2, 3), (5, 2, 8, 3), (12, 6, 6, 4)):
+            a = _factors(b, d1, d2, k)
             assert (DensityMatrix.stack(a, d1, d2).core is None) == (d1 * k >= d2)
             a[where] = spoil(a[where].copy())
             with pytest.raises(ValueError) as alone:
@@ -189,13 +198,32 @@ class TestStack:
     def test_hermiticity_is_relative_to_each_matrix(self):
         # An asymmetry of 5e-13 is within HERMITICITY_RTOL of a pure
         # state's largest entry (1) but not of I/6's (1/6), so I/6 fails
-        # even beside the pure state.
+        # even beside the pure state. The pure state is symmetrized in a
+        # copy, so the caller's asymmetric matrix keeps its bits.
         pure = np.diag([1.0, 0, 0, 0, 0, 0]).astype(complex)
         mixed = np.eye(6, dtype=complex) / 6
         pure[0, 1] = mixed[0, 1] = 5e-13
-        DensityMatrix(pure[None], 2, 3)
+        before = pure.tobytes()
+        rho = DensityMatrix(pure[None], 2, 3)
+        assert rho.mat[0, 0, 1] == rho.mat[0, 1, 0] == 2.5e-13
+        assert pure.tobytes() == before
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(np.stack([pure, mixed]), 2, 3)
+
+    @pytest.mark.parametrize("early, late, message", [
+        (_off_trace, _non_hermitian, "Hermitian"),
+        (_non_hermitian, _non_finite, "finite"),
+        (_off_trace, _non_finite, "finite"),
+    ])
+    def test_checks_keep_their_order_across_slabs(self, early, late, message):
+        # 12 states at 6x6 are 4 slabs of 3 matrices: a check that fails
+        # in the last slab raises before a later check that fails in the
+        # first, as on a stack of one slab.
+        mats = _wishart_stack(12, 6, 6, 4)
+        mats[1] = early(mats[1].copy())
+        mats[10] = late(mats[10].copy())
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(mats, 6, 6)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="6x6"):
