@@ -30,13 +30,13 @@ HERMITICITY_RTOL = 1e-12
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
 ENTROPY_FLOOR = 1e-14   # eigenvalues at or below this contribute 0*log 0 = 0
-# Complex entries in one slab (64 KB). A stack's products, checks and
-# symmetrization are made a slab of whole matrices at a time, so their
+# Complex entries in one slab (64 KB), the build's budget: a stack's
+# products, checks and symmetrization are made a slab of whole matrices
+# at a time, each slab within SLAB_ENTRIES entries or one matrix, so their
 # temporaries are one slab's, not one stack's; a stack of fewer than two
-# slabs is one slab. The sampler sizes a small cell's chunk by it too: a
-# 2x5 sweep's peak RSS grows by ~0.15-0.5 MB at 2**12 and by ~2 MB at
-# 2**14, for no more speed on small cells.
-CHUNK_ENTRIES = 2 ** 12
+# slabs is one slab. How many states a stack holds is the sampler's
+# budget (sampling.CHUNK_ENTRIES), not this one.
+SLAB_ENTRIES = 2 ** 12
 
 
 def check_dims(d1, d2):
@@ -139,9 +139,9 @@ class DensityMatrix:
 def _slabs(n, *stacks):
     """Aligned views of stacks of the same length, ``(B, n, n)`` or their
     factors, as slabs of whole matrices: each slab holds as many matrices
-    as fit in CHUNK_ENTRIES complex entries of n x n, and at least one.
+    as fit in SLAB_ENTRIES complex entries of n x n, and at least one.
     A stack of fewer than two slabs is one slab."""
-    per = CHUNK_ENTRIES // (n * n) or 1
+    per = SLAB_ENTRIES // (n * n) or 1
     if len(stacks[0]) < 2 * per:
         return (stacks,)
     return [tuple(x[lo:lo + per] for x in stacks) for lo in range(0, len(stacks[0]), per)]

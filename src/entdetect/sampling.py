@@ -24,29 +24,36 @@ PCG64's seeding step itself. The block is drawn and built a chunk at a
 time: each trial's draw fills one row of the chunk's array, the chunk's
 norms are one stacked pass, and its ``A A^dag`` products, their checks
 and their symmetrization are made in the chunk's one stack, a slab of
-linalg.CHUNK_ENTRIES entries at a time (one slab on a small cell). It
-is yielded as one stacked DensityMatrix for the kernel to evaluate in
-one call. The draw's real and imaginary halves are copied into one
-complex array, which is normalized in place, so neither the real draw
-nor the unnormalized vectors are held while the kernel runs, and the
+at most linalg.SLAB_ENTRIES entries (or one matrix) at a time. It is
+yielded as one stacked DensityMatrix for the kernel to evaluate in one
+call. The draw's real and imaginary halves are copied into one complex
+array, which is normalized in place, so neither the real draw nor the
+unnormalized vectors are held while the kernel runs, and the
 generators' suspended frames hold no chunk's vectors once its stack is
-built. The chunk is built by
-DensityMatrix.stack from its ``(B, d1*d2, k)`` factors A, so for
-k < d1*d2 it also carries the k x k products ``A^dag A``, from which the
-kernel takes each state's spectrum, and for d1*k < d2 the support
-stand-in ``core``, on which it solves the rest; a stack with a core
-forms no n x n ``A A^dag`` unless it is read. The stacked norm gives
-each row the bits of ``np.linalg.norm`` of that row alone. A chunk holds
-as many states as fit in CHUNK_ENTRIES complex entries, and at least
-MIN_CHUNK (``_chunk_size``). So a small cell's chunk stays within
-CHUNK_ENTRIES, and a wide cell's chunk holds MIN_CHUNK states (a
-block's last chunk may be short), whose stack grows with the cell: 2 MB
-at 64 wide, while its build's temporaries stay one slab's. numpy's own
-SeedSequence is only the guard: the PCG64 state that the first words of
-every block, a lone trial's included, seed through the same handoff is
-compared with numpy's, and a mismatch, as a numpy that changed these
-internals would give, raises RuntimeError before any state of the block
-is yielded.
+built. The chunk is built by DensityMatrix.stack from its ``(B, d1*d2,
+k)`` factors A, so for k < d1*d2 it also carries the k x k products
+``A^dag A``, from which the kernel takes each state's spectrum, and for
+d1*k < d2 the support stand-in ``core``, on which it solves the rest; a
+stack with a core forms no n x n ``A A^dag`` unless it is read. The
+stacked norm gives each row the bits of ``np.linalg.norm`` of that row
+alone.
+
+A chunk's size is its own budget, apart from the build's slab
+(``_chunk_size``): at most BLOCK_SIZE states, at least MIN_CHUNK, and
+between the two as many as fit in CHUNK_ENTRIES complex entries, each
+state counted as the larger of its factor entries and the square
+operator the kernel solves. So a block is one chunk wherever its states
+fit, a chunk above MIN_CHUNK holds at most CHUNK_ENTRIES entries a
+stack, and a wide cell's chunk holds MIN_CHUNK states (a block's last
+chunk may be short), whose stack grows with the cell while its build's
+temporaries stay one slab's. A state's bits do not depend on its
+chunk-mates, so the chunk size never changes a number.
+
+numpy's own SeedSequence is only the guard: the PCG64 state that the
+first words of every block, a lone trial's included, seed through the
+same handoff is compared with numpy's, and a mismatch, as a numpy that
+changed these internals would give, raises RuntimeError before any
+state of the block is yielded.
 
 A trial is named by its plain arguments ``(d1, d2, k, master_seed,
 trial_index)``, checked by check_cell and check_seed, and
@@ -57,20 +64,21 @@ sample_tripartite_pure are its one-trial views.
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .linalg import CHUNK_ENTRIES, DensityMatrix, check_dims
+from .linalg import DensityMatrix, check_dims
 
 # Trials seeded and guarded per pass of sample_chunks, and per block of a
 # sweep.
 BLOCK_SIZE = 256
 # Trial indices lie below this, so each is one word of the spawn key.
 MAX_TRIALS = 2 ** 32
-# Fewest states per chunk (BLOCK_SIZE is 8 such chunks). Where more fit,
-# a chunk's stack of the operators the kernel solves holds at most
-# CHUNK_ENTRIES complex entries, so a small cell's chunk is one slab of
-# its build. On a wide cell, run_cell on chunks of 1 to 3 states ran
-# 7-17% slower per state than on chunks of 32 (2x18 k=36, 6x6 k=2, 8x8
-# k=64; 1 BLAS thread).
+# Fewest states per chunk (BLOCK_SIZE is 8 such chunks), whatever their
+# width: a wide cell's chunk holds MIN_CHUNK states.
 MIN_CHUNK = BLOCK_SIZE // 8
+# Complex entries a chunk above MIN_CHUNK states may hold, counting each
+# state as the larger of its factor entries and the square operator the
+# kernel solves: MIN_CHUNK stacks of 32 x 32, so no chunk of a cell up to
+# 32 wide holds more than such a cell's chunk at the floor.
+CHUNK_ENTRIES = MIN_CHUNK * 32 ** 2
 
 # SeedSequence's hash constants and pool size (numpy bit_generator.pyx).
 _INIT_A = 0x43B0D7E5
@@ -183,11 +191,12 @@ def _stream_states(d1, d2, k, master_seed, start, stop):
 
 def _chunk_size(d1, d2, k):
     """Trials per chunk: as many states as fit in CHUNK_ENTRIES complex
-    entries, and at least MIN_CHUNK, each counted as the larger of its
-    ``d1*d2*k`` factor entries and the square operator the kernel solves,
-    ``d1^2 k`` wide with a support stand-in (d1*k < d2), else ``d1*d2``."""
+    entries, at least MIN_CHUNK and at most BLOCK_SIZE, each counted as
+    the larger of its ``d1*d2*k`` factor entries and the square operator
+    the kernel solves, ``d1^2 k`` wide with a support stand-in (d1*k <
+    d2), else ``d1*d2``."""
     width = d1 * d1 * k if d1 * k < d2 else d1 * d2
-    return max(MIN_CHUNK, CHUNK_ENTRIES // max(width ** 2, d1 * d2 * k))
+    return min(BLOCK_SIZE, max(MIN_CHUNK, CHUNK_ENTRIES // max(width ** 2, d1 * d2 * k)))
 
 
 def _norms(v):

@@ -280,12 +280,13 @@ def _row_bits(recs, i=0):
 CELLS = [((2, 2, 1), 40)] + [((2, 5, k), 50) for k in range(1, 11)] + [
     ((3, 4, 12), 40), ((3, 5, 2), 40), ((6, 6, 2), 8), ((2, 18, 36), 7),
 ]
-# CELLS, each run spanning more than one chunk of sample_chunks where a
-# chunk is shorter than the run: 2x5 k=1 and k=2 are solved on their
-# support stand-in, in chunks of 256 and 64, and 6x6 k=2 and 2x18 k=36
-# run in chunks of 32.
-STACK_CELLS = [(cell, {(2, 5, 1): 300, (2, 5, 2): 100, (6, 6, 2): 40, (2, 18, 36): 36}
-                .get(cell, trials)) for cell, trials in CELLS]
+# CELLS, each run spanning more than one chunk of sample_chunks: every
+# 2x5 cell runs in chunks of 256, one per block (k=1 and k=2 are solved
+# on their support stand-in), 3x4 k=12 in chunks of 227, 3x5 k=2 in
+# chunks of 145, and 6x6 k=2 and 2x18 k=36 in chunks of 32.
+STACK_TRIALS = {**{(2, 5, k): 300 for k in range(1, 11)},
+                (3, 4, 12): 240, (3, 5, 2): 160, (6, 6, 2): 40, (2, 18, 36): 36}
+STACK_CELLS = [(cell, STACK_TRIALS.get(cell, trials)) for cell, trials in CELLS]
 
 
 class TestStackedKernel:
@@ -532,7 +533,8 @@ class TestRecords:
         assert recs != (recs.tn, recs.witness)
 
     def test_concat_keeps_order(self):
-        chunks = list(sample_chunks(3, 4, 12, 97, 0, 60))
+        # 3x4 k=12 runs in chunks of 227: 240 trials are two chunks
+        chunks = list(sample_chunks(3, 4, 12, 97, 0, 240))
         parts = [evaluate_state(chunk) for chunk in chunks]
         assert len(parts) > 1
         joined = Records.concat(parts)

@@ -33,6 +33,16 @@ from entdetect.verify import run_checks
 from conftest import row_of
 
 
+def _heap_peak(fn, *args):
+    """The tracemalloc peak, numpy's buffers included, of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestRunCell:
     def test_serial_parallel_identical(self):
         # the pool's blocks come back as arrays: both columns, exactly
@@ -61,10 +71,10 @@ class TestRunCell:
             assert row_of(recs, t) == evaluate_state(rho), t
 
     # run_cell(2, 5, k, 300, 42) draws two blocks, of 256 and 44 trials,
-    # in chunks of sampling._chunk_size(2, 5, k): at k=2, 64 of the 8 x 8
-    # core operators, 4 x 64, then 44; at k=6, 40 of the 10 x 10
-    # operators, 6 x 40 + 16, then 40 + 4.
-    CHUNKS_2X5_300 = {2: [64] * 4 + [44], 6: [40] * 6 + [16, 40, 4]}
+    # in chunks of sampling._chunk_size(2, 5, k): 256 states fit in the
+    # chunk budget, of the 8 x 8 core operators at k=2 and of the 10 x 10
+    # operators at k=6, so each block is one chunk.
+    CHUNKS_2X5_300 = {2: [256, 44], 6: [256, 44]}
 
     # The LAPACK problems of one evaluate_state call on a chunk of b states
     # of 2x5: eigvalsh shapes sorted, then svd shapes. At k=2, d1*k = 4 < 5,
@@ -133,13 +143,18 @@ class TestRunCell:
         # unnormalized vectors are freed once it is normalized, and the
         # last chunk's operators before the next one is drawn.
         stack = sampling.MIN_CHUNK * (d * d) ** 2 * np.dtype(complex).itemsize
-        tracemalloc.start()
-        try:
-            run_cell(d, d, d * d, samples, 42)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _heap_peak(run_cell, d, d, d * d, samples, 42)
         assert peak <= 3 * stack, (peak / 1024, 3 * stack / 1024)
+
+    @pytest.mark.parametrize("cell", [(2, 5, 6), (3, 4, 12)])
+    def test_small_cell_block_peak_stays_within_the_6x6_bound(self, cell):
+        # A small cell's block is one chunk of up to CHUNK_ENTRIES entries
+        # (256 states at 2x5 k=6, 227 then 29 at 3x4 k=12), MIN_CHUNK
+        # stacks of 32 x 32. So the heap peak of one block stays within
+        # the 6x6 k=36 bound above, 3 stacks of MIN_CHUNK 36 x 36 matrices.
+        bound = 3 * sampling.MIN_CHUNK * 36 ** 2 * np.dtype(complex).itemsize
+        peak = _heap_peak(harness._run_block, (*cell, 42, 0, sampling.BLOCK_SIZE))
+        assert peak <= bound, (peak / 1024, bound / 1024)
 
     def test_per_state_calls_every_helper_the_benchmark_tracer_wraps(self, monkeypatch):
         # benchmarks/layers.py times each of these helpers as it is looked

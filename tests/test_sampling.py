@@ -308,24 +308,48 @@ def test_zero_draw_raises(monkeypatch):
 def test_chunk_size_caps_entries():
     # d1*d2 wide operators without a support stand-in (d1*k >= d2) ...
     assert [sampling._chunk_size(*cell) for cell in (
-        (2, 5, 6), (3, 4, 12), (6, 6, 2), (2, 18, 36),
-    )] == [40, 32, 32, 32]
+        (2, 5, 6), (3, 4, 2), (3, 4, 12), (3, 5, 2), (6, 6, 2), (2, 18, 36), (8, 8, 64),
+    )] == [256, 227, 227, 145, 32, 32, 32]
     # ... and d1^2 k wide ones with it: 4, 8, 9, 18 and 32 wide, where
     # 2x18 and 2x32 k=2 hold more factor entries (72 and 128) than 64;
-    # no chunk holds fewer than MIN_CHUNK states
+    # no chunk holds more than BLOCK_SIZE states, nor fewer than MIN_CHUNK
     assert [sampling._chunk_size(*cell) for cell in (
         (2, 5, 1), (2, 5, 2), (2, 18, 2), (2, 32, 2), (3, 4, 1), (3, 12, 2), (4, 9, 2),
-    )] == [256, 64, 56, 32, 50, 32, 32]
+    )] == [256, 256, 256, 256, 256, 101, 32]
+
+
+def test_chunk_size_keeps_its_budget():
+    # Over every cell d1 x d2, 2 <= d1 <= d2, d1 <= 8, d2 <= 32, at every
+    # rank, core cells included: a chunk holds at most BLOCK_SIZE states,
+    # and above MIN_CHUNK states its stack holds at most CHUNK_ENTRIES
+    # entries, each state counted as the larger of its factor entries and
+    # the operator the kernel solves.
+    assert sampling.CHUNK_ENTRIES == 2 ** 15 and sampling.MIN_CHUNK == 32
+    sizes = set()
+    for d1 in range(2, 9):
+        for d2 in range(d1, 33):
+            for k in range(1, d1 * d2 + 1):
+                size = sampling._chunk_size(d1, d2, k)
+                width = d1 * d1 * k if d1 * k < d2 else d1 * d2
+                per_state = max(width ** 2, d1 * d2 * k)
+                budget = sampling.CHUNK_ENTRIES
+                assert sampling.MIN_CHUNK <= size <= sampling.BLOCK_SIZE, (d1, d2, k)
+                assert size == sampling.MIN_CHUNK or size * per_state <= budget, (d1, d2, k)
+                # one more state would break the budget, unless the block is full
+                assert size == sampling.BLOCK_SIZE or (size + 1) * per_state > budget
+                sizes.add(size)
+    assert {sampling.MIN_CHUNK, sampling.BLOCK_SIZE} < sizes
 
 
 @pytest.mark.parametrize(
     "cell, start, stop",
     [
         # each run crosses a block edge (256 from start 0, 293 from start
-        # 37), and the block's last chunk is short
+        # 37), one chunk per block, and the last block is short
         ((2, 5, 6), 0, 300),
         ((2, 5, 6), 37, 421),
-        ((3, 4, 12), 27, 60),
+        # a chunk edge inside a block: 227 states a chunk, then 6
+        ((3, 4, 12), 27, 260),
         # MIN_CHUNK states a chunk, across two chunk edges
         ((2, 18, 36), 0, 70),
     ],

@@ -162,8 +162,8 @@ def test_chunk_margins_are_each_states_margins_alone(cell):
 
 
 def test_run_checks_calls_each_margin_once_per_chunk(monkeypatch):
-    # 37 or 38 states per cell: one chunk in the 2 x d and 3 x 3 cells,
-    # two in 3 x 5, whose chunks hold 32
+    # 146 states per cell: one chunk in the 2 x d and 3 x 3 cells, whose
+    # chunks hold 256, and two in 3 x 5, whose chunks hold 145
     chunks, calls = [], {name: [] for name in INVARIANTS}
 
     def evaluated(rho):
@@ -178,8 +178,8 @@ def test_run_checks_calls_each_margin_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(verify, "evaluate_state", evaluated)
     monkeypatch.setattr(verify, "INVARIANTS", {n: counted(n, m) for n, m in INVARIANTS.items()})
-    assert all(r.passed for r in run_checks(samples=450, master_seed=2024))
-    assert sum(chunks) == 450 and len(chunks) > 12
+    assert all(r.passed for r in run_checks(samples=1752, master_seed=2024))
+    assert sum(chunks) == 1752 and len(chunks) > 12
     assert calls == {name: chunks for name in INVARIANTS}
 
 
