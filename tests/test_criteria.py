@@ -280,13 +280,14 @@ def _row_bits(recs, i=0):
 CELLS = [((2, 2, 1), 40)] + [((2, 5, k), 50) for k in range(1, 11)] + [
     ((3, 4, 12), 40), ((3, 5, 2), 40), ((6, 6, 2), 8), ((2, 18, 36), 7),
 ]
-# CELLS, each run spanning more than one chunk of sample_chunks: every
-# 2x5 cell runs in chunks of 256, one per block (k=1 and k=2 are solved
-# on their support stand-in), 3x4 k=12 in chunks of 227, 3x5 k=2 in
-# chunks of 145, and 6x6 k=2 and 2x18 k=36 in chunks of 32.
-STACK_TRIALS = {**{(2, 5, k): 300 for k in range(1, 11)},
-                (3, 4, 12): 240, (3, 5, 2): 160, (6, 6, 2): 40, (2, 18, 36): 36}
-STACK_CELLS = [(cell, STACK_TRIALS.get(cell, trials)) for cell, trials in CELLS]
+# CELLS, 2x5 k=1 and k=2 (solved on their support stand-in), 6x6 k=2 and
+# 2x18 k=36 with more trials; then each cell whose run there is one chunk
+# again, with a run that spans more than one: every 2x5 cell runs in
+# chunks of 256, one per block, 3x4 k=12 in chunks of 227 and 3x5 k=2 in
+# chunks of 145.
+STACK_CELLS = [(cell, {(2, 5, 1): 300, (2, 5, 2): 100, (6, 6, 2): 40, (2, 18, 36): 36}
+                .get(cell, trials)) for cell, trials in CELLS] + [
+    ((2, 5, k), 300) for k in range(2, 11)] + [((3, 4, 12), 240), ((3, 5, 2), 160)]
 
 
 class TestStackedKernel:
@@ -295,13 +296,20 @@ class TestStackedKernel:
     @pytest.mark.parametrize("cell, trials", STACK_CELLS)
     def test_stack_equals_one_matrix_calls_and_reference(self, cell, trials):
         chunks = list(sample_chunks(*cell, 97, 0, trials))
-        assert sum(map(len, chunks)) == trials and (len(chunks) > 1 or cell == (2, 2, 1))
+        assert sum(map(len, chunks)) == trials
         for chunk in chunks:
             recs = evaluate_state(chunk)
             assert len(recs) == len(chunk)
             for trial, one in enumerate(states_of(chunk)):
                 assert _row_bits(recs, trial) == _row_bits(evaluate_state(one)), trial
                 assert _row_bits(recs, trial) == _bits(*reference_record(one)), trial
+
+    def test_every_cell_has_a_run_across_a_chunk_edge(self):
+        # each cell of CELLS but 2x2 k=1 has a run in STACK_CELLS that
+        # sample_chunks cuts into more than one chunk
+        spans = {cell for cell, trials in STACK_CELLS
+                 if len(list(sample_chunks(*cell, 97, 0, trials))) > 1}
+        assert spans == {cell for cell, _ in CELLS} - {(2, 2, 1)}
 
     def test_one_matrix_gives_one_record(self):
         a = sample_tripartite_pure(2, 5, 6, 3).reshape(10, 6)

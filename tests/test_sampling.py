@@ -348,10 +348,12 @@ def test_chunk_size_keeps_its_budget():
         # 37), one chunk per block, and the last block is short
         ((2, 5, 6), 0, 300),
         ((2, 5, 6), 37, 421),
-        # a chunk edge inside a block: 227 states a chunk, then 6
-        ((3, 4, 12), 27, 260),
+        # one chunk, inside a block
+        ((3, 4, 12), 27, 60),
         # MIN_CHUNK states a chunk, across two chunk edges
         ((2, 18, 36), 0, 70),
+        # a chunk edge inside a block: 227 states a chunk, then 6
+        ((3, 4, 12), 27, 260),
     ],
 )
 def test_chunk_edges_equal_reference_sampler(cell, start, stop):
